@@ -13,13 +13,14 @@ the regression chain to the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import net
 from .bridge import Endpoints, sample_posterior
-from .net import DenoiserParams, EmaParams, ParamGrads, TrainingError
+from .net import DenoiserParams, EmaParams, TrainingError
 from .schedule import NoiseSchedule, TimeGrid, bridge_coefficients
 
 
@@ -72,9 +73,13 @@ def boundary_scalings(m: ConsistencyModel, t):
     ``c_out -> 0``.
     """
     _, _, cap_sigma2 = bridge_coefficients(m.sched, t)
-    sd2 = m.sigma_data * m.sigma_data
+    return _scalings(cap_sigma2, m.sigma_data)
+
+
+def _scalings(cap_sigma2, sigma_data):
+    sd2 = sigma_data * sigma_data
     c_skip = sd2 / (cap_sigma2 + sd2)
-    c_out = np.sqrt(cap_sigma2) * m.sigma_data / np.sqrt(sd2 + cap_sigma2)
+    c_out = np.sqrt(cap_sigma2) * sigma_data / np.sqrt(sd2 + cap_sigma2)
     return c_skip, c_out
 
 
@@ -110,17 +115,23 @@ def denoise(m: ConsistencyModel, x_t, t, cond, use_target: bool = False) -> np.n
 # Loss
 # ---------------------------------------------------------------------------
 
-def _pair_states(m: ConsistencyModel, x0, x1, n, z):
-    """Vectorized shared-noise pair over a batch of per-item grid indices."""
-    t_lo = m.grid.nodes[n]
-    t_hi = m.grid.nodes[n + 1]
-    a_lo, b_lo, v_lo = bridge_coefficients(m.sched, t_lo)
-    a_hi, b_hi, v_hi = bridge_coefficients(m.sched, t_hi)
-    a_lo, b_lo, v_lo = (np.asarray(c)[..., None] for c in (a_lo, b_lo, v_lo))
-    a_hi, b_hi, v_hi = (np.asarray(c)[..., None] for c in (a_hi, b_hi, v_hi))
-    x_lo = a_lo * x0 + b_lo * x1 + np.sqrt(v_lo) * z
-    x_hi = a_hi * x0 + b_hi * x1 + np.sqrt(v_hi) * z
-    return x_lo, t_lo, x_hi, t_hi
+@lru_cache(maxsize=8)
+def _node_coefficients(sched: NoiseSchedule, nodes: bytes, sigma_data: float):
+    """Bridge and boundary coefficients at every grid node.
+
+    ``nodes`` is the float64 node array as bytes (the cache key).  Returns
+    read-only ``(a, b, sqrt(cap_sigma2), c_skip, c_out)`` columns of shape
+    (nodes, 1), so indexing one with a batch of grid indices gives a column
+    that scales the batch's rows.  The elementwise arithmetic is that of
+    :func:`bridge_coefficients` and :func:`boundary_scalings`, so the values
+    are bitwise theirs.
+    """
+    a, b, cap_sigma2 = bridge_coefficients(sched, np.frombuffer(nodes))
+    cols = (a, b, np.sqrt(cap_sigma2), *_scalings(cap_sigma2, sigma_data))
+    cols = tuple(c[:, None] for c in cols)
+    for c in cols:
+        c.setflags(write=False)
+    return cols
 
 
 def _loss_weight(t_lo):
@@ -142,7 +153,9 @@ def consistency_loss_and_grads(
     indices and ``z`` the shared standard-normal draws.  The distance is the
     squared L2 norm between the online map at the upper node and the frozen
     target map at the lower node; the per-item weight is constant one.
-    Returns ``(loss, grads)`` with the loss averaged over the batch.
+    The bridge and boundary coefficients are looked up by grid index in a
+    table cached per (schedule, grid, ``sigma_data``).  Returns
+    ``(loss, grads)`` with the loss averaged over the batch.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
@@ -152,13 +165,20 @@ def consistency_loss_and_grads(
     if np.any(n < 0) or np.any(n >= m.grid.n_steps):
         raise IndexError("grid index out of range")
 
-    x_lo, t_lo, x_hi, t_hi = _pair_states(m, x0, x1, n, z)
+    nodes = np.asarray(m.grid.nodes, dtype=np.float64)
+    a, b, sqrt_v, c_skip, c_out = _node_coefficients(
+        m.sched, nodes.tobytes(), m.sigma_data)
+    lo, hi = n, n + 1
+    t_lo, t_hi = nodes[lo], nodes[hi]
+    # Shared-noise pair: both states sit on the trajectory of one draw z.
+    x_lo = a[lo] * x0 + b[lo] * x1 + sqrt_v[lo] * z
+    x_hi = a[hi] * x0 + b[hi] * x1 + sqrt_v[hi] * z
 
     raw_tgt, _ = net.forward_with_cache(m.target, x_lo, t_lo, cond)
-    f_tgt = parameterize(raw_tgt, x_lo, t_lo, m)
+    f_tgt = c_skip[lo] * x_lo + c_out[lo] * raw_tgt
 
     raw_on, cache = net.forward_with_cache(m.online, x_hi, t_hi, cond)
-    f_on = parameterize(raw_on, x_hi, t_hi, m)
+    f_on = c_skip[hi] * x_hi + c_out[hi] * raw_on
 
     batch = x0.shape[0]
     weight = _loss_weight(t_lo)
@@ -171,8 +191,7 @@ def consistency_loss_and_grads(
             f"(indices {np.unique(n)[:8]!r})"
         )
 
-    _, c_out = boundary_scalings(m, t_hi)
-    d_raw = (2.0 / batch) * weight[:, None] * c_out[:, None] * diff
+    d_raw = (2.0 / batch) * weight[:, None] * c_out[hi] * diff
     grads = net.backward(m.online, cache, d_raw)
     return loss, grads
 
@@ -186,33 +205,28 @@ def consistency_loss(m: ConsistencyModel, item: TrainItem, n: int, z: np.ndarray
     return loss
 
 
-def train_step(m: ConsistencyModel, items, opt: net.AdamState, rng: np.random.Generator):
-    """One optimizer step over a batch of :class:`TrainItem`.
+def train_step(m: ConsistencyModel, batch, opt: net.AdamState, rng: np.random.Generator):
+    """One optimizer step over a batch.
 
-    Draws one uniform grid index and one shared noise vector per item,
-    averages the consistency loss, applies Adam to the online parameters and
-    then advances the EMA target.  Returns ``(model, opt_state, loss)`` with
-    the loss measured before the update.
+    ``batch`` is an ``(x0, x1, cond)`` triple of (batch, dim) arrays or a
+    sequence of :class:`TrainItem`.  Draws one uniform grid index and one
+    shared noise vector per item, averages the consistency loss, applies Adam
+    to the online parameters and then advances the EMA target, both in
+    place.  Returns ``(m, opt, loss)`` with the loss measured before the
+    update.
     """
-    if len(items) == 0:
+    if len(batch) > 0 and isinstance(batch[0], TrainItem):
+        batch = tuple(np.stack([getattr(it, k) for it in batch])
+                      for k in ("x0", "x1", "cond"))
+    if len(batch) == 0 or len(batch[0]) == 0:
         raise ValueError("empty batch")
-    x0 = np.stack([it.x0 for it in items])
-    x1 = np.stack([it.x1 for it in items])
-    cond = np.stack([it.cond for it in items])
-    n = rng.integers(0, m.grid.n_steps, size=len(items))
+    x0, x1, cond = batch
+    n = rng.integers(0, m.grid.n_steps, size=len(x0))
     z = rng.standard_normal(x0.shape)
     loss, grads = consistency_loss_and_grads(m, x0, x1, cond, n, z)
-    new_online, new_opt = net.adam_step(opt, m.online, grads)
-    new_target = net.ema_update(m.target, new_online)
-    new_model = ConsistencyModel(
-        online=new_online,
-        target=new_target,
-        sched=m.sched,
-        grid=m.grid,
-        sigma_data=m.sigma_data,
-        eval_count=m.eval_count,
-    )
-    return new_model, new_opt, loss
+    net.adam_step(opt, m.online, grads)
+    net.ema_update(m.target, m.online)
+    return m, opt, loss
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,23 @@ Gradients are computed by explicit backpropagation in float64, which keeps
 every parameter checkable against central finite differences and makes
 training bitwise deterministic for a fixed seed.  Checkpoints use a small
 versioned binary container of named little-endian float64 arrays.
+
+Flat layout: online parameters, EMA parameters, gradients and the Adam
+moments each live in one contiguous float64 vector ``flat`` holding layer
+0's weight matrix, layer 0's bias, layer 1's weight matrix and so on, in C
+order.  ``weights[i]`` and ``biases[i]`` are reshaped views into it, so
+writing either writes the other.  :func:`adam_step` and :func:`ema_update`
+work on the whole vector and update their arguments in place: they return
+the objects they were given, and a caller that needs the old values must
+copy them first.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +39,54 @@ class TrainingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DenoiserParams:
+class FlatLayers:
+    """Per-layer weight and bias arrays stored as views into one vector.
+
+    Built from per-layer arrays alone, the arrays are packed into a fresh
+    vector; built with ``flat`` as well, views of the given arrays' shapes
+    are laid over ``flat`` and the arrays' own values are ignored.
+    """
+
+    weights: list
+    biases: list
+    flat: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.weights) != len(self.biases):
+            raise ValueError("need one bias per weight matrix")
+        arrays = [a for pair in zip(self.weights, self.biases) for a in pair]
+        if self.flat is None:
+            self.flat = np.concatenate([np.ravel(a) for a in arrays],
+                                       dtype=np.float64)
+        views, offset = [], 0
+        for a in arrays:
+            shape = np.shape(a)
+            size = math.prod(shape)
+            views.append(self.flat[offset:offset + size].reshape(shape))
+            offset += size
+        if offset != self.flat.size:
+            raise ValueError(f"layers hold {offset} values, flat vector {self.flat.size}")
+        self.weights, self.biases = views[0::2], views[1::2]
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.weights)
+
+    def copy(self):
+        """Deep copy with a fresh flat vector."""
+        return replace(self, flat=self.flat.copy())
+
+    def zeros_like(self) -> "FlatLayers":
+        """Zero-filled layers of the same shapes."""
+        return FlatLayers(self.weights, self.biases, flat=np.zeros_like(self.flat))
+
+
+# Gradients share the parameter layout.
+ParamGrads = FlatLayers
+
+
+@dataclass
+class DenoiserParams(FlatLayers):
     """MLP weights plus the fixed embedding/conditioning dimensions.
 
     ``weights[i]`` has shape (fan_in, fan_out); activations multiply on the
@@ -36,67 +94,42 @@ class DenoiserParams:
     features and the output layer emits ``data_dim`` features.
     """
 
-    weights: list
-    biases: list
     data_dim: int
     time_embed_dim: int
     cond_dim: int
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    def copy(self) -> "DenoiserParams":
-        return DenoiserParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            data_dim=self.data_dim,
-            time_embed_dim=self.time_embed_dim,
-            cond_dim=self.cond_dim,
-        )
-
 
 @dataclass
-class EmaParams:
+class EmaParams(DenoiserParams):
     """Exponential moving average of the online parameters.
 
     Shape-identical to :class:`DenoiserParams`; only ever written by
     :func:`ema_update`, never by the optimizer.
     """
 
-    weights: list
-    biases: list
-    data_dim: int
-    time_embed_dim: int
-    cond_dim: int
     decay: float = 0.999
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-
-@dataclass
-class ParamGrads:
-    """Gradient arrays, shape-matched to the parameter lists."""
-
-    weights: list
-    biases: list
+    _scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators and hyperparameters."""
+    """Adam moment accumulators and hyperparameters.
 
-    m_weights: list
-    v_weights: list
-    m_biases: list
-    v_biases: list
+    ``m`` and ``v`` have the parameters' layout; :func:`adam_step` updates
+    them, ``step`` and two preallocated scratch vectors in place.
+    """
+
+    m: FlatLayers
+    v: FlatLayers
     step: int = 0
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    _scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._scratch = (np.empty_like(self.m.flat), np.empty_like(self.m.flat))
 
 
 def init_denoiser(
@@ -139,18 +172,26 @@ def init_denoiser(
 def ema_from(params: DenoiserParams, decay: float = 0.999) -> EmaParams:
     """Start the target network as an exact copy of the online one."""
     return EmaParams(
-        weights=[w.copy() for w in params.weights],
-        biases=[b.copy() for b in params.biases],
+        weights=params.weights,
+        biases=params.biases,
         data_dim=params.data_dim,
         time_embed_dim=params.time_embed_dim,
         cond_dim=params.cond_dim,
         decay=decay,
+        flat=params.flat.copy(),
     )
 
 
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _frequencies(half: int) -> np.ndarray:
+    freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))
+    freqs.setflags(write=False)
+    return freqs
+
 
 def time_embedding(t, dim: int) -> np.ndarray:
     """Sinusoidal embedding of times in [0, 1].
@@ -159,9 +200,7 @@ def time_embedding(t, dim: int) -> np.ndarray:
     interval; returns shape (..., dim).
     """
     t = np.asarray(t, dtype=np.float64)
-    half = dim // 2
-    freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))
-    angles = 2.0 * np.pi * t[..., None] * freqs
+    angles = 2.0 * np.pi * t[..., None] * _frequencies(dim // 2)
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
@@ -217,17 +256,19 @@ def forward(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
 
 
 def backward(p: DenoiserParams, cache, d_out: np.ndarray) -> ParamGrads:
-    """Backpropagate ``d_out = dL/d(output)`` to parameter gradients."""
+    """Backpropagate ``d_out = dL/d(output)`` to parameter gradients.
+
+    The gradients are written straight into a fresh flat vector's views.
+    """
     acts, pre_acts = cache
-    d_weights = [None] * p.n_layers
-    d_biases = [None] * p.n_layers
+    grads = ParamGrads(p.weights, p.biases, flat=np.empty_like(p.flat))
     delta = np.asarray(d_out, dtype=np.float64)
     for i in range(p.n_layers - 1, -1, -1):
-        d_weights[i] = acts[i].T @ delta
-        d_biases[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=grads.weights[i])
+        np.sum(delta, axis=0, out=grads.biases[i])
         if i > 0:
             delta = (delta @ p.weights[i].T) * _silu_grad(pre_acts[i - 1])
-    return ParamGrads(weights=d_weights, biases=d_biases)
+    return grads
 
 
 def loss_and_grads(p: DenoiserParams, batch, loss_fn):
@@ -255,62 +296,64 @@ def loss_and_grads(p: DenoiserParams, batch, loss_fn):
 
 def init_adam(p: DenoiserParams, lr: float = 1e-4, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        m_weights=[np.zeros_like(w) for w in p.weights],
-        v_weights=[np.zeros_like(w) for w in p.weights],
-        m_biases=[np.zeros_like(b) for b in p.biases],
-        v_biases=[np.zeros_like(b) for b in p.biases],
-        step=0,
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+    return AdamState(m=p.zeros_like(), v=p.zeros_like(), step=0, lr=lr,
+                     beta1=beta1, beta2=beta2, eps=eps)
 
 
-def _adam_tensor(m, v, g, state, t):
-    m = state.beta1 * m + (1.0 - state.beta1) * g
-    v = state.beta2 * v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    delta = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return m, v, delta
+def _check_layout(p: FlatLayers, other: FlatLayers, what: str) -> None:
+    if other.n_layers != p.n_layers:
+        raise ValueError(f"{what} layer count does not match parameters")
+    for i in range(p.n_layers):
+        if (other.weights[i].shape != p.weights[i].shape
+                or other.biases[i].shape != p.biases[i].shape):
+            raise ValueError(f"{what} shape mismatch at layer {i}")
 
 
 def adam_step(state: AdamState, p: DenoiserParams, grads: ParamGrads):
-    """One bias-corrected Adam update; returns ``(new_params, new_state)``."""
-    if len(grads.weights) != p.n_layers:
-        raise ValueError("gradient layer count does not match parameters")
+    """One bias-corrected Adam update of ``p``, in place.
+
+    Updates ``p``, ``state.m``, ``state.v`` and ``state.step`` in place and
+    returns ``(p, state)``.  Each operation keeps the elementwise order of
+    the per-tensor form ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    ``p -= lr*m_hat / (sqrt(v_hat) + eps)``, so the result is bitwise equal
+    to it; folding the bias corrections into one scalar would not be.
+    """
+    _check_layout(p, grads, "gradient")
     t = state.step + 1
-    new_w, new_b = [], []
-    m_w, v_w, m_b, v_b = [], [], [], []
-    for i in range(p.n_layers):
-        if grads.weights[i].shape != p.weights[i].shape:
-            raise ValueError(f"gradient shape mismatch at layer {i}")
-        m, v, delta = _adam_tensor(state.m_weights[i], state.v_weights[i],
-                                   grads.weights[i], state, t)
-        m_w.append(m)
-        v_w.append(v)
-        new_w.append(p.weights[i] - delta)
-        m, v, delta = _adam_tensor(state.m_biases[i], state.v_biases[i],
-                                   grads.biases[i], state, t)
-        m_b.append(m)
-        v_b.append(v)
-        new_b.append(p.biases[i] - delta)
-    new_params = replace(p, weights=new_w, biases=new_b)
-    new_state = replace(state, m_weights=m_w, v_weights=v_w,
-                        m_biases=m_b, v_biases=v_b, step=t)
-    return new_params, new_state
+    b1, b2 = state.beta1, state.beta2
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    s, u = state._scratch
+    np.multiply(m, b1, out=m)                 # m = b1*m + (1-b1)*g
+    np.multiply(g, 1.0 - b1, out=s)
+    np.add(m, s, out=m)
+    np.multiply(v, b2, out=v)                 # v = b2*v + ((1-b2)*g)*g
+    np.multiply(g, 1.0 - b2, out=s)
+    np.multiply(s, g, out=s)
+    np.add(v, s, out=v)
+    np.divide(v, 1.0 - b2 ** t, out=s)        # s = sqrt(v_hat) + eps
+    np.sqrt(s, out=s)
+    np.add(s, state.eps, out=s)
+    np.divide(m, 1.0 - b1 ** t, out=u)        # u = lr*m_hat / s
+    np.multiply(u, state.lr, out=u)
+    np.divide(u, s, out=u)
+    np.subtract(p.flat, u, out=p.flat)
+    state.step = t
+    return p, state
 
 
 def ema_update(target: EmaParams, online: DenoiserParams) -> EmaParams:
-    """theta_bar <- decay * theta_bar + (1 - decay) * theta, elementwise."""
+    """theta_bar <- decay * theta_bar + (1 - decay) * theta, in place.
+
+    Returns ``target``.
+    """
+    _check_layout(online, target, "EMA")
     mu = target.decay
-    if len(target.weights) != online.n_layers:
-        raise ValueError("EMA layer count does not match online parameters")
-    new_w = [mu * tw + (1.0 - mu) * ow for tw, ow in zip(target.weights, online.weights)]
-    new_b = [mu * tb + (1.0 - mu) * ob for tb, ob in zip(target.biases, online.biases)]
-    return replace(target, weights=new_w, biases=new_b)
+    if target._scratch is None:
+        target._scratch = np.empty_like(target.flat)
+    np.multiply(target.flat, mu, out=target.flat)
+    np.multiply(online.flat, 1.0 - mu, out=target._scratch)
+    np.add(target.flat, target._scratch, out=target.flat)
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +373,57 @@ def _pack_array(name: str, arr: np.ndarray) -> bytes:
     return head + arr.tobytes()
 
 
-def _unpack_array(buf: bytes, offset: int):
-    (name_len,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    name = buf[offset:offset + name_len].decode("ascii")
-    offset += name_len
-    (ndim,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    shape = struct.unpack_from(f"<{ndim}Q", buf, offset) if ndim else ()
-    offset += 8 * ndim
-    count = int(np.prod(shape)) if ndim else 1
-    arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(shape)
-    offset += 8 * count
-    return name, arr.astype(np.float64), offset
+def _need(buf: bytes, offset: int, size: int, what: str) -> None:
+    if offset + size > len(buf):
+        raise ValueError(
+            f"checkpoint truncated at byte {offset}: {what} needs {size} "
+            f"bytes, {len(buf) - offset} left"
+        )
+
+
+def _read(fmt: str, buf: bytes, offset: int, what: str):
+    """Unpack ``fmt`` at ``offset``; returns ``(values, next offset)``."""
+    size = struct.calcsize(fmt)
+    _need(buf, offset, size, what)
+    return struct.unpack_from(fmt, buf, offset), offset + size
+
+
+def _array_table(buf: bytes) -> dict:
+    """Name -> read-only float64 view into ``buf`` for every stored array."""
+    (magic,), offset = _read("8s", buf, 0, "magic")
+    if magic != _MAGIC:
+        raise ValueError(f"bad checkpoint magic {magic!r}")
+    (version, n_arrays), offset = _read("<II", buf, offset, "header")
+    if version != _VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    table = {}
+    for k in range(n_arrays):
+        what = f"array {k}"
+        (name_len,), offset = _read("<I", buf, offset, f"{what} name length")
+        (name_b,), offset = _read(f"{name_len}s", buf, offset, f"{what} name")
+        try:
+            name = name_b.decode("ascii")
+        except UnicodeDecodeError:
+            raise ValueError(f"{what} name at byte {offset - name_len} "
+                             f"is not ASCII") from None
+        (ndim,), offset = _read("<I", buf, offset, f"array {name!r} rank")
+        shape, offset = _read(f"<{ndim}Q", buf, offset, f"array {name!r} shape")
+        count = math.prod(shape)
+        _need(buf, offset, 8 * count, f"array {name!r} data")
+        table[name] = np.frombuffer(buf, "<f8", count, offset).reshape(shape)
+        offset += 8 * count
+    return table
+
+
+def _check_shapes(p: DenoiserParams) -> None:
+    fan_in = p.data_dim + 2 * (p.time_embed_dim // 2) + p.cond_dim
+    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
+        if w.ndim != 2 or w.shape[0] != fan_in or b.shape != (w.shape[1],):
+            raise ValueError(f"checkpoint layer {i} has weight {w.shape} and "
+                             f"bias {b.shape}; expected fan-in {fan_in}")
+        fan_in = w.shape[1]
+    if fan_in != p.data_dim:
+        raise ValueError(f"checkpoint output width {fan_in} != data_dim {p.data_dim}")
 
 
 def save_checkpoint(path, online: DenoiserParams, target: EmaParams) -> None:
@@ -358,9 +439,8 @@ def save_checkpoint(path, online: DenoiserParams, target: EmaParams) -> None:
     for i in range(target.n_layers):
         arrays.append((f"ema.w{i}", target.weights[i]))
         arrays.append((f"ema.b{i}", target.biases[i]))
-    blob = _MAGIC + struct.pack("<II", _VERSION, len(arrays))
-    for name, arr in arrays:
-        blob += _pack_array(name, arr)
+    blob = b"".join([_MAGIC, struct.pack("<II", _VERSION, len(arrays))]
+                    + [_pack_array(name, arr) for name, arr in arrays])
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -368,35 +448,37 @@ def save_checkpoint(path, online: DenoiserParams, target: EmaParams) -> None:
 def load_checkpoint(path):
     """Read a container written by :func:`save_checkpoint`.
 
-    Returns ``(online, target)``; round-trips bitwise with the writer.
+    Returns ``(online, target)``; round-trips bitwise with the writer.  Each
+    stored array is copied once, from the file buffer into the flat vector.
+    A truncated or malformed container raises ``ValueError``.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
-    if buf[:8] != _MAGIC:
-        raise ValueError(f"bad checkpoint magic {buf[:8]!r}")
-    version, n_arrays = struct.unpack_from("<II", buf, 8)
-    if version != _VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    offset = 16
-    named = {}
-    for _ in range(n_arrays):
-        name, arr, offset = _unpack_array(buf, offset)
-        named[name] = arr
-    dims = named["meta.dims"].astype(int)
+    table = _array_table(buf)
+
+    def get(name):
+        try:
+            return table[name]
+        except KeyError:
+            raise ValueError(f"checkpoint has no array {name!r}") from None
+
+    dims = get("meta.dims")
+    if (dims.shape != (4,) or not np.all(np.isfinite(dims))
+            or np.any(dims < 0) or np.any(dims != np.floor(dims))):
+        raise ValueError(f"bad checkpoint dimensions {dims!r}")
     data_dim, time_embed_dim, cond_dim, n_layers = (int(v) for v in dims)
-    online = DenoiserParams(
-        weights=[named[f"online.w{i}"].copy() for i in range(n_layers)],
-        biases=[named[f"online.b{i}"].copy() for i in range(n_layers)],
-        data_dim=data_dim,
-        time_embed_dim=time_embed_dim,
-        cond_dim=cond_dim,
-    )
-    target = EmaParams(
-        weights=[named[f"ema.w{i}"].copy() for i in range(n_layers)],
-        biases=[named[f"ema.b{i}"].copy() for i in range(n_layers)],
-        data_dim=data_dim,
-        time_embed_dim=time_embed_dim,
-        cond_dim=cond_dim,
-        decay=float(named["meta.ema_decay"].reshape(-1)[0]),
-    )
+    decay = get("meta.ema_decay")
+    if decay.size != 1:
+        raise ValueError(f"bad checkpoint EMA decay {decay!r}")
+    dims_kw = dict(data_dim=data_dim, time_embed_dim=time_embed_dim,
+                   cond_dim=cond_dim)
+
+    def layers(prefix):
+        return ([get(f"{prefix}.w{i}") for i in range(n_layers)],
+                [get(f"{prefix}.b{i}") for i in range(n_layers)])
+
+    online = DenoiserParams(*layers("online"), **dims_kw)
+    target = EmaParams(*layers("ema"), **dims_kw, decay=float(decay.reshape(-1)[0]))
+    _check_shapes(online)
+    _check_layout(online, target, "EMA")
     return online, target

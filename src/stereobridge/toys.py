@@ -19,7 +19,7 @@ taken early and at the end of the run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -379,7 +379,8 @@ def run_toy_training(
     ``step_callback(step, model, loss, wall_ms)`` fires after every
     optimizer step (steps are 1-based); a trainer failure propagates after
     the callback has seen the last completed step, so callers can retain
-    their most recent good state.
+    their most recent good state.  The model is updated in place, so a
+    callback that keeps it must save or copy it.
     """
     if problem is None:
         problem = default_problem()
@@ -435,9 +436,9 @@ def run_toy_training(
             cur_lr = lr
         else:
             cur_lr = lr + (final_lr - lr) * (frac - flat_fraction) / (1.0 - flat_fraction)
-        opt = replace(opt, lr=cur_lr)
-        items = draw_training_items(problem, batch_size, rng)
-        model, opt, loss = train_step(model, items, opt, rng)
+        opt.lr = cur_lr
+        x0, x1 = problem.draw_pairs(batch_size, rng)
+        model, opt, loss = train_step(model, (x0, x1, x1.copy()), opt, rng)
         losses[step - 1] = loss
         wall_ms[step - 1] = 1e3 * (time.perf_counter() - t_begin)
         if step_callback is not None:

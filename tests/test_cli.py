@@ -246,6 +246,16 @@ def test_sample_missing_checkpoint_fails(tiny_config, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sample_truncated_checkpoint_fails_cleanly(tiny_config, trained, tmp_path, capsys):
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(trained.read_bytes()[:20])
+    rc = main(["sample", "--config", str(tiny_config),
+               "--checkpoint", str(cut), "--out", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot load checkpoint" in err and "truncated at byte" in err
+
+
 def test_sample_rejects_bad_count(tiny_config, trained, tmp_path, capsys):
     rc = main(["sample", "--config", str(tiny_config),
                "--checkpoint", str(trained), "--count", "0",

@@ -215,11 +215,12 @@ def test_train_step_zero_lr_keeps_parameters():
     items = make_items(4, seed=15)
     opt = init_adam(m.online, lr=0.0)
     before = m.online.copy()
+    target_before = m.target.copy()
     new_m, _, loss = train_step(m, items, opt, np.random.default_rng(16))
     assert np.isfinite(loss) and loss >= 0.0
     assert params_equal(new_m.online, before)
     # EMA of an unchanged online net is also unchanged.
-    assert params_equal(new_m.target, m.target)
+    assert params_equal(new_m.target, target_before)
 
 
 def test_train_step_seeded_runs_identical():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -194,10 +196,11 @@ def test_adam_zero_gradients_no_op():
     state = init_adam(p, lr=0.1)
     zeros = ParamGrads(weights=[np.zeros_like(w) for w in p.weights],
                        biases=[np.zeros_like(b) for b in p.biases])
+    before = p.copy()
     new_p, new_state = adam_step(state, p, zeros)
-    for a, b in zip(new_p.weights, p.weights):
+    for a, b in zip(new_p.weights, before.weights):
         assert np.array_equal(a, b)
-    for a, b in zip(new_p.biases, p.biases):
+    for a, b in zip(new_p.biases, before.biases):
         assert np.array_equal(a, b)
     assert new_state.step == 1
 
@@ -207,10 +210,11 @@ def test_adam_first_step_size_is_lr():
     # constant gradient, hence almost exactly lr here.
     p = scalar_params()
     state = init_adam(p, lr=1e-4)
+    before = p.copy()
     new_p, _ = adam_step(state, p, unit_grads())
-    step = p.weights[0][0, 0] - new_p.weights[0][0, 0]
+    step = before.weights[0][0, 0] - new_p.weights[0][0, 0]
     assert step == pytest.approx(1e-4, rel=1e-6)
-    step_b = p.biases[0][0] - new_p.biases[0][0]
+    step_b = before.biases[0][0] - new_p.biases[0][0]
     assert step_b == pytest.approx(1e-4, rel=1e-6)
 
 
@@ -218,11 +222,11 @@ def test_adam_moments_decay_after_gradients_stop():
     p = scalar_params()
     state = init_adam(p, lr=1e-3)
     p, state = adam_step(state, p, unit_grads())
-    m_after = state.m_weights[0][0, 0]
+    m_after = state.m.weights[0][0, 0]
     zeros = ParamGrads(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
     for _ in range(3):
         p, state = adam_step(state, p, zeros)
-    assert state.m_weights[0][0, 0] == pytest.approx(m_after * 0.9 ** 3)
+    assert state.m.weights[0][0, 0] == pytest.approx(m_after * 0.9 ** 3)
     assert state.step == 4
 
 
@@ -272,8 +276,9 @@ def test_ema_decay_zero_copies_online():
 def test_ema_decay_one_freezes_target():
     p = probe_net(seed=8)
     target = ema_from(probe_net(seed=9), decay=1.0)
+    before = target.copy()
     new = ema_update(target, p)
-    for tw, old in zip(new.weights, target.weights):
+    for tw, old in zip(new.weights + new.biases, before.weights + before.biases):
         assert np.array_equal(tw, old)
 
 
@@ -298,6 +303,53 @@ def test_adam_never_touches_ema():
     after = list(target.weights) + list(target.biases)
     for old, new in zip(before, after):
         assert np.array_equal(old, new)
+
+
+def reference_adam_tensor(m, v, g, t, lr, beta1, beta2, eps):
+    """Per-tensor Adam with fresh arrays: the reference the flat update matches."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return m, v, lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_flat_adam_and_ema_match_per_tensor_reference_bitwise():
+    p = probe_net(seed=30)
+    target = ema_from(probe_net(seed=31), decay=0.8)
+    state = init_adam(p, lr=3e-3, beta2=0.99)
+    n = p.n_layers
+    ref_p = [a.copy() for a in p.weights + p.biases]
+    ref_ema = [a.copy() for a in target.weights + target.biases]
+    ref_m = [np.zeros_like(a) for a in ref_p]
+    ref_v = [np.zeros_like(a) for a in ref_p]
+    rng = np.random.default_rng(32)
+    for t in range(1, 7):
+        state.lr = 3e-3 / t
+        g = [rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-4, 1) for a in ref_p]
+        assert adam_step(state, p, ParamGrads(weights=g[:n], biases=g[n:])) == (p, state)
+        assert ema_update(target, p) is target
+        for k in range(len(ref_p)):
+            ref_m[k], ref_v[k], delta = reference_adam_tensor(
+                ref_m[k], ref_v[k], g[k], t, state.lr, state.beta1, state.beta2, state.eps)
+            ref_p[k] = ref_p[k] - delta
+        ref_ema = [0.8 * e + (1.0 - 0.8) * o for e, o in zip(ref_ema, ref_p)]
+        for got, want in ((p, ref_p), (target, ref_ema), (state.m, ref_m), (state.v, ref_v)):
+            for a, b in zip(got.weights + got.biases, want):
+                assert np.array_equal(a, b)
+    assert state.step == 6
+
+
+def test_layer_arrays_are_views_of_the_flat_vector():
+    p = probe_net()
+    p.flat[:] = np.arange(p.flat.size)
+    assert np.array_equal(np.concatenate([a.ravel() for pair in zip(p.weights, p.biases)
+                                          for a in pair]), p.flat)
+    p.biases[-1][0] = -1.0
+    assert -1.0 in p.flat
+    copy = p.copy()
+    copy.flat[:] = 0.0
+    assert p.biases[-1][0] == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -339,3 +391,39 @@ def test_checkpoint_loaded_params_behave_identically(tmp_path):
     x_t, t, cond = probe_batch(seed=15)
     assert np.array_equal(forward(online, x_t, t, cond),
                           forward(online2, x_t, t, cond))
+
+
+def test_checkpoint_truncated_at_any_byte_raises_value_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, probe_net(seed=13), ema_from(probe_net(seed=14)))
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(ValueError, match=r"truncated at byte \d+") as info:
+            load_checkpoint(cut)
+        assert int(re.search(r"byte (\d+)", str(info.value)).group(1)) <= n
+
+
+def test_checkpoint_missing_array_raises_value_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, probe_net(seed=13), ema_from(probe_net(seed=14)))
+    path.write_bytes(path.read_bytes().replace(b"ema.b1", b"ema.x1"))
+    with pytest.raises(ValueError, match="ema.b1"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fault", ["dims", "ema"])
+def test_checkpoint_layout_mismatch_raises_value_error(tmp_path, fault):
+    online = probe_net(seed=13)
+    target = ema_from(probe_net(seed=14))
+    if fault == "dims":
+        online.cond_dim += 1
+    else:
+        target = ema_from(init_denoiser(np.random.default_rng(0), data_dim=3,
+                                        cond_dim=2, hidden=5, depth=2,
+                                        time_embed_dim=4))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, online, target)
+    with pytest.raises(ValueError, match="layer 0"):
+        load_checkpoint(path)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stereobridge.bridge import Endpoints, analytic_posterior_score, heun_integrate
-from stereobridge.consistency import ConsistencyModel
+from stereobridge import net
+from stereobridge.consistency import ConsistencyModel, train_step
 from stereobridge.schedule import NoiseSchedule, bridge_coefficients, make_grid
 from stereobridge.toys import (
     GaussianMixture,
@@ -109,6 +110,38 @@ def test_draw_training_items_conditioning():
     for item in items:
         assert np.array_equal(item.cond, item.x1)
         assert item.cond is not item.x1
+
+
+def test_array_batch_training_matches_stacked_items():
+    # The training loop feeds draw_pairs arrays straight to train_step; the
+    # item path it replaced must consume the same draws and give the same bits.
+    prob = default_problem()
+
+    def run(use_items):
+        rng = np.random.default_rng(6)
+        params = net.init_denoiser(rng, data_dim=2, cond_dim=2, hidden=16,
+                                   depth=2, time_embed_dim=8)
+        m = ConsistencyModel(online=params, target=net.ema_from(params, decay=0.8),
+                             sched=SCHED, grid=make_grid(12), sigma_data=1.0)
+        opt = net.init_adam(params, lr=3e-3, beta2=0.99)
+        losses = []
+        for _ in range(5):
+            if use_items:
+                batch = draw_training_items(prob, 16, rng)
+            else:
+                x0, x1 = prob.draw_pairs(16, rng)
+                batch = (x0, x1, x1.copy())
+            m, opt, loss = train_step(m, batch, opt, rng)
+            losses.append(loss)
+        return losses, m, opt, rng.standard_normal()
+
+    losses_a, m_a, opt_a, next_a = run(use_items=True)
+    losses_b, m_b, opt_b, next_b = run(use_items=False)
+    assert losses_a == losses_b
+    assert next_a == next_b
+    for a, b in ((m_a.online, m_b.online), (m_a.target, m_b.target),
+                 (opt_a.m, opt_b.m), (opt_a.v, opt_b.v)):
+        assert np.array_equal(a.flat, b.flat)
 
 
 # ---------------------------------------------------------------------------
