@@ -140,25 +140,16 @@ def pf_ode_drift(
     x1: np.ndarray,
     t: float,
     sched: NoiseSchedule,
-    base_drift=None,
-    beta_squared: bool = True,
 ) -> np.ndarray:
     """Drift of the probability-flow ODE at ``(x_t, t)``.
 
-    ``base_drift(x, t)`` defaults to zero, keeping the ODE affine in ``x``.
-    ``beta_squared`` selects between a ``beta(t)^2`` factor (default) and
-    plain ``beta(t)`` on the score term; both are exposed because the two
-    conventions appear in the literature.
+    ``0.5 * beta(t)^2 * (x1 - x_t) / cap_sigma2``, affine in ``x_t``.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     x1 = np.asarray(x1, dtype=np.float64)
     cap_sigma2 = _checked_cap_sigma2(sched, t)
     rate = beta_at(sched, t)
-    factor = rate * rate if beta_squared else rate
-    drift = 0.5 * factor * (x1 - x_t) / cap_sigma2
-    if base_drift is not None:
-        drift = drift + np.asarray(base_drift(x_t, t), dtype=np.float64)
-    return drift
+    return 0.5 * (rate * rate) * (x1 - x_t) / cap_sigma2
 
 
 def heun_integrate(drift_fn, x0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:
@@ -193,15 +184,13 @@ def integrate_pf_ode(
     steps: int,
     x1: np.ndarray,
     sched: NoiseSchedule,
-    base_drift=None,
-    beta_squared: bool = True,
 ) -> BridgeSample:
     """Integrate the probability-flow ODE from ``start.t`` to ``t_end``."""
     if t_end == start.t:
         return start
 
     def drift(x, t):
-        return pf_ode_drift(x, x1, t, sched, base_drift=base_drift, beta_squared=beta_squared)
+        return pf_ode_drift(x, x1, t, sched)
 
     x = heun_integrate(drift, start.x, start.t, t_end, steps)
     return BridgeSample(x=x, t=float(t_end))

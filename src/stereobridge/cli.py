@@ -42,7 +42,7 @@ from .bridge import (
     sample_posterior,
 )
 from .config import ConfigError, RunConfig, default_config, load_config
-from .consistency import ConsistencyModel, nfe_times, sample_multistep, sample_one_step
+from .consistency import ConsistencyModel, nfe_times
 from .dsp import WavFormatError, log_mel, mel_cepstra, read_wav
 from .metrics import (
     MetricReport,
@@ -55,7 +55,7 @@ from .metrics import (
 )
 from .net import TrainingError
 from .schedule import NoiseSchedule, bridge_coefficients
-from .toys import run_toy_training
+from .toys import run_toy_training, toy_sample
 
 # Documented stand-ins relative to the full-scale system; recorded in every
 # training metadata file and metric report so results are interpretable.
@@ -82,7 +82,11 @@ def _load_run_config(args) -> RunConfig:
 
 def _out_dir(args, cfg: RunConfig) -> Path:
     out = Path(args.out) if args.out else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out" if args.out else "io.out_dir",
+                          f"cannot create output directory {str(out)!r}: {exc}") from exc
     return out
 
 
@@ -230,7 +234,6 @@ def cmd_train_toy(args) -> int:
     cfg = _load_run_config(args)
     out = _out_dir(args, cfg)
     ckpt_path = out / "model.ckpt"
-    problem = cfg.toy_problem()
 
     rows = []
 
@@ -247,8 +250,7 @@ def cmd_train_toy(args) -> int:
         "nondeterministic_fields": ["wall_ms", "wall_seconds"],
     }
     try:
-        result = run_toy_training(problem, **cfg.training_kwargs(),
-                                  step_callback=callback)
+        result = run_toy_training(cfg, step_callback=callback)
     except TrainingError as exc:
         _write_loss_csv(out / "loss.csv", rows)
         meta.update({
@@ -292,6 +294,12 @@ def cmd_sample(args) -> int:
         print(f"--count must be positive, got {args.count}", file=sys.stderr)
         return 2
     cfg = _load_run_config(args)
+    grid = cfg.time_grid()
+    try:
+        nfe_times(grid, args.nfe)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     out = _out_dir(args, cfg)
     try:
         online, target = net.load_checkpoint(args.checkpoint)
@@ -309,18 +317,12 @@ def cmd_sample(args) -> int:
         return 2
 
     model = ConsistencyModel(online=online, target=target,
-                             sched=cfg.schedule(), grid=cfg.time_grid(),
+                             sched=cfg.schedule(), grid=grid,
                              sigma_data=cfg.sigma_data)
-    rng = np.random.default_rng(cfg.seed)
-    x1 = problem.draw_prior(args.count, rng)
     before = model.eval_count
     t_begin = time.perf_counter()
-    if args.nfe == 1:
-        z = rng.standard_normal(x1.shape)
-        samples = sample_one_step(model, x1, x1, z)
-    else:
-        samples = sample_multistep(model, x1, x1,
-                                   nfe_times(model.grid, args.nfe), rng)
+    samples = toy_sample(model, problem, args.count,
+                         np.random.default_rng(cfg.seed), args.nfe)
     wall = time.perf_counter() - t_begin
     used = model.eval_count - before
     if used != args.nfe:

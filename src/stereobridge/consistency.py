@@ -9,6 +9,10 @@ one coherent trajectory.  No pretrained teacher is involved.
 A boundary-respecting parameterization wraps the raw network so the map is
 (approximately) the identity at the minimum processing time, which anchors
 the regression chain to the data.
+
+A batch is an ``(x0, x1, cond)`` triple of (batch, dim) arrays throughout.
+Sampling has one path, :func:`sample_multistep`: one-step generation is its
+single-node case, so every evaluation budget draws its noise the same way.
 """
 
 from __future__ import annotations
@@ -37,31 +41,12 @@ class ConsistencyModel:
     target: EmaParams
     sched: NoiseSchedule
     grid: TimeGrid
-    sigma_data: float = 0.5
+    sigma_data: float
     eval_count: int = 0
 
     def __post_init__(self):
         if not self.grid.t_min > 0.0:
             raise ValueError("grid must start strictly above 0")
-
-
-@dataclass(frozen=True)
-class TrainItem:
-    """One training example: clean target, prior endpoint, conditioning."""
-
-    x0: np.ndarray
-    x1: np.ndarray
-    cond: np.ndarray
-
-    def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=np.float64)
-        x1 = np.asarray(self.x1, dtype=np.float64)
-        cond = np.asarray(self.cond, dtype=np.float64)
-        if x0.shape != x1.shape:
-            raise ValueError(f"endpoint shapes differ: {x0.shape} vs {x1.shape}")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "cond", cond)
 
 
 def boundary_scalings(m: ConsistencyModel, t):
@@ -134,11 +119,6 @@ def _node_coefficients(sched: NoiseSchedule, nodes: bytes, sigma_data: float):
     return cols
 
 
-def _loss_weight(t_lo):
-    # Positive weighting over grid times; constant one by design.
-    return np.ones_like(np.asarray(t_lo, dtype=np.float64))
-
-
 def consistency_loss_and_grads(
     m: ConsistencyModel,
     x0: np.ndarray,
@@ -152,7 +132,7 @@ def consistency_loss_and_grads(
     ``x0, x1, cond`` are (batch, dim) arrays, ``n`` an integer array of grid
     indices and ``z`` the shared standard-normal draws.  The distance is the
     squared L2 norm between the online map at the upper node and the frozen
-    target map at the lower node; the per-item weight is constant one.
+    target map at the lower node, unweighted across grid times.
     The bridge and boundary coefficients are looked up by grid index in a
     table cached per (schedule, grid, ``sigma_data``).  Returns
     ``(loss, grads)`` with the loss averaged over the batch.
@@ -181,9 +161,8 @@ def consistency_loss_and_grads(
     f_on = c_skip[hi] * x_hi + c_out[hi] * raw_on
 
     batch = x0.shape[0]
-    weight = _loss_weight(t_lo)
     diff = f_on - f_tgt
-    per_item = weight * np.sum(diff * diff, axis=1)
+    per_item = np.sum(diff * diff, axis=1)
     loss = float(np.mean(per_item))
     if not np.isfinite(loss):
         raise TrainingError(
@@ -191,36 +170,22 @@ def consistency_loss_and_grads(
             f"(indices {np.unique(n)[:8]!r})"
         )
 
-    d_raw = (2.0 / batch) * weight[:, None] * c_out[hi] * diff
+    d_raw = (2.0 / batch) * c_out[hi] * diff
     grads = net.backward(m.online, cache, d_raw)
     return loss, grads
 
 
-def consistency_loss(m: ConsistencyModel, item: TrainItem, n: int, z: np.ndarray) -> float:
-    """Single-item consistency loss (see :func:`consistency_loss_and_grads`)."""
-    loss, _ = consistency_loss_and_grads(
-        m, item.x0[None, :], item.x1[None, :], item.cond[None, :],
-        np.array([n]), np.asarray(z)[None, :],
-    )
-    return loss
-
-
 def train_step(m: ConsistencyModel, batch, opt: net.AdamState, rng: np.random.Generator):
-    """One optimizer step over a batch.
+    """One optimizer step over an ``(x0, x1, cond)`` batch of (batch, dim) arrays.
 
-    ``batch`` is an ``(x0, x1, cond)`` triple of (batch, dim) arrays or a
-    sequence of :class:`TrainItem`.  Draws one uniform grid index and one
-    shared noise vector per item, averages the consistency loss, applies Adam
-    to the online parameters and then advances the EMA target, both in
-    place.  Returns ``(m, opt, loss)`` with the loss measured before the
-    update.
+    Draws one uniform grid index and one shared noise vector per row,
+    averages the consistency loss, applies Adam to the online parameters and
+    then advances the EMA target, both in place.  Returns ``(m, opt, loss)``
+    with the loss measured before the update.
     """
-    if len(batch) > 0 and isinstance(batch[0], TrainItem):
-        batch = tuple(np.stack([getattr(it, k) for it in batch])
-                      for k in ("x0", "x1", "cond"))
-    if len(batch) == 0 or len(batch[0]) == 0:
-        raise ValueError("empty batch")
     x0, x1, cond = batch
+    if len(x0) == 0:
+        raise ValueError("empty batch")
     n = rng.integers(0, m.grid.n_steps, size=len(x0))
     z = rng.standard_normal(x0.shape)
     loss, grads = consistency_loss_and_grads(m, x0, x1, cond, n, z)
@@ -232,32 +197,6 @@ def train_step(m: ConsistencyModel, batch, opt: net.AdamState, rng: np.random.Ge
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-def _start_state(m: ConsistencyModel, x1: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Inference start at the top of the grid.
-
-    The data-endpoint term of the bridge mean is dropped (its weight is a
-    few 1e-3 at the default maximum time and the data point is unknown at
-    inference), leaving ``b * x1 + sqrt(cap_sigma2) * z``.
-    """
-    t_top = float(m.grid.nodes[-1])
-    _, b, cap_sigma2 = bridge_coefficients(m.sched, t_top)
-    return b * x1 + np.sqrt(cap_sigma2) * z
-
-
-def sample_one_step(m: ConsistencyModel, x1: np.ndarray, cond: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Generate with a single network evaluation.
-
-    ``x1``/``z`` may be single vectors or (batch, dim) arrays.
-    """
-    x1 = np.asarray(x1, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != x1.shape:
-        raise ValueError(f"noise shape {z.shape} does not match prior {x1.shape}")
-    x_start = _start_state(m, x1, z)
-    t_top = float(m.grid.nodes[-1])
-    return denoise(m, x_start, t_top, cond)
-
 
 def nfe_times(grid: TimeGrid, nfe: int):
     """Denoise times for a fixed evaluation budget.
@@ -288,7 +227,13 @@ def sample_multistep(
 
     ``times`` must be a strictly descending subset of the grid nodes with
     the last entry at or above the grid minimum.  The number of network
-    evaluations equals ``len(times)``.
+    evaluations equals ``len(times)``; a single top node is one-step
+    generation.  Each node draws one standard-normal array shaped like
+    ``x1``.  The first state is ``b * x1 + sqrt(cap_sigma2) * z`` at
+    ``times[0]``: the data-endpoint term of the bridge mean is dropped (its
+    weight is a few 1e-3 at the default maximum time and the data point is
+    unknown at inference).  Later states re-noise around the previous
+    estimate, ``a * x0_hat + b * x1 + sqrt(cap_sigma2) * z``.
     """
     times = [float(t) for t in times]
     if len(times) == 0:
@@ -304,12 +249,8 @@ def sample_multistep(
 
     x1 = np.asarray(x1, dtype=np.float64)
     z = rng.standard_normal(x1.shape)
-    x = _start_state(m, x1, z) if abs(times[0] - m.grid.nodes[-1]) < 1e-12 else None
-    if x is None:
-        # Starting below the top node: draw the bridge state around x1 only.
-        _, b, cap_sigma2 = bridge_coefficients(m.sched, times[0])
-        x = b * x1 + np.sqrt(cap_sigma2) * z
-    x0_hat = denoise(m, x, times[0], cond)
+    _, b, cap_sigma2 = bridge_coefficients(m.sched, times[0])
+    x0_hat = denoise(m, b * x1 + np.sqrt(cap_sigma2) * z, times[0], cond)
     for t_next in times[1:]:
         z = rng.standard_normal(x1.shape)
         a, b, cap_sigma2 = bridge_coefficients(m.sched, t_next)
@@ -318,29 +259,28 @@ def sample_multistep(
     return x0_hat
 
 
-def self_consistency_spread(
-    m: ConsistencyModel,
-    item: TrainItem,
-    z: np.ndarray,
-    indices=None,
-) -> float:
-    """Max pairwise distance between data estimates along one trajectory.
+def self_consistency_spread(m: ConsistencyModel, batch, z: np.ndarray, indices=None) -> float:
+    """Max pairwise distance between data estimates along each trajectory.
 
-    Builds shared-noise bridge states at the given grid indices (all nodes
-    by default) and measures how far apart the model's outputs are; a
-    perfectly self-consistent model returns zero.
+    ``batch`` is an ``(x0, x1, cond)`` triple of (batch, dim) arrays and
+    ``z`` the matching shared noise.  Builds each row's shared-noise bridge
+    states at the given grid indices (all nodes by default), takes the
+    largest distance between the model's outputs along that trajectory and
+    returns the mean over rows; a perfectly self-consistent model returns
+    zero.
     """
+    x0, x1, cond = batch
     if indices is None:
         indices = range(len(m.grid.nodes))
-    ep = Endpoints(item.x0, item.x1)
+    ep = Endpoints(x0, x1)
     outs = []
     for i in indices:
         t = float(m.grid.nodes[i])
-        s = sample_posterior(ep, t, m.sched, z)
-        outs.append(denoise(m, s.x, t, item.cond))
+        outs.append(denoise(m, sample_posterior(ep, t, m.sched, z).x, t, cond))
     outs = np.stack(outs)
-    diff = outs[:, None, :] - outs[None, :, :]
-    return float(np.max(np.sqrt(np.sum(diff * diff, axis=-1))))
+    diff = outs[:, None] - outs[None, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))    # (nodes, nodes, batch)
+    return float(np.mean(np.max(dist, axis=(0, 1))))
 
 
 # ---------------------------------------------------------------------------

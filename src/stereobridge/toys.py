@@ -10,10 +10,12 @@ available in closed form.  That gives a gold-standard reference sampler to
 hold the learned one-step sampler against, plus an energy-distance gauge to
 compare sample sets.
 
-The training entry point wires toy data into the consistency trainer and
-reports the bookkeeping the command line and the acceptance checks need:
-per-step losses, wall-clock stamps, and self-consistency spread snapshots
-taken early and at the end of the run.
+The training entry point takes every setting from one run configuration
+(the command line's ``RunConfig``; the reference recipe is its default),
+feeds the consistency trainer ``(x0, x1, cond)`` array batches, and reports
+the bookkeeping the command line and the acceptance checks need: per-step
+losses, wall-clock stamps, and self-consistency spread snapshots taken early
+and at the end of the run.
 """
 
 from __future__ import annotations
@@ -29,21 +31,12 @@ from . import net
 from .bridge import VARIANCE_FLOOR, heun_integrate
 from .consistency import (
     ConsistencyModel,
-    TrainItem,
     nfe_times,
     sample_multistep,
-    sample_one_step,
     self_consistency_spread,
     train_step,
 )
-from .schedule import (
-    NoiseSchedule,
-    TimeGrid,
-    accumulated_variances,
-    beta_at,
-    bridge_coefficients,
-    make_grid,
-)
+from .schedule import NoiseSchedule, accumulated_variances, beta_at, bridge_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -91,15 +84,6 @@ class GaussianMixture:
         return self.means[comp] + self.sigmas[comp, None] * z
 
 
-def default_mixture() -> GaussianMixture:
-    """Two well-separated components; the standard fixture for toy runs."""
-    return GaussianMixture(
-        means=np.array([[-2.0, 0.0], [2.0, 0.0]]),
-        sigmas=np.array([0.5, 0.5]),
-        weights=np.array([0.5, 0.5]),
-    )
-
-
 @dataclass(frozen=True)
 class ToyProblem:
     """A mixture target coupled to a blurred observation of itself.
@@ -132,18 +116,15 @@ class ToyProblem:
         return x1
 
 
-def default_problem() -> ToyProblem:
-    return ToyProblem(mixture=default_mixture(), prior_sigma=1.0)
-
-
 def draw_training_items(problem: ToyProblem, n: int, rng: np.random.Generator):
-    """Coupled endpoint pairs as training items.
+    """A training batch: the ``(x0, x1, cond)`` triple of (n, dim) arrays.
 
-    The far endpoint doubles as the conditioning vector so the denoiser
-    sees it explicitly, mirroring how it is queried at sampling time.
+    Draws as :meth:`ToyProblem.draw_pairs`.  The far endpoint doubles as the
+    conditioning (a copy) so the denoiser sees it explicitly, mirroring how
+    it is queried at sampling time.
     """
     x0, x1 = problem.draw_pairs(n, rng)
-    return [TrainItem(x0=x0[i], x1=x1[i], cond=x1[i].copy()) for i in range(n)]
+    return x0, x1, x1.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -341,40 +322,20 @@ class ToyTrainResult:
     wall_s: float
 
 
-def run_toy_training(
-    problem: ToyProblem | None = None,
-    *,
-    steps: int = 5000,
-    batch_size: int = 16,
-    seed: int = 21,
-    sched: NoiseSchedule | None = None,
-    grid: TimeGrid | None = None,
-    hidden: int = 192,
-    depth: int = 4,
-    time_embed_dim: int = 32,
-    sigma_data: float = 1.0,
-    lr: float = 3e-3,
-    final_lr: float = 1e-5,
-    flat_fraction: float = 0.6,
-    adam_beta2: float = 0.99,
-    ema_decay: float = 0.8,
-    probe_step: int = 100,
-    n_probe_items: int = 1,
-    step_callback=None,
-) -> ToyTrainResult:
-    """Train the consistency denoiser on a toy problem end to end.
+def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
+    """Train the consistency denoiser on the configured toy problem.
 
-    The defaults are the reference recipe used by the command line and the
-    acceptance checks; they were tuned so a short CPU run reaches one-step
-    sample quality close to the analytic reference sampler.  The learning
-    rate holds at ``lr`` for the first ``flat_fraction`` of the run and then
-    ramps linearly down to ``final_lr``.
+    ``cfg`` is a :class:`stereobridge.config.RunConfig`; every setting comes
+    from it, and ``default_config()`` is the reference recipe used by the
+    command line and the acceptance checks.  The learning rate holds at
+    ``cfg.lr`` for the first ``cfg.flat_fraction`` of the run and then ramps
+    linearly down to ``cfg.final_lr``.
 
-    Deterministic for a fixed argument set: one generator seeded from
-    ``seed`` drives initialization, data, grid-index, and noise draws, and a
-    separate fixed stream supplies the spread probes so the snapshots at
-    ``probe_step`` and at the end measure the same trajectories (one fixed
-    item's shared-noise trajectory by default).
+    Deterministic for a fixed config: one generator seeded from ``cfg.seed``
+    drives initialization, data, grid-index, and noise draws, and a separate
+    fixed stream supplies one probe item so the spread snapshots at
+    ``cfg.probe_step`` and at the end measure the same trajectory.  Every
+    batch, the probe's included, comes from :func:`draw_training_items`.
 
     ``step_callback(step, model, loss, wall_ms)`` fires after every
     optimizer step (steps are 1-based); a trainer failure propagates after
@@ -382,49 +343,39 @@ def run_toy_training(
     their most recent good state.  The model is updated in place, so a
     callback that keeps it must save or copy it.
     """
-    if problem is None:
-        problem = default_problem()
-    if sched is None:
-        sched = NoiseSchedule()
-    if grid is None:
-        grid = make_grid(12)
+    steps, probe_step, flat_fraction = cfg.steps, cfg.probe_step, cfg.flat_fraction
+    lr, final_lr = cfg.lr, cfg.final_lr
     if steps < 1:
         raise ValueError("steps must be positive")
-    if batch_size < 1:
+    if cfg.batch_size < 1:
         raise ValueError("batch_size must be positive")
     if not 1 <= probe_step <= steps:
         raise ValueError(f"probe_step {probe_step} must fall inside the run")
     if not 0.0 < flat_fraction <= 1.0:
         raise ValueError("flat_fraction must lie in (0, 1]")
 
-    rng = np.random.default_rng(seed)
+    problem = cfg.toy_problem()
+    rng = np.random.default_rng(cfg.seed)
     params = net.init_denoiser(
         rng,
         data_dim=problem.dim,
         cond_dim=problem.dim,
-        hidden=hidden,
-        depth=depth,
-        time_embed_dim=time_embed_dim,
+        hidden=cfg.hidden,
+        depth=cfg.depth,
+        time_embed_dim=cfg.time_embed_dim,
     )
     model = ConsistencyModel(
         online=params,
-        target=net.ema_from(params, decay=ema_decay),
-        sched=sched,
-        grid=grid,
-        sigma_data=sigma_data,
+        target=net.ema_from(params, decay=cfg.ema_decay),
+        sched=cfg.schedule(),
+        grid=cfg.time_grid(),
+        sigma_data=cfg.sigma_data,
     )
-    opt = net.init_adam(params, lr=lr, beta2=adam_beta2)
+    opt = net.init_adam(params, lr=lr, beta2=cfg.adam_beta2)
 
-    probe_rng = np.random.default_rng((seed, 0x534E4150))
-    probe_items = draw_training_items(problem, n_probe_items, probe_rng)
-    probe_noise = [probe_rng.standard_normal(problem.dim) for _ in probe_items]
-
-    def probe(m: ConsistencyModel) -> float:
-        spreads = [
-            self_consistency_spread(m, item, z)
-            for item, z in zip(probe_items, probe_noise)
-        ]
-        return float(np.mean(spreads))
+    probe_rng = np.random.default_rng((cfg.seed, 0x534E4150))
+    probe_batch = draw_training_items(problem, 1, probe_rng)
+    probe_noise = probe_rng.standard_normal(probe_batch[0].shape)
 
     losses = np.zeros(steps)
     wall_ms = np.zeros(steps)
@@ -433,19 +384,18 @@ def run_toy_training(
     for step in range(1, steps + 1):
         frac = (step - 1) / max(steps - 1, 1)
         if frac < flat_fraction or flat_fraction >= 1.0:
-            cur_lr = lr
+            opt.lr = lr
         else:
-            cur_lr = lr + (final_lr - lr) * (frac - flat_fraction) / (1.0 - flat_fraction)
-        opt.lr = cur_lr
-        x0, x1 = problem.draw_pairs(batch_size, rng)
-        model, opt, loss = train_step(model, (x0, x1, x1.copy()), opt, rng)
+            opt.lr = lr + (final_lr - lr) * (frac - flat_fraction) / (1.0 - flat_fraction)
+        batch = draw_training_items(problem, cfg.batch_size, rng)
+        model, opt, loss = train_step(model, batch, opt, rng)
         losses[step - 1] = loss
         wall_ms[step - 1] = 1e3 * (time.perf_counter() - t_begin)
         if step_callback is not None:
             step_callback(step, model, loss, float(wall_ms[step - 1]))
         if step == probe_step:
-            spread_probe = probe(model)
-    spread_final = probe(model)
+            spread_probe = self_consistency_spread(model, probe_batch, probe_noise)
+    spread_final = self_consistency_spread(model, probe_batch, probe_noise)
     return ToyTrainResult(
         model=model,
         losses=losses,
@@ -461,13 +411,10 @@ def toy_sample(model: ConsistencyModel, problem: ToyProblem, n: int,
                rng: np.random.Generator, nfe: int = 1) -> np.ndarray:
     """Generate ``n`` points from fresh far endpoints.
 
-    ``nfe`` = 1 uses the single-evaluation sampler; larger budgets spread
-    their calls over the grid via :func:`nfe_times`.  The far endpoint is
-    passed as conditioning, matching training.
+    Draws the far endpoints from ``rng`` and hands the same generator to
+    :func:`sample_multistep` over the ``nfe`` grid nodes that
+    :func:`nfe_times` picks; ``nfe = 1`` is the single top node.  The far
+    endpoint is passed as conditioning, matching training.
     """
     x1 = problem.draw_prior(n, rng)
-    if nfe == 1:
-        z = rng.standard_normal(x1.shape)
-        return sample_one_step(model, x1, x1, z)
-    times = nfe_times(model.grid, nfe)
-    return sample_multistep(model, x1, x1, times, rng)
+    return sample_multistep(model, x1, x1, nfe_times(model.grid, nfe), rng)

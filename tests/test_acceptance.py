@@ -22,6 +22,7 @@ from stereobridge.bridge import (
     sample_posterior,
 )
 from stereobridge.cli import main
+from stereobridge.config import default_config
 from stereobridge.consistency import stereo_enhancement_loss
 from stereobridge.dsp import MelCepstra, StereoWaveform
 from stereobridge.metrics import (
@@ -43,7 +44,6 @@ from stereobridge.spatial import (
     viewpoint_split,
 )
 from stereobridge.toys import (
-    default_problem,
     energy_distance,
     oracle_ode_sample,
     run_toy_training,
@@ -52,7 +52,7 @@ from stereobridge.toys import (
 
 SCHED = NoiseSchedule()
 GRID = make_grid(12)
-PROBLEM = default_problem()
+PROBLEM = default_config().toy_problem()
 
 
 def report(number, label):
@@ -64,7 +64,7 @@ def report(number, label):
 @pytest.fixture(scope="module")
 def toy_run():
     t0 = time.perf_counter()
-    result = run_toy_training()
+    result = run_toy_training(default_config())
     return result, time.perf_counter() - t0
 
 

@@ -155,17 +155,6 @@ def test_drift_affine_in_state():
     assert d1 - d0 == pytest.approx(-0.5 * beta * beta * delta / v)
 
 
-def test_drift_beta_linear_switch():
-    x = np.array([0.0])
-    x1 = np.array([1.0])
-    t = 0.5
-    d_sq = pf_ode_drift(x, x1, t, DEFAULT, beta_squared=True)
-    d_lin = pf_ode_drift(x, x1, t, DEFAULT, beta_squared=False)
-    from stereobridge.schedule import beta_at
-
-    assert d_sq == pytest.approx(d_lin * beta_at(DEFAULT, t))
-
-
 def _linear_ode_exact(xs, x1, t0, t1, c=1.0):
     """Closed form for dx/dt = c/(2 t (1-t)) (x1 - x) under the unit rate."""
     ratio = (t1 * (1.0 - t0)) / (t0 * (1.0 - t1))

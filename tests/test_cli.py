@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from stereobridge.cli import main
+from stereobridge.config import load_config
+from stereobridge.consistency import ConsistencyModel
 from stereobridge.dsp import StereoWaveform, write_wav
 from stereobridge.metrics import exponential_ir
 from stereobridge.net import load_checkpoint
+from stereobridge.toys import toy_sample
 
 RATE = 22050
 
@@ -64,6 +67,20 @@ def test_config_error_exits_two(tmp_path, capsys):
     assert "grid.t_max" in err
     # validation fails before any work starts
     assert not (tmp_path / "st").exists()
+
+
+@pytest.mark.parametrize("command", ["selftest-bridge", "train-toy", "sample", "eval"])
+def test_out_path_that_is_a_file_is_usage_error(command, tiny_config, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    extra = {"selftest-bridge": [],
+             "train-toy": ["--config", str(tiny_config)],
+             "sample": ["--config", str(tiny_config), "--checkpoint", "absent.ckpt"],
+             "eval": ["--ref", "absent.wav", "--syn", "absent.wav"]}[command]
+    assert main([command, *extra, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and str(taken) in err
+    assert taken.read_text() == "not a directory"
 
 
 def test_console_module_entry():
@@ -222,6 +239,34 @@ def test_sample_budget_counts_evaluations(tiny_config, trained, tmp_path, capsys
         timing = json.loads((out / f"timing_nfe{nfe}.json").read_text())
         assert timing["network_evaluations"] == int(nfe)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("nfe", [1, 8])
+def test_sample_writes_toy_sample_rows(nfe, tiny_config, trained, tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["sample", "--config", str(tiny_config), "--checkpoint", str(trained),
+                 "--nfe", str(nfe), "--count", "32", "--seed", "9",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    written = np.loadtxt(out / f"samples_nfe{nfe}.csv", delimiter=",", skiprows=1)
+    cfg = load_config(tiny_config)
+    online, target = load_checkpoint(trained)
+    model = ConsistencyModel(online=online, target=target, sched=cfg.schedule(),
+                             grid=cfg.time_grid(), sigma_data=cfg.sigma_data)
+    expected = toy_sample(model, cfg.toy_problem(), 32, np.random.default_rng(9), nfe)
+    assert np.array_equal(written, expected)
+
+
+def test_sample_budget_larger_than_grid_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "grid": {"n_steps": 4}}))
+    # The budget is checked before the (absent) checkpoint is opened.
+    rc = main(["sample", "--config", str(cfg), "--checkpoint",
+               str(tmp_path / "absent.ckpt"), "--nfe", "8",
+               "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "budget 8 does not fit a grid of 4 steps" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_sample_dimension_mismatch_is_config_error(trained, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import inspect
 import json
 
 import numpy as np
@@ -11,7 +10,6 @@ from stereobridge.config import (
     load_config,
     parse_config,
 )
-from stereobridge.toys import run_toy_training
 
 
 def minimal(**sections):
@@ -128,15 +126,6 @@ def test_builders_produce_consistent_objects():
     assert grid.t_min == cfg.t_min and grid.t_max == cfg.t_max
     sched = cfg.schedule()
     assert (sched.beta0, sched.beta1) == (cfg.beta0, cfg.beta1)
-
-
-def test_training_kwargs_match_trainer_signature():
-    # Every kwarg the config emits must be a real trainer parameter, so the
-    # two cannot drift apart silently.
-    kwargs = default_config().training_kwargs()
-    params = inspect.signature(run_toy_training).parameters
-    for key in kwargs:
-        assert key in params, key
 
 
 def test_config_hash_tracks_content():

@@ -4,21 +4,18 @@ import pytest
 from stereobridge import net
 from stereobridge.consistency import (
     ConsistencyModel,
-    TrainItem,
     boundary_scalings,
-    consistency_loss,
     consistency_loss_and_grads,
     denoise,
     nfe_times,
     parameterize,
     sample_multistep,
-    sample_one_step,
     self_consistency_spread,
     stereo_enhancement_loss,
     train_step,
 )
 from stereobridge.net import ema_from, init_adam, init_denoiser
-from stereobridge.schedule import NoiseSchedule, TimeGrid, make_grid
+from stereobridge.schedule import NoiseSchedule, TimeGrid, bridge_coefficients, make_grid
 
 CONST = NoiseSchedule(beta0=1.0, beta1=1.0)
 DEFAULT = NoiseSchedule()
@@ -38,11 +35,16 @@ def make_model(sched=DEFAULT, sigma_data=0.5, n_steps=8, seed=0,
                             sigma_data=sigma_data)
 
 
-def make_items(n, seed=1):
+def make_batch(n, seed=1):
+    """An ``(x0, x1, cond)`` batch of n random rows."""
     rng = np.random.default_rng(seed)
-    return [TrainItem(x0=rng.standard_normal(DIM),
-                      x1=rng.standard_normal(DIM),
-                      cond=rng.standard_normal(COND)) for _ in range(n)]
+    return (rng.standard_normal((n, DIM)), rng.standard_normal((n, DIM)),
+            rng.standard_normal((n, COND)))
+
+
+def row(batch, i):
+    """Row i of a batch, still as a one-row batch."""
+    return tuple(a[i:i + 1] for a in batch)
 
 
 def params_equal(a, b):
@@ -115,7 +117,7 @@ def test_model_rejects_grid_touching_zero():
                    nodes=np.array([0.0, 0.25, 0.5]))
     with pytest.raises(ValueError):
         ConsistencyModel(online=online, target=ema_from(online),
-                         sched=DEFAULT, grid=bad)
+                         sched=DEFAULT, grid=bad, sigma_data=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,35 +140,33 @@ def test_loss_zero_when_networks_and_times_coincide():
 def test_loss_finite_and_nonnegative_on_random_items():
     m = make_model(seed=5)
     rng = np.random.default_rng(6)
-    for item in make_items(10, seed=7):
-        n = int(rng.integers(0, m.grid.n_steps))
-        z = rng.standard_normal(DIM)
-        loss = consistency_loss(m, item, n, z)
+    batch = make_batch(10, seed=7)
+    for i in range(10):
+        n = rng.integers(0, m.grid.n_steps, size=1)
+        z = rng.standard_normal((1, DIM))
+        loss, _ = consistency_loss_and_grads(m, *row(batch, i), n, z)
         assert np.isfinite(loss)
         assert loss >= 0.0
 
 
 def test_loss_rejects_out_of_range_index():
     m = make_model()
-    item = make_items(1)[0]
-    z = np.zeros(DIM)
+    batch = make_batch(1)
+    z = np.zeros((1, DIM))
     with pytest.raises(IndexError):
-        consistency_loss(m, item, m.grid.n_steps, z)
+        consistency_loss_and_grads(m, *batch, np.array([m.grid.n_steps]), z)
     with pytest.raises(IndexError):
-        consistency_loss(m, item, -1, z)
+        consistency_loss_and_grads(m, *batch, np.array([-1]), z)
 
 
 def test_loss_gradients_match_finite_differences():
     # Perturb every online parameter; the target stays frozen throughout,
     # exactly as in training.
     m = make_model(seed=8, n_steps=4)
-    item = make_items(1, seed=9)[0]
+    x0, x1, cond = make_batch(1, seed=9)
     rng = np.random.default_rng(10)
     n = np.array([2])
     z = rng.standard_normal((1, DIM))
-    x0 = item.x0[None, :]
-    x1 = item.x1[None, :]
-    cond = item.cond[None, :]
     _, grads = consistency_loss_and_grads(m, x0, x1, cond, n, z)
 
     h = 1e-5
@@ -190,19 +190,13 @@ def test_loss_gradients_match_finite_differences():
 
 def test_loss_batched_equals_mean_of_singles():
     m = make_model(seed=11)
-    items = make_items(3, seed=12)
+    batch = make_batch(3, seed=12)
     rng = np.random.default_rng(13)
     n = rng.integers(0, m.grid.n_steps, size=3)
     z = rng.standard_normal((3, DIM))
-    batched, _ = consistency_loss_and_grads(
-        m,
-        np.stack([it.x0 for it in items]),
-        np.stack([it.x1 for it in items]),
-        np.stack([it.cond for it in items]),
-        n, z,
-    )
-    singles = [consistency_loss(m, it, int(ni), zi)
-               for it, ni, zi in zip(items, n, z)]
+    batched, _ = consistency_loss_and_grads(m, *batch, n, z)
+    singles = [consistency_loss_and_grads(m, *row(batch, i), n[i:i + 1], z[i:i + 1])[0]
+               for i in range(3)]
     assert batched == pytest.approx(np.mean(singles), rel=1e-12)
 
 
@@ -212,11 +206,11 @@ def test_loss_batched_equals_mean_of_singles():
 
 def test_train_step_zero_lr_keeps_parameters():
     m = make_model(seed=14)
-    items = make_items(4, seed=15)
+    batch = make_batch(4, seed=15)
     opt = init_adam(m.online, lr=0.0)
     before = m.online.copy()
     target_before = m.target.copy()
-    new_m, _, loss = train_step(m, items, opt, np.random.default_rng(16))
+    new_m, _, loss = train_step(m, batch, opt, np.random.default_rng(16))
     assert np.isfinite(loss) and loss >= 0.0
     assert params_equal(new_m.online, before)
     # EMA of an unchanged online net is also unchanged.
@@ -227,11 +221,11 @@ def test_train_step_seeded_runs_identical():
     def run():
         m = make_model(seed=17)
         opt = init_adam(m.online, lr=1e-3)
-        items = make_items(4, seed=18)
+        batch = make_batch(4, seed=18)
         losses = []
         rng = np.random.default_rng(19)
         for _ in range(6):
-            m, opt, loss = train_step(m, items, opt, rng)
+            m, opt, loss = train_step(m, batch, opt, rng)
             losses.append(loss)
         return m, losses
 
@@ -248,12 +242,12 @@ def test_train_step_target_follows_closed_form_ema():
     decay = 0.9
     m = make_model(seed=20, decay=decay)
     opt = init_adam(m.online, lr=1e-2)
-    items = make_items(4, seed=21)
+    batch = make_batch(4, seed=21)
     rng = np.random.default_rng(22)
     expect_w = [w.copy() for w in m.target.weights]
     expect_b = [b.copy() for b in m.target.biases]
     for _ in range(4):
-        m, opt, _ = train_step(m, items, opt, rng)
+        m, opt, _ = train_step(m, batch, opt, rng)
         expect_w = [decay * tw + (1.0 - decay) * ow
                     for tw, ow in zip(expect_w, m.online.weights)]
         expect_b = [decay * tb + (1.0 - decay) * ob
@@ -266,8 +260,9 @@ def test_train_step_target_follows_closed_form_ema():
 
 def test_train_step_rejects_empty_batch():
     m = make_model()
+    empty = (np.zeros((0, DIM)), np.zeros((0, DIM)), np.zeros((0, COND)))
     with pytest.raises(ValueError):
-        train_step(m, [], init_adam(m.online), np.random.default_rng(0))
+        train_step(m, empty, init_adam(m.online), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -276,40 +271,27 @@ def test_train_step_rejects_empty_batch():
 
 def test_one_step_uses_exactly_one_evaluation():
     m = make_model(seed=23)
+    top = [m.grid.nodes[-1]]
     assert m.eval_count == 0
-    sample_one_step(m, np.zeros(DIM), np.zeros(COND), np.zeros(DIM))
+    sample_multistep(m, np.zeros(DIM), np.zeros(COND), top, np.random.default_rng(0))
     assert m.eval_count == 1
-    sample_one_step(m, np.zeros((5, DIM)), np.zeros(COND), np.zeros((5, DIM)))
+    sample_multistep(m, np.zeros((5, DIM)), np.zeros(COND), top, np.random.default_rng(0))
     assert m.eval_count == 2
 
 
-def test_one_step_plumbing_identity_at_origin():
-    # With x1 = z = 0 the start state is the origin, so the sample must be
-    # exactly the parameterized raw output there.
-    m = make_model(seed=24)
-    cond = np.ones(COND)
-    t_top = float(m.grid.nodes[-1])
-    out = sample_one_step(m, np.zeros(DIM), cond, np.zeros(DIM))
-    raw = net.forward(m.online, np.zeros(DIM), t_top, cond)
-    expected = parameterize(raw, np.zeros(DIM), t_top, m)
-    assert np.array_equal(out, expected)
-
-
-def test_one_step_rejects_mismatched_noise():
-    m = make_model()
-    with pytest.raises(ValueError):
-        sample_one_step(m, np.zeros(DIM), np.zeros(COND), np.zeros(DIM + 1))
-
-
 def test_multistep_single_time_reduces_to_one_step():
+    # One node, at the top or below it: denoise the start state
+    # b * x1 + sqrt(cap_sigma2) * z built from the generator's first draw.
     m = make_model(seed=25)
     x1 = np.array([0.3, -0.7, 1.1])
-    cond = np.zeros(COND)
-    rng = np.random.default_rng(26)
-    z = np.random.default_rng(26).standard_normal(DIM)
-    one = sample_one_step(m, x1, cond, z)
-    multi = sample_multistep(m, x1, cond, [m.grid.nodes[-1]], rng)
-    assert np.array_equal(one, multi)
+    cond = np.ones(COND)
+    for t in (float(m.grid.nodes[-1]), float(m.grid.nodes[3])):
+        z = np.random.default_rng(26).standard_normal(DIM)
+        _, b, cap_sigma2 = bridge_coefficients(m.sched, t)
+        start = b * x1 + np.sqrt(cap_sigma2) * z
+        expected = parameterize(net.forward(m.online, start, t, cond), start, t, m)
+        out = sample_multistep(m, x1, cond, [t], np.random.default_rng(26))
+        assert np.array_equal(out, expected)
 
 
 def test_multistep_counts_evaluations():
@@ -347,12 +329,20 @@ def test_sampling_deterministic_given_seed():
 
 def test_self_consistency_spread_basics():
     m = make_model(seed=31)
-    item = make_items(1, seed=32)[0]
-    z = np.random.default_rng(33).standard_normal(DIM)
-    assert self_consistency_spread(m, item, z, indices=[3]) == 0.0
-    sub = self_consistency_spread(m, item, z, indices=[0, 4])
-    full = self_consistency_spread(m, item, z)
+    batch = make_batch(1, seed=32)
+    z = np.random.default_rng(33).standard_normal((1, DIM))
+    assert self_consistency_spread(m, batch, z, indices=[3]) == 0.0
+    sub = self_consistency_spread(m, batch, z, indices=[0, 4])
+    full = self_consistency_spread(m, batch, z)
     assert full >= sub >= 0.0
+
+
+def test_self_consistency_spread_averages_rows():
+    m = make_model(seed=31)
+    batch = make_batch(3, seed=34)
+    z = np.random.default_rng(35).standard_normal((3, DIM))
+    rows = [self_consistency_spread(m, row(batch, i), z[i:i + 1]) for i in range(3)]
+    assert self_consistency_spread(m, batch, z) == pytest.approx(np.mean(rows), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from stereobridge.bridge import Endpoints, analytic_posterior_score, heun_integrate
-from stereobridge import net
-from stereobridge.consistency import ConsistencyModel, train_step
+from stereobridge.config import default_config
+from stereobridge.consistency import ConsistencyModel
 from stereobridge.schedule import NoiseSchedule, bridge_coefficients, make_grid
 from stereobridge.toys import (
     GaussianMixture,
     ToyProblem,
     bridge_marginal_logpdf,
     bridge_marginal_score,
-    default_mixture,
-    default_problem,
     draw_training_items,
     energy_distance,
     marginal_ode_drift,
@@ -23,16 +23,18 @@ from stereobridge.toys import (
 )
 
 SCHED = NoiseSchedule()
+PROBLEM = default_config().toy_problem()
 
 # Regression value for the reference sampler on the default problem
 # (4096 draws against 4096 held-out points, generator seed 123).
 ORACLE_ED = 0.03504936553206248
 
 
-def tiny_run(**kw):
+def tiny_run(step_callback=None, **kw):
     args = dict(steps=30, probe_step=5, hidden=16, depth=2, time_embed_dim=8)
     args.update(kw)
-    return run_toy_training(**args)
+    return run_toy_training(replace(default_config(), **args),
+                            step_callback=step_callback)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +78,7 @@ def test_mixture_sample_moments():
 
 
 def test_default_mixture_is_balanced():
-    mix = default_mixture()
+    mix = PROBLEM.mixture
     assert mix.n_components == 2
     assert mix.dim == 2
     assert mix.weights == pytest.approx([0.5, 0.5])
@@ -85,18 +87,18 @@ def test_default_mixture_is_balanced():
 
 def test_problem_rejects_negative_prior_sigma():
     with pytest.raises(ValueError):
-        ToyProblem(mixture=default_mixture(), prior_sigma=-1.0)
+        ToyProblem(mixture=PROBLEM.mixture, prior_sigma=-1.0)
 
 
 def test_zero_prior_sigma_pins_endpoints():
-    prob = ToyProblem(mixture=default_mixture(), prior_sigma=0.0)
+    prob = ToyProblem(mixture=PROBLEM.mixture, prior_sigma=0.0)
     x0, x1 = prob.draw_pairs(64, np.random.default_rng(0))
     assert np.array_equal(x0, x1)
 
 
 def test_endpoints_are_coupled():
     # x1 scatters around its own x0, not around an independent draw.
-    prob = default_problem()
+    prob = PROBLEM
     x0, x1 = prob.draw_pairs(50_000, np.random.default_rng(3))
     gaps = np.linalg.norm(x1 - x0, axis=1)
     # ||x1 - x0|| / prior_sigma is chi(2); mean sqrt(pi/2) ~ 1.2533.
@@ -104,44 +106,15 @@ def test_endpoints_are_coupled():
 
 
 def test_draw_training_items_conditioning():
-    prob = default_problem()
-    items = draw_training_items(prob, 8, np.random.default_rng(5))
-    assert len(items) == 8
-    for item in items:
-        assert np.array_equal(item.cond, item.x1)
-        assert item.cond is not item.x1
-
-
-def test_array_batch_training_matches_stacked_items():
-    # The training loop feeds draw_pairs arrays straight to train_step; the
-    # item path it replaced must consume the same draws and give the same bits.
-    prob = default_problem()
-
-    def run(use_items):
-        rng = np.random.default_rng(6)
-        params = net.init_denoiser(rng, data_dim=2, cond_dim=2, hidden=16,
-                                   depth=2, time_embed_dim=8)
-        m = ConsistencyModel(online=params, target=net.ema_from(params, decay=0.8),
-                             sched=SCHED, grid=make_grid(12), sigma_data=1.0)
-        opt = net.init_adam(params, lr=3e-3, beta2=0.99)
-        losses = []
-        for _ in range(5):
-            if use_items:
-                batch = draw_training_items(prob, 16, rng)
-            else:
-                x0, x1 = prob.draw_pairs(16, rng)
-                batch = (x0, x1, x1.copy())
-            m, opt, loss = train_step(m, batch, opt, rng)
-            losses.append(loss)
-        return losses, m, opt, rng.standard_normal()
-
-    losses_a, m_a, opt_a, next_a = run(use_items=True)
-    losses_b, m_b, opt_b, next_b = run(use_items=False)
-    assert losses_a == losses_b
-    assert next_a == next_b
-    for a, b in ((m_a.online, m_b.online), (m_a.target, m_b.target),
-                 (opt_a.m, opt_b.m), (opt_a.v, opt_b.v)):
-        assert np.array_equal(a.flat, b.flat)
+    # The batch is draw_pairs' arrays plus a copy of x1, from the same draws.
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    x0, x1, cond = draw_training_items(PROBLEM, 8, rng)
+    want_x0, want_x1 = PROBLEM.draw_pairs(8, twin)
+    assert x0.shape == x1.shape == cond.shape == (8, 2)
+    assert np.array_equal(x0, want_x0) and np.array_equal(x1, want_x1)
+    assert np.array_equal(cond, x1)
+    assert not np.shares_memory(cond, x1)
+    assert rng.standard_normal() == twin.standard_normal()
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +163,7 @@ def test_posterior_mixing_matches_numerical_bayes():
 
 def test_posterior_mixing_rejects_dim_mismatch():
     with pytest.raises(ValueError):
-        posterior_mixing(default_problem(), np.zeros((3, 5)))
+        posterior_mixing(PROBLEM, np.zeros((3, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +186,7 @@ def test_marginal_logpdf_normalizes():
 
 
 def test_marginal_score_matches_finite_differences():
-    prob = default_problem()
+    prob = PROBLEM
     x1 = np.array([0.7, -1.2])
     rng = np.random.default_rng(2)
     pts = rng.normal(scale=2.0, size=(12, 2))
@@ -245,7 +218,7 @@ def test_marginal_score_reduces_to_pinned_bridge():
 
 
 def test_marginal_score_vector_input_squeezes():
-    prob = default_problem()
+    prob = PROBLEM
     x1 = np.array([1.0, 0.0])
     single = bridge_marginal_score(np.array([0.5, 0.5]), 0.5, x1, prob, SCHED)
     batch = bridge_marginal_score(np.array([[0.5, 0.5]]), 0.5, x1, prob, SCHED)
@@ -297,7 +270,7 @@ def test_marginal_flow_transports_moments():
 
 
 def test_oracle_matches_data_distribution():
-    prob = default_problem()
+    prob = PROBLEM
     grid = make_grid(12)
     r = np.random.default_rng(123)
     held = prob.mixture.sample(4096, r)
@@ -387,16 +360,12 @@ def test_toy_training_seed_changes_run():
 
 
 def test_toy_training_validation():
-    with pytest.raises(ValueError):
-        run_toy_training(steps=0)
-    with pytest.raises(ValueError):
-        run_toy_training(steps=10, batch_size=0)
-    with pytest.raises(ValueError):
-        run_toy_training(steps=10, probe_step=0)
-    with pytest.raises(ValueError):
-        run_toy_training(steps=10, probe_step=11)
-    with pytest.raises(ValueError):
-        run_toy_training(steps=10, flat_fraction=0.0)
+    cfg = default_config()
+    for bad in (dict(steps=0), dict(steps=10, batch_size=0),
+                dict(steps=10, probe_step=0), dict(steps=10, probe_step=11),
+                dict(steps=10, flat_fraction=0.0)):
+        with pytest.raises(ValueError):
+            run_toy_training(replace(cfg, **bad))
 
 
 def test_flat_schedule_allows_full_fraction():
@@ -410,7 +379,7 @@ def test_flat_schedule_allows_full_fraction():
 
 def test_toy_sample_shapes_and_determinism():
     res = tiny_run()
-    prob = default_problem()
+    prob = PROBLEM
     s1 = toy_sample(res.model, prob, 32, np.random.default_rng(7), nfe=1)
     s1_again = toy_sample(res.model, prob, 32, np.random.default_rng(7), nfe=1)
     s4 = toy_sample(res.model, prob, 32, np.random.default_rng(7), nfe=4)
@@ -422,7 +391,7 @@ def test_toy_sample_shapes_and_determinism():
 
 def test_toy_sample_counts_evaluations():
     res = tiny_run()
-    prob = default_problem()
+    prob = PROBLEM
     before = res.model.eval_count
     toy_sample(res.model, prob, 8, np.random.default_rng(0), nfe=1)
     assert res.model.eval_count == before + 1
