@@ -76,6 +76,8 @@ CHECKPOINT_EVERY = 500
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed", f"must be nonnegative, got {args.seed}")
         cfg = replace(cfg, seed=args.seed)
     return cfg
 

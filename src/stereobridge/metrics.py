@@ -15,10 +15,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .dsp import StereoWaveform
 
 LRE_ENERGY_GUARD = 1e-12
+# Longest IR convolved directly; longer ones go through the FFT.  Near
+# this length both methods cost the same on seconds of audio.
+_DIRECT_MAX_TAPS = 256
 _MCD_CONST = 10.0 * math.sqrt(2.0) / math.log(10.0)
 
 
@@ -201,23 +205,41 @@ def synth_reverb_stereo(dry: np.ndarray, ir_left: np.ndarray,
                         ir_right: np.ndarray, rate: int) -> StereoWaveform:
     """Convolve a dry mono signal with one impulse response per channel.
 
-    Full convolution per channel; the result is rescaled only if its peak
+    Full convolution per channel, by one of two methods chosen from the IR
+    length alone:
+
+    - an IR of at most ``_DIRECT_MAX_TAPS`` (256) taps goes through
+      ``np.convolve``, so short IRs (a delta, a delayed delta) reproduce
+      the direct sum bit for bit;
+    - a longer IR is convolved by FFT: the dry signal's real FFT, zero-padded
+      to a fast length covering the longer channel, is taken once and
+      multiplied by each IR's real FFT.  The result agrees with
+      ``np.convolve`` to rounding (about 1e-15 absolute at unit scale).
+
+    Each channel is trimmed to its own full length and the shorter one is
+    zero-padded to the longer.  The result is rescaled only if its peak
     exceeds 1, so quiet material passes through exactly.
     """
     dry = np.asarray(dry, dtype=np.float64)
     if dry.ndim != 1 or len(dry) == 0:
         raise ValueError("dry signal must be a nonempty 1-D array")
-    channels = []
+    irs = []
     for name, ir in (("left", ir_left), ("right", ir_right)):
         ir = np.asarray(ir, dtype=np.float64)
         if ir.ndim != 1 or len(ir) == 0:
             raise ValueError(f"{name} impulse response must be nonempty 1-D")
-        channels.append(np.convolve(dry, ir, mode="full"))
-    # IRs of different lengths give different tails; pad to the longer one.
-    n = max(len(c) for c in channels)
-    out = np.zeros((n, 2))
-    for i, c in enumerate(channels):
-        out[: len(c), i] = c
+        irs.append(ir)
+    out = np.zeros((len(dry) + max(len(ir) for ir in irs) - 1, 2))
+    n_fft = next_fast_len(len(out), real=True)
+    dry_spectrum = None
+    for i, ir in enumerate(irs):
+        n = len(dry) + len(ir) - 1
+        if len(ir) <= _DIRECT_MAX_TAPS:
+            out[:n, i] = np.convolve(dry, ir, mode="full")
+            continue
+        if dry_spectrum is None:
+            dry_spectrum = np.fft.rfft(dry, n_fft)
+        out[:n, i] = np.fft.irfft(dry_spectrum * np.fft.rfft(ir, n_fft), n_fft)[:n]
     peak = np.max(np.abs(out))
     if peak > 1.0:
         out = out / peak

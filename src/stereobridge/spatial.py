@@ -271,10 +271,16 @@ def conv_stack(enc: SpatialEncoder, ve: EnergyVector, vloc: np.ndarray) -> np.nd
     )
     h = np.tanh(_conv1d_same(x, enc.conv1_w, enc.conv1_b))
     h = _conv1d_same(h, enc.conv2_w, enc.conv2_b)
-    out_len = (ve.n_frames + 1) // 2
-    pooled = np.empty((out_len, h.shape[1]))
-    for i in range(out_len):
-        pooled[i] = h[2 * i: 2 * i + 2].mean(axis=0)
+    return _pool_pairs(h)
+
+
+def _pool_pairs(h: np.ndarray) -> np.ndarray:
+    """Mean of each pair of consecutive rows; a trailing odd row stays as is."""
+    m = h.shape[0] // 2
+    pooled = np.empty(((h.shape[0] + 1) // 2, h.shape[1]))
+    pooled[:m] = (h[0:2 * m:2] + h[1:2 * m:2]) / 2.0
+    if h.shape[0] % 2:
+        pooled[m] = h[-1]
     return pooled
 
 

@@ -83,6 +83,16 @@ def test_out_path_that_is_a_file_is_usage_error(command, tiny_config, tmp_path, 
     assert taken.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("command", ["train-toy", "sample"])
+def test_negative_seed_is_usage_error(command, tiny_config, tmp_path, capsys):
+    extra = ["--checkpoint", str(tmp_path / "absent.ckpt")] if command == "sample" else []
+    rc = main([command, "--config", str(tiny_config), *extra, "--seed", "-1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_console_module_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "stereobridge.cli", "--help"],

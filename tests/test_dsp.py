@@ -5,7 +5,6 @@ import scipy.fft
 from stereobridge.dsp import (
     FRAME_SIZE,
     HOP,
-    LOG_MEL_BOUNDS,
     N_MELS,
     TARGET_RATE,
     MelCepstra,

@@ -1,11 +1,17 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stereobridge
 from stereobridge.dsp import StereoWaveform
 from stereobridge.metrics import (
+    _DIRECT_MAX_TAPS,
     MetricReport,
     UnreliableDecayError,
     analytic_rt60,
@@ -261,6 +267,75 @@ def test_reverb_rejects_empty_inputs():
         synth_reverb_stereo(np.zeros(0), np.ones(3), np.ones(3), RATE)
     with pytest.raises(ValueError):
         synth_reverb_stereo(np.ones(10), np.zeros(0), np.ones(3), RATE)
+
+
+def assert_matches_direct(out, dry, ir):
+    """One channel equals the full direct convolution to 1e-12 of its peak."""
+    ref = np.convolve(dry, ir, mode="full")
+    err = np.max(np.abs(out[: len(ref)] - ref))
+    assert err <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(out[len(ref):], np.zeros(len(out) - len(ref)))
+
+
+def test_reverb_long_irs_match_direct_convolution():
+    rng = np.random.default_rng(14)
+    dry = 0.01 * rng.standard_normal(20000)
+    ir_left = exponential_ir(0.05, RATE, 5000 / RATE, rng)
+    ir_right = 0.7 * exponential_ir(0.05, RATE, 5000 / RATE, rng)
+    out = synth_reverb_stereo(dry, ir_left, ir_right, RATE)
+    assert out.n_samples == 20000 + 5000 - 1
+    assert_matches_direct(out.channel(0), dry, ir_left)
+    assert_matches_direct(out.channel(1), dry, ir_right)
+
+
+def test_reverb_unequal_irs_pad_the_shorter_tail():
+    rng = np.random.default_rng(15)
+    dry = 0.01 * rng.standard_normal(8000)
+    ir_short = 0.1 * rng.standard_normal(300)
+    ir_long = exponential_ir(0.05, RATE, 5000 / RATE, rng)
+    for irs in ((ir_short, ir_long), (ir_long, ir_short)):
+        out = synth_reverb_stereo(dry, *irs, RATE)
+        assert out.n_samples == 8000 + 5000 - 1
+        for i, ir in enumerate(irs):
+            assert_matches_direct(out.channel(i), dry, ir)
+
+
+def test_reverb_methods_agree_across_the_crossover():
+    rng = np.random.default_rng(16)
+    dry = 0.01 * rng.standard_normal(4000)
+    direct = 0.1 * rng.standard_normal(_DIRECT_MAX_TAPS)
+    # One trailing zero tap: the same filter, convolved by FFT.
+    by_fft = np.concatenate([direct, [0.0]])
+    out = synth_reverb_stereo(dry, direct, by_fft, RATE)
+    assert np.array_equal(out.channel(0)[:-1], np.convolve(dry, direct))
+    gap = np.max(np.abs(out.channel(0) - out.channel(1)))
+    assert gap <= 1e-12 * np.max(np.abs(out.channel(0)))
+
+
+def test_reverb_peak_normalization_on_fft_path():
+    rng = np.random.default_rng(17)
+    dry = rng.standard_normal(6000)
+    ir = exponential_ir(0.05, RATE, 2000 / RATE, rng)
+    out = synth_reverb_stereo(dry, ir, 0.5 * ir, RATE)
+    ref = np.convolve(dry, ir)
+    assert np.max(np.abs(ref)) > 1.0
+    assert np.max(np.abs(out.samples)) == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(out.channel(0) - ref / np.max(np.abs(ref)))) <= 1e-12
+    assert np.max(np.abs(out.channel(1) - 0.5 * out.channel(0))) <= 1e-12
+
+
+def test_fft_reverb_leaves_scipy_signal_unimported():
+    # scipy.signal costs tens of MB of resident memory on import.
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import stereobridge.cli\n"
+            "from stereobridge.metrics import synth_reverb_stereo\n"
+            "synth_reverb_stereo(np.ones(1000), np.ones(3000), np.ones(300), 22050)\n"
+            "sys.exit('scipy.signal' in sys.modules)\n")
+    src = Path(stereobridge.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

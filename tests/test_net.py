@@ -3,7 +3,6 @@ import re
 import numpy as np
 import pytest
 
-from stereobridge import net
 from stereobridge.net import (
     DenoiserParams,
     ParamGrads,

@@ -7,6 +7,7 @@ from stereobridge.spatial import (
     EnergyVector,
     SceneFeatureGrid,
     SpeakerPose,
+    _pool_pairs,
     attention_weights,
     build_spatial_embedding,
     conv_stack,
@@ -208,6 +209,15 @@ def test_conv_stack_pools_frames_by_two():
         codes = np.zeros((frames, 2), dtype=int)
         out = conv_stack(enc, EnergyVector(codes, 32), vloc)
         assert out.shape == (expect, D_MODEL)
+
+
+@pytest.mark.parametrize("frames", [1, 2, 345, 1723, 1724])
+def test_pair_pooling_matches_loop_bitwise(frames):
+    h = np.random.default_rng(frames).standard_normal((frames, D_MODEL))
+    loop = np.empty(((frames + 1) // 2, D_MODEL))
+    for i in range(len(loop)):
+        loop[i] = h[2 * i: 2 * i + 2].mean(axis=0)
+    assert np.array_equal(_pool_pairs(h), loop)
 
 
 def test_conv_stack_zero_weights_zero_output():
