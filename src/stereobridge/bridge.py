@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import NoiseSchedule, TimeGrid, beta_at, bridge_coefficients
+from .schedule import NoiseSchedule, beta_at, bridge_coefficients
 
 # cap_sigma2 below this floor means we are numerically at an endpoint and
 # score-like quantities would blow up; fail loudly instead.
@@ -85,6 +85,16 @@ def posterior_moments(ep: Endpoints, t, sched: NoiseSchedule):
     return mu, cap_sigma2
 
 
+def bridge_state(a, b, sqrt_cap_sigma2, x0, x1, z):
+    """The bridge state ``a*x0 + b*x1 + sqrt_cap_sigma2 * z``.
+
+    The one copy of the state formula: the coefficients broadcast against
+    the endpoints and the caller's standard-normal draw ``z``, so scalars
+    give one time and (batch, 1) columns give one time per row.
+    """
+    return a * x0 + b * x1 + sqrt_cap_sigma2 * z
+
+
 def sample_posterior(ep: Endpoints, t: float, sched: NoiseSchedule, z: np.ndarray) -> BridgeSample:
     """Draw the bridge state ``a*x0 + b*x1 + sqrt(cap_sigma2) * z``.
 
@@ -96,7 +106,7 @@ def sample_posterior(ep: Endpoints, t: float, sched: NoiseSchedule, z: np.ndarra
     if z.shape != ep.x0.shape:
         raise ValueError(f"noise shape {z.shape} does not match endpoints {ep.x0.shape}")
     a, b, cap_sigma2 = bridge_coefficients(sched, t)
-    x = a * ep.x0 + b * ep.x1 + np.sqrt(cap_sigma2) * z
+    x = bridge_state(a, b, np.sqrt(cap_sigma2), ep.x0, ep.x1, z)
     return BridgeSample(x=x, t=float(t))
 
 
@@ -195,25 +205,3 @@ def integrate_pf_ode(
     x = heun_integrate(drift, start.x, start.t, t_end, steps)
     return BridgeSample(x=x, t=float(t_end))
 
-
-def coupled_pair(
-    ep: Endpoints,
-    n: int,
-    grid: TimeGrid,
-    sched: NoiseSchedule,
-    z: np.ndarray,
-):
-    """Adjacent bridge states at ``t_n`` and ``t_{n+1}`` built from one draw.
-
-    Sharing the Gaussian draw ``z`` couples the two states so they follow a
-    single coherent trajectory, which is what the consistency objective
-    regresses across.  Returns ``(sample_n, sample_np1)``.
-    """
-    if not (0 <= n < grid.n_steps):
-        raise IndexError(f"pair index {n} out of range [0, {grid.n_steps})")
-    t_lo = float(grid.nodes[n])
-    t_hi = float(grid.nodes[n + 1])
-    return (
-        sample_posterior(ep, t_lo, sched, z),
-        sample_posterior(ep, t_hi, sched, z),
-    )

@@ -323,8 +323,12 @@ def cmd_sample(args) -> int:
                              sigma_data=cfg.sigma_data)
     before = model.eval_count
     t_begin = time.perf_counter()
-    samples = toy_sample(model, problem, args.count,
-                         np.random.default_rng(cfg.seed), args.nfe)
+    try:
+        samples = toy_sample(model, problem, args.count,
+                             np.random.default_rng(cfg.seed), args.nfe)
+    except TrainingError as exc:
+        print(f"sampling failed: {exc}", file=sys.stderr)
+        return 1
     wall = time.perf_counter() - t_begin
     used = model.eval_count - before
     if used != args.nfe:

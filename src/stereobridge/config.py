@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import N_MELS
 from .schedule import NoiseSchedule, TimeGrid, make_grid
 from .toys import GaussianMixture, ToyProblem
 
@@ -274,7 +275,8 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
     _reject_unknown(metrics, {"lre_linear", "cepstral_k"}, "metrics")
     lre_linear = _get_bool(metrics, "lre_linear", "metrics", d.lre_linear)
     cepstral_k = _get_int(metrics, "cepstral_k", "metrics", d.cepstral_k)
-    _check(cepstral_k >= 2, "metrics.cepstral_k", "must be at least 2")
+    _check(2 <= cepstral_k <= N_MELS, "metrics.cepstral_k",
+           f"must lie in [2, {N_MELS}], the mel band count")
 
     io = _require_mapping(raw.get("io", {}), "io")
     _reject_unknown(io, {"out_dir"}, "io")

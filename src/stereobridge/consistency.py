@@ -11,21 +11,44 @@ A boundary-respecting parameterization wraps the raw network so the map is
 the regression chain to the data.
 
 A batch is an ``(x0, x1, cond)`` triple of (batch, dim) arrays throughout.
-Sampling has one path, :func:`sample_multistep`: one-step generation is its
-single-node case, so every evaluation budget draws its noise the same way.
+Training, sampling and the spread probe address grid nodes by integer index
+and read every coefficient from the model's per-node table, so they build
+bridge states through one formula, :func:`stereobridge.bridge.bridge_state`,
+and boundary outputs through another.  Sampling has one path,
+:func:`sample_multistep`: one-step generation is its single-node case, so
+every evaluation budget draws its noise the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import net
-from .bridge import Endpoints, sample_posterior
+from .bridge import bridge_state
 from .net import DenoiserParams, EmaParams, TrainingError
 from .schedule import NoiseSchedule, TimeGrid, bridge_coefficients
+
+
+class NodeTable(NamedTuple):
+    """Bridge and boundary coefficients at every grid node.
+
+    Each field is a read-only (nodes, 1) column, so indexing it with a batch
+    of grid indices gives a column that scales the batch's rows.  ``c_skip``
+    and ``c_out`` enforce the identity map at small t:
+    ``c_skip = sd^2 / (cap_sigma2 + sd^2)`` and
+    ``c_out = sqrt(cap_sigma2) * sd / sqrt(sd^2 + cap_sigma2)``; as the
+    bridge variance vanishes near the lower endpoint, ``c_skip -> 1`` and
+    ``c_out -> 0``.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    sqrt_cap_sigma2: np.ndarray
+    c_skip: np.ndarray
+    c_out: np.ndarray
 
 
 @dataclass
@@ -34,7 +57,10 @@ class ConsistencyModel:
 
     ``sigma_data`` scales the boundary parameterization; ``eval_count``
     tallies network evaluations for function-evaluation accounting and is
-    purely diagnostic.
+    purely diagnostic.  ``table`` is computed once from the schedule, grid
+    and ``sigma_data`` when the model is built; its elementwise arithmetic
+    is that of :func:`bridge_coefficients`, so every entry is bitwise the
+    scalar value at that node.
     """
 
     online: DenoiserParams
@@ -43,22 +69,17 @@ class ConsistencyModel:
     grid: TimeGrid
     sigma_data: float
     eval_count: int = 0
+    table: NodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.grid.t_min > 0.0:
             raise ValueError("grid must start strictly above 0")
-
-
-def boundary_scalings(m: ConsistencyModel, t):
-    """Skip/output scalings that enforce the identity map at small t.
-
-    ``c_skip = sd^2 / (cap_sigma2 + sd^2)`` and
-    ``c_out = sqrt(cap_sigma2) * sd / sqrt(sd^2 + cap_sigma2)``; as the
-    bridge variance vanishes near the lower endpoint, ``c_skip -> 1`` and
-    ``c_out -> 0``.
-    """
-    _, _, cap_sigma2 = bridge_coefficients(m.sched, t)
-    return _scalings(cap_sigma2, m.sigma_data)
+        a, b, cap_sigma2 = bridge_coefficients(self.sched, self.grid.nodes)
+        cols = (a, b, np.sqrt(cap_sigma2), *_scalings(cap_sigma2, self.sigma_data))
+        cols = tuple(c[:, None] for c in cols)
+        for c in cols:
+            c.setflags(write=False)
+        self.table = NodeTable(*cols)
 
 
 def _scalings(cap_sigma2, sigma_data):
@@ -68,56 +89,36 @@ def _scalings(cap_sigma2, sigma_data):
     return c_skip, c_out
 
 
-def parameterize(raw: np.ndarray, x_t: np.ndarray, t, m: ConsistencyModel) -> np.ndarray:
-    """Combine the raw network output with the skip path:
-    ``c_skip(t) * x_t + c_out(t) * raw``."""
-    raw = np.asarray(raw, dtype=np.float64)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    c_skip, c_out = boundary_scalings(m, t)
-    if np.ndim(c_skip) > 0:
-        c_skip = np.asarray(c_skip)[..., None]
-        c_out = np.asarray(c_out)[..., None]
-    return c_skip * x_t + c_out * raw
+def _state(m: ConsistencyModel, i, x0, x1, z) -> np.ndarray:
+    """Bridge state at grid node(s) ``i`` (an index or an index array)."""
+    c = m.table
+    return bridge_state(c.a[i], c.b[i], c.sqrt_cap_sigma2[i], x0, x1, z)
 
 
-def denoise(m: ConsistencyModel, x_t, t, cond, use_target: bool = False) -> np.ndarray:
-    """Map a bridge state (batch or single vector) to a data estimate.
+def _boundary(m: ConsistencyModel, i, x, raw) -> np.ndarray:
+    """Boundary output ``c_skip * x + c_out * raw`` at grid node(s) ``i``."""
+    return m.table.c_skip[i] * x + m.table.c_out[i] * raw
+
+
+def denoise(m: ConsistencyModel, x_t, i: int, cond) -> np.ndarray:
+    """Map a bridge state at grid node ``i`` (batch or single vector) to the
+    online network's data estimate.
 
     One call counts as one function evaluation regardless of batch size.
     """
-    params = m.target if use_target else m.online
     single = np.asarray(x_t).ndim == 1
     x2 = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    raw, _ = net.forward_with_cache(params, x2, t, cond)
+    raw, _ = net.forward_with_cache(m.online, x2, m.grid.nodes[i], cond)
     if not np.all(np.isfinite(raw)):
         raise TrainingError("network produced a non-finite output; parameters may be corrupt")
     m.eval_count += 1
-    out = parameterize(raw, x2, t, m)
+    out = _boundary(m, i, x2, raw)
     return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
 # Loss
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _node_coefficients(sched: NoiseSchedule, nodes: bytes, sigma_data: float):
-    """Bridge and boundary coefficients at every grid node.
-
-    ``nodes`` is the float64 node array as bytes (the cache key).  Returns
-    read-only ``(a, b, sqrt(cap_sigma2), c_skip, c_out)`` columns of shape
-    (nodes, 1), so indexing one with a batch of grid indices gives a column
-    that scales the batch's rows.  The elementwise arithmetic is that of
-    :func:`bridge_coefficients` and :func:`boundary_scalings`, so the values
-    are bitwise theirs.
-    """
-    a, b, cap_sigma2 = bridge_coefficients(sched, np.frombuffer(nodes))
-    cols = (a, b, np.sqrt(cap_sigma2), *_scalings(cap_sigma2, sigma_data))
-    cols = tuple(c[:, None] for c in cols)
-    for c in cols:
-        c.setflags(write=False)
-    return cols
-
 
 def consistency_loss_and_grads(
     m: ConsistencyModel,
@@ -133,9 +134,9 @@ def consistency_loss_and_grads(
     indices and ``z`` the shared standard-normal draws.  The distance is the
     squared L2 norm between the online map at the upper node and the frozen
     target map at the lower node, unweighted across grid times.
-    The bridge and boundary coefficients are looked up by grid index in a
-    table cached per (schedule, grid, ``sigma_data``).  Returns
-    ``(loss, grads)`` with the loss averaged over the batch.
+    The bridge and boundary coefficients are read by grid index from the
+    model's table.  Returns ``(loss, grads)`` with the loss averaged over
+    the batch.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
@@ -145,20 +146,16 @@ def consistency_loss_and_grads(
     if np.any(n < 0) or np.any(n >= m.grid.n_steps):
         raise IndexError("grid index out of range")
 
-    nodes = np.asarray(m.grid.nodes, dtype=np.float64)
-    a, b, sqrt_v, c_skip, c_out = _node_coefficients(
-        m.sched, nodes.tobytes(), m.sigma_data)
     lo, hi = n, n + 1
-    t_lo, t_hi = nodes[lo], nodes[hi]
     # Shared-noise pair: both states sit on the trajectory of one draw z.
-    x_lo = a[lo] * x0 + b[lo] * x1 + sqrt_v[lo] * z
-    x_hi = a[hi] * x0 + b[hi] * x1 + sqrt_v[hi] * z
+    x_lo = _state(m, lo, x0, x1, z)
+    x_hi = _state(m, hi, x0, x1, z)
 
-    raw_tgt, _ = net.forward_with_cache(m.target, x_lo, t_lo, cond)
-    f_tgt = c_skip[lo] * x_lo + c_out[lo] * raw_tgt
+    raw_tgt, _ = net.forward_with_cache(m.target, x_lo, m.grid.nodes[lo], cond)
+    f_tgt = _boundary(m, lo, x_lo, raw_tgt)
 
-    raw_on, cache = net.forward_with_cache(m.online, x_hi, t_hi, cond)
-    f_on = c_skip[hi] * x_hi + c_out[hi] * raw_on
+    raw_on, cache = net.forward_with_cache(m.online, x_hi, m.grid.nodes[hi], cond)
+    f_on = _boundary(m, hi, x_hi, raw_on)
 
     batch = x0.shape[0]
     diff = f_on - f_tgt
@@ -170,7 +167,7 @@ def consistency_loss_and_grads(
             f"(indices {np.unique(n)[:8]!r})"
         )
 
-    d_raw = (2.0 / batch) * c_out[hi] * diff
+    d_raw = (2.0 / batch) * m.table.c_out[hi] * diff
     grads = net.backward(m.online, cache, d_raw)
     return loss, grads
 
@@ -199,11 +196,11 @@ def train_step(m: ConsistencyModel, batch, opt: net.AdamState, rng: np.random.Ge
 # ---------------------------------------------------------------------------
 
 def nfe_times(grid: TimeGrid, nfe: int):
-    """Denoise times for a fixed evaluation budget.
+    """Grid-node indices for a fixed evaluation budget.
 
     The j-th of ``nfe`` calls lands on grid node ``round(N * (1 - j/nfe))``,
     spreading the budget evenly from the top of the grid downward.  Returns
-    a strictly descending list of node times suitable for
+    a strictly descending list of node indices suitable for
     :func:`sample_multistep`; budgets too large for the grid collide on a
     node and are rejected.
     """
@@ -213,49 +210,41 @@ def nfe_times(grid: TimeGrid, nfe: int):
     indices = [round(n * (1.0 - j / nfe)) for j in range(nfe)]
     if any(i2 >= i1 for i1, i2 in zip(indices, indices[1:])):
         raise ValueError(f"budget {nfe} does not fit a grid of {n} steps")
-    return [float(grid.nodes[i]) for i in indices]
+    return indices
 
 
 def sample_multistep(
     m: ConsistencyModel,
     x1: np.ndarray,
     cond: np.ndarray,
-    times,
+    indices,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Alternate denoising and bridge re-noising down a descending time list.
+    """Alternate bridge re-noising and denoising down a descending node list.
 
-    ``times`` must be a strictly descending subset of the grid nodes with
-    the last entry at or above the grid minimum.  The number of network
-    evaluations equals ``len(times)``; a single top node is one-step
-    generation.  Each node draws one standard-normal array shaped like
-    ``x1``.  The first state is ``b * x1 + sqrt(cap_sigma2) * z`` at
-    ``times[0]``: the data-endpoint term of the bridge mean is dropped (its
-    weight is a few 1e-3 at the default maximum time and the data point is
-    unknown at inference).  Later states re-noise around the previous
-    estimate, ``a * x0_hat + b * x1 + sqrt(cap_sigma2) * z``.
+    ``indices`` must be a strictly descending list of grid-node indices.
+    The number of network evaluations equals ``len(indices)``; a single top
+    node is one-step generation.  Each node draws one standard-normal array
+    shaped like ``x1`` and denoises the state
+    ``a * x0_hat + b * x1 + sqrt(cap_sigma2) * z`` built around the previous
+    estimate.  The estimate starts at ``x0_hat = 0``, so the first state is
+    bitwise ``b * x1 + sqrt(cap_sigma2) * z``: the data-endpoint term of the
+    bridge mean is dropped (its weight is a few 1e-3 at the default maximum
+    time and the data point is unknown at inference).
     """
-    times = [float(t) for t in times]
-    if len(times) == 0:
-        raise ValueError("times must be nonempty")
-    if any(t2 >= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError(f"times must be strictly descending, got {times}")
-    nodes = m.grid.nodes
-    for t in times:
-        if not np.any(np.abs(nodes - t) < 1e-12):
-            raise ValueError(f"time {t} is not a grid node")
-    if times[-1] < m.grid.t_min - 1e-12:
-        raise ValueError("last time is below the grid minimum")
+    indices = list(indices)
+    if len(indices) == 0:
+        raise ValueError("indices must be nonempty")
+    if any(i2 >= i1 for i1, i2 in zip(indices, indices[1:])):
+        raise ValueError(f"indices must be strictly descending, got {indices}")
+    if indices[-1] < 0 or indices[0] > m.grid.n_steps:
+        raise ValueError(f"indices {indices} leave the grid's {m.grid.n_steps + 1} nodes")
 
     x1 = np.asarray(x1, dtype=np.float64)
-    z = rng.standard_normal(x1.shape)
-    _, b, cap_sigma2 = bridge_coefficients(m.sched, times[0])
-    x0_hat = denoise(m, b * x1 + np.sqrt(cap_sigma2) * z, times[0], cond)
-    for t_next in times[1:]:
+    x0_hat = 0.0
+    for i in indices:
         z = rng.standard_normal(x1.shape)
-        a, b, cap_sigma2 = bridge_coefficients(m.sched, t_next)
-        x = a * x0_hat + b * x1 + np.sqrt(cap_sigma2) * z
-        x0_hat = denoise(m, x, t_next, cond)
+        x0_hat = denoise(m, _state(m, i, x0_hat, x1, z), i, cond)
     return x0_hat
 
 
@@ -272,12 +261,7 @@ def self_consistency_spread(m: ConsistencyModel, batch, z: np.ndarray, indices=N
     x0, x1, cond = batch
     if indices is None:
         indices = range(len(m.grid.nodes))
-    ep = Endpoints(x0, x1)
-    outs = []
-    for i in indices:
-        t = float(m.grid.nodes[i])
-        outs.append(denoise(m, sample_posterior(ep, t, m.sched, z).x, t, cond))
-    outs = np.stack(outs)
+    outs = np.stack([denoise(m, _state(m, i, x0, x1, z), i, cond) for i in indices])
     diff = outs[:, None] - outs[None, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))    # (nodes, nodes, batch)
     return float(np.mean(np.max(dist, axis=(0, 1))))

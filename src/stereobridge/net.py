@@ -411,6 +411,8 @@ def _array_table(buf: bytes) -> dict:
         count = math.prod(shape)
         _need(buf, offset, 8 * count, f"array {name!r} data")
         table[name] = np.frombuffer(buf, "<f8", count, offset).reshape(shape)
+        if not np.all(np.isfinite(table[name])):
+            raise ValueError(f"checkpoint array {name!r} holds a non-finite value")
         offset += 8 * count
     return table
 
@@ -450,7 +452,8 @@ def load_checkpoint(path):
 
     Returns ``(online, target)``; round-trips bitwise with the writer.  Each
     stored array is copied once, from the file buffer into the flat vector.
-    A truncated or malformed container raises ``ValueError``.
+    A truncated or malformed container, or one holding a non-finite value,
+    raises ``ValueError``.
     """
     with open(path, "rb") as fh:
         buf = fh.read()

@@ -55,7 +55,7 @@ class GaussianMixture:
         means = np.asarray(self.means, dtype=np.float64)
         sigmas = np.asarray(self.sigmas, dtype=np.float64)
         weights = np.asarray(self.weights, dtype=np.float64)
-        if means.ndim != 2 or means.shape[0] == 0:
+        if means.ndim != 2 or 0 in means.shape:
             raise ValueError(f"means must be (components, dim), got {means.shape}")
         k = means.shape[0]
         if sigmas.shape != (k,) or weights.shape != (k,):
@@ -412,7 +412,7 @@ def toy_sample(model: ConsistencyModel, problem: ToyProblem, n: int,
     """Generate ``n`` points from fresh far endpoints.
 
     Draws the far endpoints from ``rng`` and hands the same generator to
-    :func:`sample_multistep` over the ``nfe`` grid nodes that
+    :func:`sample_multistep` over the ``nfe`` grid-node indices that
     :func:`nfe_times` picks; ``nfe = 1`` is the single top node.  The far
     endpoint is passed as conditioning, matching training.
     """

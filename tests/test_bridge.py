@@ -7,7 +7,7 @@ from stereobridge.bridge import (
     Endpoints,
     NearEndpointError,
     analytic_posterior_score,
-    coupled_pair,
+    bridge_state,
     endpoint_score_estimate,
     heun_integrate,
     integrate_pf_ode,
@@ -210,21 +210,27 @@ def test_integrate_divergence_reports_step():
     assert exc.value.step >= 0
 
 
+def pair_state(ep, grid, n, z):
+    """Bridge state at grid node ``n``: one half of a shared-noise pair."""
+    a, b, v = bridge_coefficients(CONST, grid.nodes[n])
+    return bridge_state(a, b, np.sqrt(v), ep.x0, ep.x1, z)
+
+
 def test_coupled_pair_on_mean_path():
     grid = make_grid(8, 0.05, 0.95)
     ep = Endpoints(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    lo, hi = coupled_pair(ep, 3, grid, CONST, np.zeros(2))
+    lo, hi = (pair_state(ep, grid, n, np.zeros(2)) for n in (3, 4))
     mu_lo, _ = posterior_moments(ep, grid.nodes[3], CONST)
     mu_hi, _ = posterior_moments(ep, grid.nodes[4], CONST)
-    assert lo.x == pytest.approx(mu_lo)
-    assert hi.x == pytest.approx(mu_hi)
+    assert lo == pytest.approx(mu_lo)
+    assert hi == pytest.approx(mu_hi)
 
 
 def test_coupled_pair_pins_to_data():
     grid = make_grid(100, 1e-4, 0.999)
     ep = Endpoints(np.array([2.0]), np.array([-2.0]))
-    lo, _ = coupled_pair(ep, 0, grid, CONST, np.array([0.5]))
-    assert np.abs(lo.x - ep.x0) < 2e-2
+    lo = pair_state(ep, grid, 0, np.array([0.5]))
+    assert np.abs(lo - ep.x0) < 2e-2
 
 
 def test_coupled_pair_difference_moments():
@@ -237,22 +243,11 @@ def test_coupled_pair_difference_moments():
     t_lo, t_hi = grid.nodes[idx], grid.nodes[idx + 1]
     a_lo, b_lo, v_lo = bridge_coefficients(CONST, t_lo)
     a_hi, b_hi, v_hi = bridge_coefficients(CONST, t_hi)
-    lo = a_lo * ep.x0 + b_lo * ep.x1 + np.sqrt(v_lo) * z
-    hi = a_hi * ep.x0 + b_hi * ep.x1 + np.sqrt(v_hi) * z
-    diff = hi - lo
+    diff = pair_state(ep, grid, idx + 1, z) - pair_state(ep, grid, idx, z)
     expected = (a_hi - a_lo) * ep.x0 + (b_hi - b_lo) * ep.x1
     sd = abs(np.sqrt(v_hi) - np.sqrt(v_lo))
     se = sd / np.sqrt(n_draws)
     assert abs(diff.mean() - expected) <= 4.0 * se + 1e-12
-
-
-def test_coupled_pair_index_range():
-    grid = make_grid(4, 0.1, 0.9)
-    ep = Endpoints(np.zeros(1), np.ones(1))
-    with pytest.raises(IndexError):
-        coupled_pair(ep, 4, grid, CONST, np.zeros(1))
-    with pytest.raises(IndexError):
-        coupled_pair(ep, -1, grid, CONST, np.zeros(1))
 
 
 def test_marginal_moments_gaussian_endpoints():

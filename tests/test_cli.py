@@ -10,7 +10,7 @@ from stereobridge.config import load_config
 from stereobridge.consistency import ConsistencyModel
 from stereobridge.dsp import StereoWaveform, write_wav
 from stereobridge.metrics import exponential_ir
-from stereobridge.net import load_checkpoint
+from stereobridge.net import load_checkpoint, save_checkpoint
 from stereobridge.toys import toy_sample
 
 RATE = 22050
@@ -309,6 +309,32 @@ def test_sample_truncated_checkpoint_fails_cleanly(tiny_config, trained, tmp_pat
     assert rc == 1
     err = capsys.readouterr().err
     assert "cannot load checkpoint" in err and "truncated at byte" in err
+
+
+def test_sample_non_finite_checkpoint_fails_cleanly(tiny_config, trained, tmp_path, capsys):
+    online, target = load_checkpoint(trained)
+    online.weights[0][0, 0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(bad, online, target)
+    rc = main(["sample", "--config", str(tiny_config),
+               "--checkpoint", str(bad), "--out", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot load checkpoint" in err and "online.w0" in err
+
+
+def test_sample_overflowing_network_fails_cleanly(tiny_config, trained, tmp_path, capsys):
+    # Finite but huge first-layer weights overflow the forward pass, so the
+    # checkpoint loads and sampling itself raises TrainingError.
+    online, target = load_checkpoint(trained)
+    online.weights[0][:] = 1e308
+    big = tmp_path / "big.ckpt"
+    save_checkpoint(big, online, target)
+    with np.errstate(all="ignore"):
+        rc = main(["sample", "--config", str(tiny_config), "--count", "8",
+                   "--checkpoint", str(big), "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert "sampling failed" in capsys.readouterr().err
 
 
 def test_sample_rejects_bad_count(tiny_config, trained, tmp_path, capsys):

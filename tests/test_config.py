@@ -90,6 +90,8 @@ def test_range_validation():
         {"run": {"batch_size": 0}},
         {"run": {"seed": -1}},
         {"metrics": {"cepstral_k": 1}},
+        {"metrics": {"cepstral_k": 81}},
+        {"toy": {"means": [[]], "sigmas": [0.5], "weights": [1.0]}},
         {"io": {"out_dir": ""}},
     ]
     for section in bad:

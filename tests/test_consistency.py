@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from stereobridge import net
+from stereobridge.bridge import Endpoints, sample_posterior
 from stereobridge.consistency import (
     ConsistencyModel,
-    boundary_scalings,
+    NodeTable,
+    _boundary,
+    _scalings,
+    _state,
     consistency_loss_and_grads,
     denoise,
     nfe_times,
-    parameterize,
     sample_multistep,
     self_consistency_spread,
     stereo_enhancement_loss,
@@ -25,14 +28,22 @@ COND = 2
 
 
 def make_model(sched=DEFAULT, sigma_data=0.5, n_steps=8, seed=0,
-               zero_final=False, decay=0.999, t_min=0.001):
+               zero_final=False, decay=0.999, t_min=0.001, t_max=0.999):
     rng = np.random.default_rng(seed)
     online = init_denoiser(rng, data_dim=DIM, cond_dim=COND, hidden=8,
                            depth=2, time_embed_dim=4, zero_final=zero_final)
     target = ema_from(online, decay=decay)
     return ConsistencyModel(online=online, target=target, sched=sched,
-                            grid=make_grid(n_steps, t_min=t_min),
+                            grid=make_grid(n_steps, t_min=t_min, t_max=t_max),
                             sigma_data=sigma_data)
+
+
+def mid_model(sigma_data):
+    """Unit-rate model whose grid node 1 sits at t = 0.5 exactly."""
+    m = make_model(sched=CONST, sigma_data=sigma_data, n_steps=2,
+                   t_min=0.25, t_max=0.75)
+    assert m.grid.nodes[1] == 0.5
+    return m
 
 
 def make_batch(n, seed=1):
@@ -59,10 +70,9 @@ def params_equal(a, b):
 def test_boundary_scalings_hand_values():
     # Unit-rate schedule at t=0.5 pins cap_sigma2 = 0.25; with sigma_data=1
     # that gives c_skip = 1/1.25 = 0.8 and c_out = 0.5/sqrt(1.25).
-    m = make_model(sched=CONST, sigma_data=1.0)
-    c_skip, c_out = boundary_scalings(m, 0.5)
-    assert c_skip == pytest.approx(0.8)
-    assert c_out == pytest.approx(0.4472135954999579)
+    m = mid_model(sigma_data=1.0)
+    assert m.table.c_skip[1, 0] == pytest.approx(0.8)
+    assert m.table.c_out[1, 0] == pytest.approx(0.4472135954999579)
 
 
 def test_parameterize_is_identity_near_lower_endpoint():
@@ -73,7 +83,7 @@ def test_parameterize_is_identity_near_lower_endpoint():
     for _ in range(20):
         x = rng.standard_normal(DIM) * 3.0
         raw = rng.standard_normal(DIM) * 3.0
-        out = parameterize(raw, x, m.grid.t_min, m)
+        out = _boundary(m, 0, x, raw)
         bound = 1e-3 * (np.linalg.norm(x) + np.linalg.norm(raw))
         assert np.linalg.norm(out - x) <= bound
 
@@ -83,31 +93,60 @@ def test_boundary_weights_shrink_with_t_min():
     # one while the output weight is ~ sqrt(beta0 * t_min) ~ 1e-2; both
     # vanish as the grid is pushed toward zero.
     m = make_model()
-    c_skip, c_out = boundary_scalings(m, m.grid.t_min)
+    c_skip, c_out = m.table.c_skip[0, 0], m.table.c_out[0, 0]
     assert abs(1.0 - c_skip) < 5e-4
     assert c_out < 2e-2
     tighter = make_model(t_min=1e-8)
-    c_skip2, c_out2 = boundary_scalings(tighter, tighter.grid.t_min)
+    c_skip2, c_out2 = tighter.table.c_skip[0, 0], tighter.table.c_out[0, 0]
     assert abs(1.0 - c_skip2) < abs(1.0 - c_skip)
     assert c_out2 < c_out
 
 
 def test_skip_weight_tends_to_one_for_large_data_scale():
     # c_out tends to sqrt(cap_sigma2) in this limit, not to zero.
-    m = make_model(sched=CONST, sigma_data=1e6)
-    c_skip, c_out = boundary_scalings(m, 0.5)
+    m = mid_model(sigma_data=1e6)
+    c_skip, c_out = m.table.c_skip[1, 0], m.table.c_out[1, 0]
     assert c_skip > 1.0 - 1e-9
     assert c_out == pytest.approx(0.5, rel=1e-9)
 
 
 def test_parameterize_batched_times():
-    m = make_model(sched=CONST, sigma_data=1.0)
+    m = mid_model(sigma_data=1.0)
     x = np.ones((2, DIM))
     raw = np.ones((2, DIM))
-    t = np.array([0.5, 0.5])
-    out = parameterize(raw, x, t, m)
+    out = _boundary(m, np.array([1, 1]), x, raw)
     assert out.shape == (2, DIM)
     assert np.allclose(out, 0.8 + 0.4472135954999579)
+
+
+@pytest.mark.parametrize("sched, sigma_data", [(DEFAULT, 0.5), (CONST, 1.0),
+                                               (NoiseSchedule(0.3, 7.0), 2.5)])
+def test_node_table_matches_scalar_coefficients_bitwise(sched, sigma_data):
+    m = make_model(sched=sched, sigma_data=sigma_data, n_steps=12)
+    assert all(col.shape == (13, 1) and not col.flags.writeable for col in m.table)
+    for i, t in enumerate(m.grid.nodes):
+        a, b, cap_sigma2 = bridge_coefficients(sched, float(t))
+        c_skip, c_out = _scalings(cap_sigma2, sigma_data)
+        want = NodeTable(a, b, np.sqrt(cap_sigma2), c_skip, c_out)
+        for name, col, value in zip(NodeTable._fields, m.table, want):
+            assert col[i, 0] == value, f"{name} at node {i}"
+
+
+def test_node_state_matches_sample_posterior_bitwise():
+    # Single indices (sampler, spread probe) and per-row index arrays (loss)
+    # both give the state sample_posterior draws at that node.
+    m = make_model(n_steps=12)
+    x0, x1, _ = make_batch(13, seed=40)
+    z = np.random.default_rng(41).standard_normal(x0.shape)
+    ep = Endpoints(x0, x1)
+    for i, t in enumerate(m.grid.nodes):
+        assert np.array_equal(_state(m, i, x0, x1, z),
+                              sample_posterior(ep, t, m.sched, z).x)
+    n = np.random.default_rng(42).integers(0, 13, size=13)
+    per_row = _state(m, n, x0, x1, z)
+    for r, i in enumerate(n):
+        want = sample_posterior(ep, m.grid.nodes[i], m.sched, z).x[r]
+        assert np.array_equal(per_row[r], want)
 
 
 def test_model_rejects_grid_touching_zero():
@@ -130,9 +169,8 @@ def test_loss_zero_when_networks_and_times_coincide():
     m = make_model()
     rng = np.random.default_rng(3)
     x = rng.standard_normal(DIM)
-    t = float(m.grid.nodes[4])
-    on = denoise(m, x, t, np.zeros(COND), use_target=False)
-    tg = denoise(m, x, t, np.zeros(COND), use_target=True)
+    on = denoise(m, x, 4, np.zeros(COND))
+    tg = _boundary(m, 4, x, net.forward(m.target, x, m.grid.nodes[4], np.zeros(COND)))
     assert np.array_equal(on, tg)
     assert float(np.sum((on - tg) ** 2)) == 0.0
 
@@ -271,7 +309,7 @@ def test_train_step_rejects_empty_batch():
 
 def test_one_step_uses_exactly_one_evaluation():
     m = make_model(seed=23)
-    top = [m.grid.nodes[-1]]
+    top = [m.grid.n_steps]
     assert m.eval_count == 0
     sample_multistep(m, np.zeros(DIM), np.zeros(COND), top, np.random.default_rng(0))
     assert m.eval_count == 1
@@ -285,20 +323,21 @@ def test_multistep_single_time_reduces_to_one_step():
     m = make_model(seed=25)
     x1 = np.array([0.3, -0.7, 1.1])
     cond = np.ones(COND)
-    for t in (float(m.grid.nodes[-1]), float(m.grid.nodes[3])):
+    for i in (m.grid.n_steps, 3):
+        t = float(m.grid.nodes[i])
         z = np.random.default_rng(26).standard_normal(DIM)
         _, b, cap_sigma2 = bridge_coefficients(m.sched, t)
+        c_skip, c_out = _scalings(cap_sigma2, m.sigma_data)
         start = b * x1 + np.sqrt(cap_sigma2) * z
-        expected = parameterize(net.forward(m.online, start, t, cond), start, t, m)
-        out = sample_multistep(m, x1, cond, [t], np.random.default_rng(26))
+        expected = c_skip * start + c_out * net.forward(m.online, start, t, cond)
+        out = sample_multistep(m, x1, cond, [i], np.random.default_rng(26))
         assert np.array_equal(out, expected)
 
 
 def test_multistep_counts_evaluations():
     m = make_model(seed=27)
-    times = [m.grid.nodes[i] for i in (8, 6, 4, 2)]
     before = m.eval_count
-    sample_multistep(m, np.zeros(DIM), np.zeros(COND), times,
+    sample_multistep(m, np.zeros(DIM), np.zeros(COND), [8, 6, 4, 2],
                      np.random.default_rng(28))
     assert m.eval_count - before == 4
 
@@ -311,19 +350,19 @@ def test_multistep_validates_times():
     with pytest.raises(ValueError):
         sample_multistep(m, x1, cond, [], rng)
     with pytest.raises(ValueError):
-        sample_multistep(m, x1, cond,
-                         [m.grid.nodes[2], m.grid.nodes[5]], rng)
+        sample_multistep(m, x1, cond, [2, 5], rng)
     with pytest.raises(ValueError):
-        sample_multistep(m, x1, cond, [0.123456], rng)
+        sample_multistep(m, x1, cond, [m.grid.n_steps + 1], rng)
+    with pytest.raises(ValueError):
+        sample_multistep(m, x1, cond, [3, -1], rng)
 
 
 def test_sampling_deterministic_given_seed():
     m = make_model(seed=29)
     x1 = np.array([0.5, 0.5, -0.5])
     cond = np.ones(COND)
-    times = [m.grid.nodes[i] for i in (8, 4)]
-    a = sample_multistep(m, x1, cond, times, np.random.default_rng(30))
-    b = sample_multistep(m, x1, cond, times, np.random.default_rng(30))
+    a = sample_multistep(m, x1, cond, [8, 4], np.random.default_rng(30))
+    b = sample_multistep(m, x1, cond, [8, 4], np.random.default_rng(30))
     assert np.array_equal(a, b)
 
 
@@ -408,23 +447,24 @@ def test_enhancement_loss_shape_mismatch():
 
 def test_nfe_times_single_call_starts_at_top():
     grid = make_grid(8)
-    assert nfe_times(grid, 1) == [grid.t_max]
+    assert nfe_times(grid, 1) == [8]
+    assert grid.nodes[8] == grid.t_max
 
 
 def test_nfe_times_spreads_budget_over_grid():
     grid = make_grid(8)
-    assert nfe_times(grid, 4) == [float(grid.nodes[i]) for i in (8, 6, 4, 2)]
-    assert nfe_times(grid, 8) == [float(t) for t in grid.nodes[:0:-1]]
+    assert nfe_times(grid, 4) == [8, 6, 4, 2]
+    assert nfe_times(grid, 8) == list(range(8, 0, -1))
     # Uneven budgets round to the nearest node.
-    assert nfe_times(grid, 3) == [float(grid.nodes[i]) for i in (8, 5, 3)]
+    assert nfe_times(grid, 3) == [8, 5, 3]
 
 
 def test_nfe_times_are_strictly_descending():
     grid = make_grid(12)
     for nfe in (1, 2, 4, 8):
-        times = nfe_times(grid, nfe)
-        assert len(times) == nfe
-        assert all(t1 > t2 for t1, t2 in zip(times, times[1:]))
+        indices = nfe_times(grid, nfe)
+        assert len(indices) == nfe
+        assert all(i1 > i2 for i1, i2 in zip(indices, indices[1:]))
 
 
 def test_nfe_times_rejects_bad_budgets():

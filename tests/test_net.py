@@ -412,6 +412,15 @@ def test_checkpoint_missing_array_raises_value_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_non_finite_value_raises_value_error(tmp_path):
+    online = probe_net(seed=13)
+    online.weights[0][1, 2] = np.nan
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, online, ema_from(probe_net(seed=14)))
+    with pytest.raises(ValueError, match="online.w0"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("fault", ["dims", "ema"])
 def test_checkpoint_layout_mismatch_raises_value_error(tmp_path, fault):
     online = probe_net(seed=13)
