@@ -1,4 +1,4 @@
-"""Pinned diffusion bridge: posterior sampling, score estimators, and the
+"""Pinned diffusion bridge: posterior sampling, the analytic score, and the
 probability-flow ODE.
 
 The bridge runs between a clean data vector ``x0`` and a prior endpoint
@@ -123,26 +123,12 @@ def _checked_cap_sigma2(sched: NoiseSchedule, t) -> float:
 def analytic_posterior_score(x_t: np.ndarray, ep: Endpoints, t: float, sched: NoiseSchedule) -> np.ndarray:
     """Gradient of the log-density of the bridge conditional at ``x_t``.
 
-    This is the exact Gaussian score ``-(x_t - mu_t) / cap_sigma2`` and
-    serves as the test oracle for the estimator below.
+    This is the exact Gaussian score ``-(x_t - mu_t) / cap_sigma2``.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     cap_sigma2 = _checked_cap_sigma2(sched, t)
     mu, _ = posterior_moments(ep, t, sched)
     return -(x_t - mu) / cap_sigma2
-
-
-def endpoint_score_estimate(x_t: np.ndarray, x1: np.ndarray, t: float, sched: NoiseSchedule) -> np.ndarray:
-    """Single-sample score estimate ``-(x1 - x_t) / cap_sigma2``.
-
-    Uses only the prior endpoint, so it is available at inference time when
-    the data endpoint is unknown.  It is the one-draw form of the
-    conditional expectation defining the marginal score.
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    cap_sigma2 = _checked_cap_sigma2(sched, t)
-    return -(x1 - x_t) / cap_sigma2
 
 
 def pf_ode_drift(

@@ -242,7 +242,7 @@ def cmd_train_toy(args) -> int:
     def callback(step, model, loss, wall_ms):
         rows.append((step, loss, wall_ms))
         if step == 1 or step % CHECKPOINT_EVERY == 0:
-            net.save_checkpoint(ckpt_path, model.online, model.target)
+            net.save_checkpoint(ckpt_path, model.online, model.target, model.ema_decay)
 
     meta = {
         "command": "train-toy",
@@ -266,7 +266,8 @@ def cmd_train_toy(args) -> int:
               file=sys.stderr)
         return 1
 
-    net.save_checkpoint(ckpt_path, result.model.online, result.model.target)
+    model = result.model
+    net.save_checkpoint(ckpt_path, model.online, model.target, model.ema_decay)
     _write_loss_csv(out / "loss.csv", rows)
     meta.update({
         "status": "completed",
@@ -304,7 +305,7 @@ def cmd_sample(args) -> int:
         return 2
     out = _out_dir(args, cfg)
     try:
-        online, target = net.load_checkpoint(args.checkpoint)
+        online, target, ema_decay = net.load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
         print(f"cannot load checkpoint: {exc}", file=sys.stderr)
         return 1
@@ -320,7 +321,7 @@ def cmd_sample(args) -> int:
 
     model = ConsistencyModel(online=online, target=target,
                              sched=cfg.schedule(), grid=grid,
-                             sigma_data=cfg.sigma_data)
+                             sigma_data=cfg.sigma_data, ema_decay=ema_decay)
     before = model.eval_count
     t_begin = time.perf_counter()
     try:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import net
 from .bridge import bridge_state
-from .net import DenoiserParams, EmaParams, TrainingError
+from .net import DenoiserParams, TrainingError
 from .schedule import NoiseSchedule, TimeGrid, bridge_coefficients
 
 
@@ -55,6 +55,7 @@ class NodeTable(NamedTuple):
 class ConsistencyModel:
     """Online/EMA parameter pair plus the schedule and grid they train on.
 
+    ``ema_decay`` is the target's decay in :func:`train_step`;
     ``sigma_data`` scales the boundary parameterization; ``eval_count``
     tallies network evaluations for function-evaluation accounting and is
     purely diagnostic.  ``table`` is computed once from the schedule, grid
@@ -64,10 +65,11 @@ class ConsistencyModel:
     """
 
     online: DenoiserParams
-    target: EmaParams
+    target: DenoiserParams
     sched: NoiseSchedule
     grid: TimeGrid
     sigma_data: float
+    ema_decay: float
     eval_count: int = 0
     table: NodeTable = field(init=False, repr=False, compare=False)
 
@@ -187,7 +189,7 @@ def train_step(m: ConsistencyModel, batch, opt: net.AdamState, rng: np.random.Ge
     z = rng.standard_normal(x0.shape)
     loss, grads = consistency_loss_and_grads(m, x0, x1, cond, n, z)
     net.adam_step(opt, m.online, grads)
-    net.ema_update(m.target, m.online)
+    net.ema_update(m.target, m.online, m.ema_decay)
     return m, opt, loss
 
 

@@ -320,23 +320,3 @@ def mel_cepstra(log_mel_frames: np.ndarray, k: int = 13) -> MelCepstra:
         raise ValueError(f"k must be in (0, {frames.shape[1]}], got {k}")
     coeffs = scipy.fft.dct(frames, type=2, norm="ortho", axis=1)
     return MelCepstra(coeffs=coeffs[:, :k])
-
-
-def export_frames(path, frames: np.ndarray) -> None:
-    """Store a (frames, bins) feature matrix in the shared grid format.
-
-    The matrix is written as a single-channel grid, so both extents must be
-    at least 4 (the grid format's minimum).
-    """
-    from .spatial import SceneFeatureGrid, write_grid
-    frames = np.asarray(frames, dtype=np.float64)
-    write_grid(path, SceneFeatureGrid(frames[:, :, None]))
-
-
-def import_frames(path) -> np.ndarray:
-    """Read a feature matrix stored by :func:`export_frames`."""
-    from .spatial import read_grid
-    grid = read_grid(path)
-    if grid.shape[2] != 1:
-        raise ValueError(f"expected a single-channel grid, got {grid.shape}")
-    return grid.features[:, :, 0]

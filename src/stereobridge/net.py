@@ -10,14 +10,16 @@ every parameter checkable against central finite differences and makes
 training bitwise deterministic for a fixed seed.  Checkpoints use a small
 versioned binary container of named little-endian float64 arrays.
 
-Flat layout: online parameters, EMA parameters, gradients and the Adam
-moments each live in one contiguous float64 vector ``flat`` holding layer
-0's weight matrix, layer 0's bias, layer 1's weight matrix and so on, in C
-order.  ``weights[i]`` and ``biases[i]`` are reshaped views into it, so
-writing either writes the other.  :func:`adam_step` and :func:`ema_update`
-work on the whole vector and update their arguments in place: they return
-the objects they were given, and a caller that needs the old values must
-copy them first.
+One parameter type: online parameters, the EMA target, gradients and the
+Adam moments are all :class:`DenoiserParams`, each one contiguous float64
+vector ``flat`` holding layer 0's weight matrix, layer 0's bias, layer 1's
+weight matrix and so on, in C order.  ``weights[i]`` and ``biases[i]`` are
+reshaped views into it, so writing either writes the other.
+:func:`adam_step` and :func:`ema_update` work on the whole vector and update
+their arguments in place: they return the objects they were given, and a
+caller that needs the old values must copy them first.  The EMA decay
+belongs to the consistency model, not to the parameters: it is an argument
+of :func:`ema_update` and is stored in the checkpoint beside both nets.
 """
 
 from __future__ import annotations
@@ -39,16 +41,23 @@ class TrainingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FlatLayers:
-    """Per-layer weight and bias arrays stored as views into one vector.
+class DenoiserParams:
+    """MLP weights and biases as views into one flat vector, plus the fixed
+    embedding/conditioning dimensions.
 
-    Built from per-layer arrays alone, the arrays are packed into a fresh
-    vector; built with ``flat`` as well, views of the given arrays' shapes
-    are laid over ``flat`` and the arrays' own values are ignored.
+    ``weights[i]`` has shape (fan_in, fan_out); activations multiply on the
+    left.  The input layer accepts ``data_dim + time_embed_dim + cond_dim``
+    features and the output layer emits ``data_dim`` features.  Built from
+    per-layer arrays alone, the arrays are packed into a fresh vector; built
+    with ``flat`` as well, views of the given arrays' shapes are laid over
+    ``flat`` and the arrays' own values are ignored.
     """
 
     weights: list
     biases: list
+    data_dim: int
+    time_embed_dim: int
+    cond_dim: int
     flat: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
@@ -72,43 +81,13 @@ class FlatLayers:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self):
+    def copy(self) -> "DenoiserParams":
         """Deep copy with a fresh flat vector."""
         return replace(self, flat=self.flat.copy())
 
-    def zeros_like(self) -> "FlatLayers":
-        """Zero-filled layers of the same shapes."""
-        return FlatLayers(self.weights, self.biases, flat=np.zeros_like(self.flat))
-
-
-# Gradients share the parameter layout.
-ParamGrads = FlatLayers
-
-
-@dataclass
-class DenoiserParams(FlatLayers):
-    """MLP weights plus the fixed embedding/conditioning dimensions.
-
-    ``weights[i]`` has shape (fan_in, fan_out); activations multiply on the
-    left.  The input layer accepts ``data_dim + time_embed_dim + cond_dim``
-    features and the output layer emits ``data_dim`` features.
-    """
-
-    data_dim: int
-    time_embed_dim: int
-    cond_dim: int
-
-
-@dataclass
-class EmaParams(DenoiserParams):
-    """Exponential moving average of the online parameters.
-
-    Shape-identical to :class:`DenoiserParams`; only ever written by
-    :func:`ema_update`, never by the optimizer.
-    """
-
-    decay: float = 0.999
-    _scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    def zeros_like(self) -> "DenoiserParams":
+        """Zero-filled parameters of the same layout."""
+        return replace(self, flat=np.zeros_like(self.flat))
 
 
 @dataclass
@@ -119,13 +98,13 @@ class AdamState:
     them, ``step`` and two preallocated scratch vectors in place.
     """
 
-    m: FlatLayers
-    v: FlatLayers
-    step: int = 0
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    m: DenoiserParams
+    v: DenoiserParams
+    step: int
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
     _scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,9 +115,9 @@ def init_denoiser(
     rng: np.random.Generator,
     data_dim: int,
     cond_dim: int,
-    hidden: int = 128,
-    depth: int = 4,
-    time_embed_dim: int = 32,
+    hidden: int,
+    depth: int,
+    time_embed_dim: int,
     zero_final: bool = True,
 ) -> DenoiserParams:
     """He-normal hidden layers; zero final layer unless disabled.
@@ -166,19 +145,6 @@ def init_denoiser(
         data_dim=data_dim,
         time_embed_dim=time_embed_dim,
         cond_dim=cond_dim,
-    )
-
-
-def ema_from(params: DenoiserParams, decay: float = 0.999) -> EmaParams:
-    """Start the target network as an exact copy of the online one."""
-    return EmaParams(
-        weights=params.weights,
-        biases=params.biases,
-        data_dim=params.data_dim,
-        time_embed_dim=params.time_embed_dim,
-        cond_dim=params.cond_dim,
-        decay=decay,
-        flat=params.flat.copy(),
     )
 
 
@@ -255,13 +221,14 @@ def forward(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
     return out[0] if single else out
 
 
-def backward(p: DenoiserParams, cache, d_out: np.ndarray) -> ParamGrads:
+def backward(p: DenoiserParams, cache, d_out: np.ndarray) -> DenoiserParams:
     """Backpropagate ``d_out = dL/d(output)`` to parameter gradients.
 
-    The gradients are written straight into a fresh flat vector's views.
+    The gradients have ``p``'s layout and are written straight into a fresh
+    flat vector's views.
     """
     acts, pre_acts = cache
-    grads = ParamGrads(p.weights, p.biases, flat=np.empty_like(p.flat))
+    grads = replace(p, flat=np.empty_like(p.flat))
     delta = np.asarray(d_out, dtype=np.float64)
     for i in range(p.n_layers - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=grads.weights[i])
@@ -300,7 +267,7 @@ def init_adam(p: DenoiserParams, lr: float = 1e-4, beta1: float = 0.9,
                      beta1=beta1, beta2=beta2, eps=eps)
 
 
-def _check_layout(p: FlatLayers, other: FlatLayers, what: str) -> None:
+def _check_layout(p: DenoiserParams, other: DenoiserParams, what: str) -> None:
     if other.n_layers != p.n_layers:
         raise ValueError(f"{what} layer count does not match parameters")
     for i in range(p.n_layers):
@@ -309,7 +276,7 @@ def _check_layout(p: FlatLayers, other: FlatLayers, what: str) -> None:
             raise ValueError(f"{what} shape mismatch at layer {i}")
 
 
-def adam_step(state: AdamState, p: DenoiserParams, grads: ParamGrads):
+def adam_step(state: AdamState, p: DenoiserParams, grads: DenoiserParams):
     """One bias-corrected Adam update of ``p``, in place.
 
     Updates ``p``, ``state.m``, ``state.v`` and ``state.step`` in place and
@@ -341,18 +308,15 @@ def adam_step(state: AdamState, p: DenoiserParams, grads: ParamGrads):
     return p, state
 
 
-def ema_update(target: EmaParams, online: DenoiserParams) -> EmaParams:
+def ema_update(target: DenoiserParams, online: DenoiserParams,
+               decay: float) -> DenoiserParams:
     """theta_bar <- decay * theta_bar + (1 - decay) * theta, in place.
 
     Returns ``target``.
     """
     _check_layout(online, target, "EMA")
-    mu = target.decay
-    if target._scratch is None:
-        target._scratch = np.empty_like(target.flat)
-    np.multiply(target.flat, mu, out=target.flat)
-    np.multiply(online.flat, 1.0 - mu, out=target._scratch)
-    np.add(target.flat, target._scratch, out=target.flat)
+    np.multiply(target.flat, decay, out=target.flat)
+    np.add(target.flat, np.multiply(online.flat, 1.0 - decay), out=target.flat)
     return target
 
 
@@ -428,12 +392,13 @@ def _check_shapes(p: DenoiserParams) -> None:
         raise ValueError(f"checkpoint output width {fan_in} != data_dim {p.data_dim}")
 
 
-def save_checkpoint(path, online: DenoiserParams, target: EmaParams) -> None:
-    """Write both parameter sets to a flat versioned binary container."""
+def save_checkpoint(path, online: DenoiserParams, target: DenoiserParams,
+                    ema_decay: float) -> None:
+    """Write both nets and the EMA decay to a flat versioned binary container."""
     arrays = [
         ("meta.dims", np.array([online.data_dim, online.time_embed_dim,
                                 online.cond_dim, online.n_layers], dtype=np.float64)),
-        ("meta.ema_decay", np.array(target.decay, dtype=np.float64)),
+        ("meta.ema_decay", np.array(ema_decay, dtype=np.float64)),
     ]
     for i in range(online.n_layers):
         arrays.append((f"online.w{i}", online.weights[i]))
@@ -450,10 +415,10 @@ def save_checkpoint(path, online: DenoiserParams, target: EmaParams) -> None:
 def load_checkpoint(path):
     """Read a container written by :func:`save_checkpoint`.
 
-    Returns ``(online, target)``; round-trips bitwise with the writer.  Each
-    stored array is copied once, from the file buffer into the flat vector.
-    A truncated or malformed container, or one holding a non-finite value,
-    raises ``ValueError``.
+    Returns ``(online, target, ema_decay)``; round-trips bitwise with the
+    writer.  Each stored array is copied once, from the file buffer into the
+    flat vector.  A truncated or malformed container, or one holding a
+    non-finite value, raises ``ValueError``.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -481,7 +446,7 @@ def load_checkpoint(path):
                 [get(f"{prefix}.b{i}") for i in range(n_layers)])
 
     online = DenoiserParams(*layers("online"), **dims_kw)
-    target = EmaParams(*layers("ema"), **dims_kw, decay=float(decay.reshape(-1)[0]))
+    target = DenoiserParams(*layers("ema"), **dims_kw)
     _check_shapes(online)
     _check_layout(online, target, "EMA")
-    return online, target
+    return online, target, float(decay.reshape(-1)[0])

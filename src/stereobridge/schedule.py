@@ -98,8 +98,7 @@ def bridge_coefficients(s: NoiseSchedule, t):
     if np.any(total <= 0.0):
         raise InvalidScheduleError("schedule accumulates zero total variance")
     a = sigma_bar2 / total
-    b = sigma2 / total
-    # Force exact complementarity; the subtraction only absorbs the last ulp.
+    # b = 1 - a rather than sigma2 / total forces exact complementarity.
     b = 1.0 - a
     cap_sigma2 = sigma_bar2 * sigma2 / total
     if a.ndim == 0:

@@ -366,10 +366,11 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
     )
     model = ConsistencyModel(
         online=params,
-        target=net.ema_from(params, decay=cfg.ema_decay),
+        target=params.copy(),
         sched=cfg.schedule(),
         grid=cfg.time_grid(),
         sigma_data=cfg.sigma_data,
+        ema_decay=cfg.ema_decay,
     )
     opt = net.init_adam(params, lr=lr, beta2=cfg.adam_beta2)
 

@@ -8,7 +8,6 @@ from stereobridge.bridge import (
     NearEndpointError,
     analytic_posterior_score,
     bridge_state,
-    endpoint_score_estimate,
     heun_integrate,
     integrate_pf_ode,
     pf_ode_drift,
@@ -106,26 +105,6 @@ def test_score_near_endpoint_error():
     ep = Endpoints(np.zeros(2), np.ones(2))
     with pytest.raises(NearEndpointError):
         analytic_posterior_score(np.zeros(2), ep, 1e-13, DEFAULT)
-
-
-def test_endpoint_estimate_zero_at_prior():
-    x1 = np.array([0.3, -0.2])
-    est = endpoint_score_estimate(x1, x1, 0.5, CONST)
-    assert est == pytest.approx([0.0, 0.0])
-
-
-def test_endpoint_estimate_hand_value():
-    est = endpoint_score_estimate(np.array([1.0]), np.array([2.0]), 0.5, CONST)
-    assert est == pytest.approx([-4.0])
-
-
-def test_endpoint_estimate_sign():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        x_t = rng.normal(size=4)
-        x1 = rng.normal(size=4)
-        est = endpoint_score_estimate(x_t, x1, 0.4, DEFAULT)
-        assert np.all(np.sign(est) == np.sign(x_t - x1))
 
 
 def test_drift_zero_at_prior_with_zero_base():

@@ -142,9 +142,9 @@ def test_train_toy_outputs(tiny_config, tmp_path, capsys):
         "distance", "loss_weighting", "schedule", "training_scale"}
     assert "wall_ms" in meta["nondeterministic_fields"]
 
-    online, target = load_checkpoint(out / "model.ckpt")
+    online, _, ema_decay = load_checkpoint(out / "model.ckpt")
     assert online.data_dim == 2
-    assert target.decay == meta["config"]["optimizer"]["ema_decay"]
+    assert ema_decay == meta["config"]["optimizer"]["ema_decay"]
 
 
 def test_train_toy_checkpoints_are_reproducible(tiny_config, tmp_path, capsys):
@@ -260,9 +260,10 @@ def test_sample_writes_toy_sample_rows(nfe, tiny_config, trained, tmp_path, caps
     capsys.readouterr()
     written = np.loadtxt(out / f"samples_nfe{nfe}.csv", delimiter=",", skiprows=1)
     cfg = load_config(tiny_config)
-    online, target = load_checkpoint(trained)
+    online, target, ema_decay = load_checkpoint(trained)
     model = ConsistencyModel(online=online, target=target, sched=cfg.schedule(),
-                             grid=cfg.time_grid(), sigma_data=cfg.sigma_data)
+                             grid=cfg.time_grid(), sigma_data=cfg.sigma_data,
+                             ema_decay=ema_decay)
     expected = toy_sample(model, cfg.toy_problem(), 32, np.random.default_rng(9), nfe)
     assert np.array_equal(written, expected)
 
@@ -312,10 +313,10 @@ def test_sample_truncated_checkpoint_fails_cleanly(tiny_config, trained, tmp_pat
 
 
 def test_sample_non_finite_checkpoint_fails_cleanly(tiny_config, trained, tmp_path, capsys):
-    online, target = load_checkpoint(trained)
+    online, target, ema_decay = load_checkpoint(trained)
     online.weights[0][0, 0] = np.nan
     bad = tmp_path / "nan.ckpt"
-    save_checkpoint(bad, online, target)
+    save_checkpoint(bad, online, target, ema_decay)
     rc = main(["sample", "--config", str(tiny_config),
                "--checkpoint", str(bad), "--out", str(tmp_path / "s")])
     assert rc == 1
@@ -326,10 +327,10 @@ def test_sample_non_finite_checkpoint_fails_cleanly(tiny_config, trained, tmp_pa
 def test_sample_overflowing_network_fails_cleanly(tiny_config, trained, tmp_path, capsys):
     # Finite but huge first-layer weights overflow the forward pass, so the
     # checkpoint loads and sampling itself raises TrainingError.
-    online, target = load_checkpoint(trained)
+    online, target, ema_decay = load_checkpoint(trained)
     online.weights[0][:] = 1e308
     big = tmp_path / "big.ckpt"
-    save_checkpoint(big, online, target)
+    save_checkpoint(big, online, target, ema_decay)
     with np.errstate(all="ignore"):
         rc = main(["sample", "--config", str(tiny_config), "--count", "8",
                    "--checkpoint", str(big), "--out", str(tmp_path / "s")])

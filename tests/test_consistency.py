@@ -17,7 +17,7 @@ from stereobridge.consistency import (
     stereo_enhancement_loss,
     train_step,
 )
-from stereobridge.net import ema_from, init_adam, init_denoiser
+from stereobridge.net import init_adam, init_denoiser
 from stereobridge.schedule import NoiseSchedule, TimeGrid, bridge_coefficients, make_grid
 
 CONST = NoiseSchedule(beta0=1.0, beta1=1.0)
@@ -32,10 +32,9 @@ def make_model(sched=DEFAULT, sigma_data=0.5, n_steps=8, seed=0,
     rng = np.random.default_rng(seed)
     online = init_denoiser(rng, data_dim=DIM, cond_dim=COND, hidden=8,
                            depth=2, time_embed_dim=4, zero_final=zero_final)
-    target = ema_from(online, decay=decay)
-    return ConsistencyModel(online=online, target=target, sched=sched,
+    return ConsistencyModel(online=online, target=online.copy(), sched=sched,
                             grid=make_grid(n_steps, t_min=t_min, t_max=t_max),
-                            sigma_data=sigma_data)
+                            sigma_data=sigma_data, ema_decay=decay)
 
 
 def mid_model(sigma_data):
@@ -155,8 +154,8 @@ def test_model_rejects_grid_touching_zero():
     bad = TimeGrid(n_steps=2, t_min=0.0, t_max=0.5,
                    nodes=np.array([0.0, 0.25, 0.5]))
     with pytest.raises(ValueError):
-        ConsistencyModel(online=online, target=ema_from(online),
-                         sched=DEFAULT, grid=bad, sigma_data=1.0)
+        ConsistencyModel(online=online, target=online.copy(),
+                         sched=DEFAULT, grid=bad, sigma_data=1.0, ema_decay=0.999)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@ from stereobridge.dsp import (
     Spectrogram,
     StereoWaveform,
     WavFormatError,
-    export_frames,
     frame_signal,
-    import_frames,
     log_mel,
     mel_cepstra,
     mel_center_frequencies,
@@ -314,16 +312,3 @@ def test_cepstra_validation():
         mel_cepstra(np.zeros((2, 80)), k=81)
     with pytest.raises(ValueError):
         MelCepstra(coeffs=np.array([[np.inf, 0.0]]))
-
-
-# ---------------------------------------------------------------------------
-# Feature export
-# ---------------------------------------------------------------------------
-
-def test_export_import_frames_round_trip(tmp_path):
-    rng = np.random.default_rng(10)
-    frames = rng.standard_normal((6, 13)).astype(np.float32).astype(np.float64)
-    path = tmp_path / "cepstra.grid"
-    export_frames(path, frames)
-    back = import_frames(path)
-    assert np.array_equal(back, frames)

@@ -1,14 +1,14 @@
+import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stereobridge.net import (
     DenoiserParams,
-    ParamGrads,
     TrainingError,
     adam_step,
-    ema_from,
     ema_update,
     forward,
     init_adam,
@@ -180,21 +180,20 @@ def test_non_finite_loss_raises_training_error():
 # Adam
 # ---------------------------------------------------------------------------
 
-def scalar_params(value=2.0):
+def scalar_params(value=2.0, bias=0.5):
     return DenoiserParams(weights=[np.array([[value]])],
-                          biases=[np.array([0.5])],
+                          biases=[np.array([bias])],
                           data_dim=1, time_embed_dim=0, cond_dim=0)
 
 
 def unit_grads():
-    return ParamGrads(weights=[np.ones((1, 1))], biases=[np.ones(1)])
+    return scalar_params(value=1.0, bias=1.0)
 
 
 def test_adam_zero_gradients_no_op():
     p = probe_net()
     state = init_adam(p, lr=0.1)
-    zeros = ParamGrads(weights=[np.zeros_like(w) for w in p.weights],
-                       biases=[np.zeros_like(b) for b in p.biases])
+    zeros = p.zeros_like()
     before = p.copy()
     new_p, new_state = adam_step(state, p, zeros)
     for a, b in zip(new_p.weights, before.weights):
@@ -222,7 +221,7 @@ def test_adam_moments_decay_after_gradients_stop():
     state = init_adam(p, lr=1e-3)
     p, state = adam_step(state, p, unit_grads())
     m_after = state.m.weights[0][0, 0]
-    zeros = ParamGrads(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
+    zeros = p.zeros_like()
     for _ in range(3):
         p, state = adam_step(state, p, zeros)
     assert state.m.weights[0][0, 0] == pytest.approx(m_after * 0.9 ** 3)
@@ -232,8 +231,8 @@ def test_adam_moments_decay_after_gradients_stop():
 def test_adam_shape_mismatch_rejected():
     p = probe_net()
     state = init_adam(p)
-    bad = ParamGrads(weights=[np.zeros((2, 2)) for _ in p.weights],
-                     biases=[np.zeros_like(b) for b in p.biases])
+    bad = DenoiserParams([np.zeros((2, 2)) for _ in p.weights], p.biases,
+                         p.data_dim, p.time_embed_dim, p.cond_dim)
     with pytest.raises(ValueError):
         adam_step(state, p, bad)
 
@@ -266,17 +265,17 @@ def test_training_loop_bitwise_deterministic():
 
 def test_ema_decay_zero_copies_online():
     p = probe_net(seed=8)
-    target = ema_from(probe_net(seed=9), decay=0.0)
-    new = ema_update(target, p)
+    target = probe_net(seed=9)
+    new = ema_update(target, p, 0.0)
     for tw, ow in zip(new.weights, p.weights):
         assert np.array_equal(tw, ow)
 
 
 def test_ema_decay_one_freezes_target():
     p = probe_net(seed=8)
-    target = ema_from(probe_net(seed=9), decay=1.0)
+    target = probe_net(seed=9)
     before = target.copy()
-    new = ema_update(target, p)
+    new = ema_update(target, p, 1.0)
     for tw, old in zip(new.weights + new.biases, before.weights + before.biases):
         assert np.array_equal(tw, old)
 
@@ -284,21 +283,18 @@ def test_ema_decay_one_freezes_target():
 def test_ema_half_decay_arithmetic():
     online = scalar_params(value=2.0)
     online.biases[0][:] = 2.0
-    target = ema_from(scalar_params(value=0.0), decay=0.5)
-    target.weights[0][:] = 0.0
-    target.biases[0][:] = 0.0
-    new = ema_update(target, online)
+    target = scalar_params(value=0.0, bias=0.0)
+    new = ema_update(target, online, 0.5)
     assert new.weights[0][0, 0] == 1.0
     assert new.biases[0][0] == 1.0
 
 
 def test_adam_never_touches_ema():
     p = probe_net(seed=8)
-    target = ema_from(p, decay=0.999)
+    target = p.copy()
     before = [w.copy() for w in target.weights] + [b.copy() for b in target.biases]
     state = init_adam(p, lr=0.5)
-    adam_step(state, p, ParamGrads(weights=[np.ones_like(w) for w in p.weights],
-                                   biases=[np.ones_like(b) for b in p.biases]))
+    adam_step(state, p, replace(p, flat=np.ones_like(p.flat)))
     after = list(target.weights) + list(target.biases)
     for old, new in zip(before, after):
         assert np.array_equal(old, new)
@@ -315,7 +311,7 @@ def reference_adam_tensor(m, v, g, t, lr, beta1, beta2, eps):
 
 def test_flat_adam_and_ema_match_per_tensor_reference_bitwise():
     p = probe_net(seed=30)
-    target = ema_from(probe_net(seed=31), decay=0.8)
+    target = probe_net(seed=31)
     state = init_adam(p, lr=3e-3, beta2=0.99)
     n = p.n_layers
     ref_p = [a.copy() for a in p.weights + p.biases]
@@ -326,8 +322,9 @@ def test_flat_adam_and_ema_match_per_tensor_reference_bitwise():
     for t in range(1, 7):
         state.lr = 3e-3 / t
         g = [rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-4, 1) for a in ref_p]
-        assert adam_step(state, p, ParamGrads(weights=g[:n], biases=g[n:])) == (p, state)
-        assert ema_update(target, p) is target
+        grads = DenoiserParams(g[:n], g[n:], p.data_dim, p.time_embed_dim, p.cond_dim)
+        assert adam_step(state, p, grads) == (p, state)
+        assert ema_update(target, p, 0.8) is target
         for k in range(len(ref_p)):
             ref_m[k], ref_v[k], delta = reference_adam_tensor(
                 ref_m[k], ref_v[k], g[k], t, state.lr, state.beta1, state.beta2, state.eps)
@@ -357,21 +354,42 @@ def test_layer_arrays_are_views_of_the_flat_vector():
 
 def test_checkpoint_round_trips_bitwise(tmp_path):
     online = probe_net(seed=13)
-    target = ema_from(probe_net(seed=14), decay=0.97)
+    target = probe_net(seed=14)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, online, target)
-    online2, target2 = load_checkpoint(path)
+    save_checkpoint(path, online, target, 0.97)
+    online2, target2, decay2 = load_checkpoint(path)
 
     assert online2.data_dim == online.data_dim
     assert online2.time_embed_dim == online.time_embed_dim
     assert online2.cond_dim == online.cond_dim
-    assert target2.decay == 0.97
+    assert decay2 == 0.97
     for a, b in zip(online2.weights + online2.biases,
                     online.weights + online.biases):
         assert np.array_equal(a, b)
     for a, b in zip(target2.weights + target2.biases,
                     target.weights + target.biases):
         assert np.array_equal(a, b)
+
+
+def test_checkpoint_v1_bytes_are_pinned(tmp_path):
+    # Exactly representable values make the container bytes platform-free;
+    # the digest is that of the v1 format, which every saved checkpoint uses.
+    online = probe_net(seed=13)
+    online.flat[:] = np.arange(online.flat.size) / 8.0
+    target = online.copy()
+    target.flat[:] = -np.arange(target.flat.size) / 4.0
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, online, target, 0.97)
+    blob = path.read_bytes()
+    assert len(blob) == 3305
+    assert hashlib.sha256(blob).hexdigest() == (
+        "c9d35ca23290f72fe52eafac462b88e91f1b053e353f50a44815e2ffe87409d4")
+
+    loaded = load_checkpoint(path)
+    assert loaded[2] == 0.97
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, *loaded)
+    assert again.read_bytes() == blob
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -383,10 +401,9 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 def test_checkpoint_loaded_params_behave_identically(tmp_path):
     online = probe_net(seed=13)
-    target = ema_from(online, decay=0.999)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, online, target)
-    online2, _ = load_checkpoint(path)
+    save_checkpoint(path, online, online.copy(), 0.999)
+    online2, _, _ = load_checkpoint(path)
     x_t, t, cond = probe_batch(seed=15)
     assert np.array_equal(forward(online, x_t, t, cond),
                           forward(online2, x_t, t, cond))
@@ -394,7 +411,7 @@ def test_checkpoint_loaded_params_behave_identically(tmp_path):
 
 def test_checkpoint_truncated_at_any_byte_raises_value_error(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, probe_net(seed=13), ema_from(probe_net(seed=14)))
+    save_checkpoint(path, probe_net(seed=13), probe_net(seed=14), 0.999)
     blob = path.read_bytes()
     cut = tmp_path / "cut.ckpt"
     for n in range(len(blob)):
@@ -406,7 +423,7 @@ def test_checkpoint_truncated_at_any_byte_raises_value_error(tmp_path):
 
 def test_checkpoint_missing_array_raises_value_error(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, probe_net(seed=13), ema_from(probe_net(seed=14)))
+    save_checkpoint(path, probe_net(seed=13), probe_net(seed=14), 0.999)
     path.write_bytes(path.read_bytes().replace(b"ema.b1", b"ema.x1"))
     with pytest.raises(ValueError, match="ema.b1"):
         load_checkpoint(path)
@@ -416,7 +433,7 @@ def test_checkpoint_non_finite_value_raises_value_error(tmp_path):
     online = probe_net(seed=13)
     online.weights[0][1, 2] = np.nan
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, online, ema_from(probe_net(seed=14)))
+    save_checkpoint(path, online, probe_net(seed=14), 0.999)
     with pytest.raises(ValueError, match="online.w0"):
         load_checkpoint(path)
 
@@ -424,14 +441,13 @@ def test_checkpoint_non_finite_value_raises_value_error(tmp_path):
 @pytest.mark.parametrize("fault", ["dims", "ema"])
 def test_checkpoint_layout_mismatch_raises_value_error(tmp_path, fault):
     online = probe_net(seed=13)
-    target = ema_from(probe_net(seed=14))
+    target = probe_net(seed=14)
     if fault == "dims":
         online.cond_dim += 1
     else:
-        target = ema_from(init_denoiser(np.random.default_rng(0), data_dim=3,
-                                        cond_dim=2, hidden=5, depth=2,
-                                        time_embed_dim=4))
+        target = init_denoiser(np.random.default_rng(0), data_dim=3, cond_dim=2,
+                               hidden=5, depth=2, time_embed_dim=4)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, online, target)
+    save_checkpoint(path, online, target, 0.999)
     with pytest.raises(ValueError, match="layer 0"):
         load_checkpoint(path)

@@ -1,8 +1,16 @@
-"""The benchmark tracer wraps functions by name; every name must resolve."""
+"""The benchmark tracer wraps functions by name; every name must resolve, and
+its FLOP counter must read the network parameters it is handed."""
 
-import importlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
+
+import numpy as np
+
+from stereobridge.consistency import ConsistencyModel, denoise
+from stereobridge.net import init_denoiser
+from stereobridge.schedule import NoiseSchedule, make_grid
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.json"
 
@@ -16,3 +24,32 @@ def test_traced_layers_resolve_to_callables():
         if not callable(found):
             missing.append(name)
     assert len(names) > 0 and missing == []
+
+
+def load_harness(monkeypatch):
+    """perfbench/harness.py loaded by path; registered only for this test,
+    because its dataclasses look their module up by name."""
+    path = LAYERS.parent / "harness.py"
+    spec = importlib.util.spec_from_file_location("perfbench_harness", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_flop_counter_reads_the_parameter_type(monkeypatch):
+    rng = np.random.default_rng(0)
+    online = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=3, depth=1,
+                           time_embed_dim=2)
+    m = ConsistencyModel(online=online, target=online.copy(), sched=NoiseSchedule(),
+                         grid=make_grid(4), sigma_data=0.5, ema_decay=0.9)
+    tracer = load_harness(monkeypatch).Tracer(["net.forward_with_cache"])
+    tracer.install()
+    try:
+        denoise(m, rng.standard_normal((5, 2)), 4, rng.standard_normal((5, 2)))
+    finally:
+        tracer.uninstall()
+    # Weights are (2 + 2 + 2) x 3 and 3 x 2: 24 multiply-adds per row.
+    assert tracer.stats["net.forward_with_cache"]["calls"] == 1
+    assert tracer.rows == 5
+    assert tracer.flop == 2 * 5 * 24
