@@ -304,10 +304,12 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
 def load_config(path) -> RunConfig:
     """Read and validate a JSON config file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integers past Python's digit limit; RecursionError, deep nesting.
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     return parse_config(raw, source=str(path))

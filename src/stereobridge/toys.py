@@ -165,29 +165,71 @@ def posterior_mixing(problem: ToyProblem, x1):
     return log_w, means, variances
 
 
-def _state_mixture(t, x1, problem, sched):
-    """Log weights, means, and variances of the bridge-state mixture at t."""
-    a, b, cap_sigma2 = bridge_coefficients(sched, float(t))
-    log_w, post_means, post_vars = posterior_mixing(problem, x1)
+@dataclass(frozen=True)
+class _Posterior:
+    """:func:`posterior_mixing` held component-major, for the state mixture.
+
+    It depends on ``x1`` alone, so one is built per call and reused at every
+    time.  Each (k, n) or (dim, n) row is a contiguous run over the points,
+    and every sum over coordinates or components adds whole rows in index
+    order.  That is the order NumPy adds fewer than 8 terms of a row-major
+    reduction in, so for up to 7 components and 7 coordinates the results
+    are bitwise those of the row-major formula; beyond that NumPy sums
+    pairwise and the two can differ in the last bits.
+    """
+
+    x1: np.ndarray           # (n, dim) far endpoints
+    log_w: np.ndarray        # (k, n)
+    means: np.ndarray        # (k, dim, n)
+    variances: np.ndarray    # (k,)
+
+
+def _posterior(problem: ToyProblem, x1) -> _Posterior:
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    means = a * post_means + b * x1[:, None, :]
-    variances = np.maximum(a * a * post_vars + cap_sigma2, VARIANCE_FLOOR)
-    return log_w, means, variances
+    log_w, means, variances = posterior_mixing(problem, x1)
+    return _Posterior(x1=x1, log_w=np.ascontiguousarray(log_w.T),
+                      means=np.ascontiguousarray(means.transpose(1, 2, 0)),
+                      variances=variances)
 
 
-def _component_logpdfs(x, t, x1, problem, sched):
+def _state_mixture(post: _Posterior, t, sched):
+    """Log weights (k, n), means (k, dim, n) and variances (k,) at time t."""
+    a, b, cap_sigma2 = bridge_coefficients(sched, float(t))
+    means = a * post.means + b * post.x1.T
+    variances = np.maximum(a * a * post.variances + cap_sigma2, VARIANCE_FLOOR)
+    return post.log_w, means, variances
+
+
+def _component_logpdfs(x, t, post: _Posterior, sched):
+    """Per-component log densities (k, n), offsets x − mean (k, dim, n), variances."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != problem.dim:
-        raise ValueError(f"points have dim {x.shape[1]}, mixture has {problem.dim}")
-    log_w, means, variances = _state_mixture(t, x1, problem, sched)
-    diff = x[:, None, :] - means
-    ssq = np.sum(diff * diff, axis=-1)
+    dim = post.means.shape[1]
+    if x.shape[1] != dim:
+        raise ValueError(f"points have dim {x.shape[1]}, mixture has {dim}")
+    log_w, means, variances = _state_mixture(post, t, sched)
+    diff = x.T - means
+    ssq = np.sum(diff * diff, axis=1)
     log_comp = (
         log_w
-        - 0.5 * problem.dim * np.log(2.0 * np.pi * variances)[None, :]
-        - 0.5 * ssq / variances[None, :]
+        - 0.5 * dim * np.log(2.0 * np.pi * variances)[:, None]
+        - 0.5 * ssq / variances[:, None]
     )
     return log_comp, diff, variances
+
+
+def _score(x, t, post: _Posterior, sched):
+    log_comp, diff, variances = _component_logpdfs(x, t, post, sched)
+    log_resp = log_comp - logsumexp(log_comp, axis=0, keepdims=True)
+    resp = np.exp(log_resp)
+    return -np.sum(resp[:, None, :] * diff / variances[:, None, None], axis=0).T
+
+
+def _drift(x, t, post: _Posterior, sched):
+    beta = float(beta_at(sched, float(t)))
+    _, sigma_bar2 = accumulated_variances(sched, float(t))
+    sigma_bar2 = max(float(sigma_bar2), VARIANCE_FLOOR)
+    score = _score(x, t, post, sched)
+    return beta * (post.x1 - x) / sigma_bar2 - 0.5 * beta * score
 
 
 def bridge_marginal_logpdf(x, t, x1, problem: ToyProblem, sched: NoiseSchedule):
@@ -199,8 +241,8 @@ def bridge_marginal_logpdf(x, t, x1, problem: ToyProblem, sched: NoiseSchedule):
     broadcasts against it.
     """
     squeeze = np.asarray(x).ndim == 1
-    log_comp, _, _ = _component_logpdfs(x, t, x1, problem, sched)
-    out = logsumexp(log_comp, axis=1)
+    log_comp, _, _ = _component_logpdfs(x, t, _posterior(problem, x1), sched)
+    out = logsumexp(log_comp, axis=0)
     return float(out[0]) if squeeze else out
 
 
@@ -212,25 +254,22 @@ def bridge_marginal_score(x, t, x1, problem: ToyProblem, sched: NoiseSchedule):
     routes against each other.
     """
     squeeze = np.asarray(x).ndim == 1
-    log_comp, diff, variances = _component_logpdfs(x, t, x1, problem, sched)
-    log_resp = log_comp - logsumexp(log_comp, axis=1, keepdims=True)
-    resp = np.exp(log_resp)
-    score = -np.sum(resp[:, :, None] * diff / variances[None, :, None], axis=1)
+    score = _score(x, t, _posterior(problem, x1), sched)
     return score[0] if squeeze else score
 
 
 def sample_bridge_marginal(t, x1, problem: ToyProblem, sched: NoiseSchedule,
                            rng: np.random.Generator) -> np.ndarray:
     """Draw exact bridge states at time t, one per row of ``x1``."""
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    log_w, means, variances = _state_mixture(t, x1, problem, sched)
-    cum = np.cumsum(np.exp(log_w), axis=1)
-    u = rng.random((x1.shape[0], 1))
-    comp = np.minimum((u > cum).sum(axis=1), problem.mixture.n_components - 1)
-    rows = np.arange(x1.shape[0])
-    centers = means[rows, comp]
+    post = _posterior(problem, x1)
+    log_w, means, variances = _state_mixture(post, t, sched)
+    n = post.x1.shape[0]
+    cum = np.cumsum(np.exp(log_w), axis=0)
+    u = rng.random(n)
+    comp = np.minimum((u > cum).sum(axis=0), problem.mixture.n_components - 1)
+    centers = means[comp, :, np.arange(n)]
     scales = np.sqrt(variances[comp])
-    return centers + scales[:, None] * rng.standard_normal(x1.shape)
+    return centers + scales[:, None] * rng.standard_normal(post.x1.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +287,8 @@ def marginal_ode_drift(x, t, x1, problem: ToyProblem, sched: NoiseSchedule):
 
         v(x, t) = β(t)(x1 − x)/σ̄²(t) − β(t)/2 · ∇log q_t(x | x1).
     """
-    beta = float(beta_at(sched, float(t)))
-    _, sigma_bar2 = accumulated_variances(sched, float(t))
-    sigma_bar2 = max(float(sigma_bar2), VARIANCE_FLOOR)
-    score = bridge_marginal_score(x, t, x1, problem, sched)
-    return beta * (x1 - x) / sigma_bar2 - 0.5 * beta * score
+    drift = _drift(x, t, _posterior(problem, x1), sched)
+    return drift[0] if np.asarray(x).ndim == 1 else drift
 
 
 def oracle_ode_sample(
@@ -269,13 +305,15 @@ def oracle_ode_sample(
     Draws the bridge state at ``t_start`` in closed form and integrates
     :func:`marginal_ode_drift` down to ``t_end`` with the shared
     second-order integrator.  Only analytic quantities enter, making this a
-    gold-standard baseline for learned samplers.
+    gold-standard baseline for learned samplers.  The posterior over the
+    clean point depends on ``x1`` alone, so it is computed once per call;
+    each drift evaluation only brings in the time coefficients.
     """
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    start = sample_bridge_marginal(t_start, x1, problem, sched, rng)
+    post = _posterior(problem, x1)
+    start = sample_bridge_marginal(t_start, post.x1, problem, sched, rng)
 
     def drift(x, t):
-        return marginal_ode_drift(x, t, x1, problem, sched)
+        return _drift(x, t, post, sched)
 
     return heun_integrate(drift, start, float(t_start), float(t_end), int(steps))
 

@@ -58,6 +58,20 @@ def test_bad_nfe_choice_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["selftest-bridge", "train-toy"])
+@pytest.mark.parametrize("body", [
+    b"\xff\xfe{",                            # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,         # nesting past the recursion limit
+    b'{"schema_version": ' + b"9" * 5000 + b"}",  # integer past the digit limit
+], ids=["not-utf8", "deep-nesting", "huge-integer"])
+def test_undecodable_config_exits_two(command, body, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 1, "grid": {"t_max": 1.0}}))
