@@ -5,13 +5,18 @@ location, every value is type- and range-checked before any work starts,
 and environment variables never override anything, so a config file plus a
 seed fully determines a run.  ``schema_version`` gates forward
 compatibility.
+
+The :class:`RunConfig` field list is the one copy of the file layout: each
+field names its section, its key and its range check, and parsing,
+:meth:`RunConfig.to_dict` and validation all derive from it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +39,20 @@ class ConfigError(ValueError):
 # Typed view
 # ---------------------------------------------------------------------------
 
+def _setting(default, section: str, check=None, key: str | None = None):
+    """A :class:`RunConfig` field: its default, where it sits in the file
+    (``section.key``; the key defaults to the field name), and an optional
+    ``(predicate, message)`` range check."""
+    return field(default=default,
+                 metadata={"section": section, "key": key, "check": check})
+
+
+# The toy section is checked as a whole, by RunConfig.toy_problem().
+_TOY = "toy"
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated settings for training, sampling, and evaluation.
@@ -42,41 +61,65 @@ class RunConfig:
     trainer reads every setting from a ``RunConfig``.  The recipe was tuned
     so a short CPU run reaches one-step sample quality close to the analytic
     reference sampler.
+
+    The field declarations are also the file layout and the range checks.
+    Construction runs every check, so each ``RunConfig`` is valid, one made
+    by :func:`dataclasses.replace` included; a bad value raises
+    :class:`ConfigError` naming its key.
     """
 
-    # schedule
-    beta0: float = 0.1
-    beta1: float = 20.0
-    # time grid
-    n_steps: int = 12
-    t_min: float = 0.001
-    t_max: float = 0.999
-    # model
-    hidden: int = 192
-    depth: int = 4
-    time_embed_dim: int = 32
-    sigma_data: float = 1.0
-    # optimizer
-    lr: float = 3e-3
-    final_lr: float = 1e-5
-    flat_fraction: float = 0.6
-    adam_beta2: float = 0.99
-    ema_decay: float = 0.8
-    # toy dataset
-    toy_means: tuple = ((-2.0, 0.0), (2.0, 0.0))
-    toy_sigmas: tuple = (0.5, 0.5)
-    toy_weights: tuple = (0.5, 0.5)
-    prior_sigma: float = 1.0
-    # run
-    steps: int = 5000
-    batch_size: int = 16
-    seed: int = 21
-    probe_step: int = 100
-    # metrics
-    lre_linear: bool = False
-    cepstral_k: int = 13
-    # io
-    out_dir: str = "runs"
+    beta0: float = _setting(0.1, "schedule", _POSITIVE)
+    beta1: float = _setting(20.0, "schedule", _POSITIVE)
+    n_steps: int = _setting(12, "grid", _AT_LEAST_ONE)
+    t_min: float = _setting(0.001, "grid", (lambda v: v > 0.0,
+                                            "must be strictly positive"))
+    t_max: float = _setting(0.999, "grid", (
+        lambda v: v < 1.0,
+        "must be strictly below 1 (the bridge variance vanishes there)"))
+    hidden: int = _setting(192, "model", _AT_LEAST_ONE)
+    depth: int = _setting(4, "model", (lambda v: v >= 2, "must be at least 2"))
+    time_embed_dim: int = _setting(32, "model", (
+        lambda v: v >= 2 and v % 2 == 0, "must be an even integer >= 2"))
+    sigma_data: float = _setting(1.0, "model", _POSITIVE)
+    lr: float = _setting(3e-3, "optimizer", _POSITIVE)
+    final_lr: float = _setting(1e-5, "optimizer", (lambda v: v >= 0,
+                                                   "must be nonnegative"))
+    flat_fraction: float = _setting(0.6, "optimizer", (
+        lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"))
+    adam_beta2: float = _setting(0.99, "optimizer", (
+        lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"))
+    ema_decay: float = _setting(0.8, "optimizer", (
+        lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"))
+    toy_means: tuple = _setting(((-2.0, 0.0), (2.0, 0.0)), _TOY, key="means")
+    toy_sigmas: tuple = _setting((0.5, 0.5), _TOY, key="sigmas")
+    toy_weights: tuple = _setting((0.5, 0.5), _TOY, key="weights")
+    prior_sigma: float = _setting(1.0, _TOY)
+    steps: int = _setting(5000, "run", _AT_LEAST_ONE)
+    batch_size: int = _setting(16, "run", _AT_LEAST_ONE)
+    seed: int = _setting(21, "run", (lambda v: v >= 0, "must be nonnegative"))
+    probe_step: int = _setting(100, "run")
+    lre_linear: bool = _setting(False, "metrics")
+    cepstral_k: int = _setting(13, "metrics", (
+        lambda v: 2 <= v <= N_MELS,
+        f"must lie in [2, {N_MELS}], the mel band count"))
+    out_dir: str = _setting("runs", "io", (lambda v: v != "",
+                                           "must be a nonempty string"))
+
+    def __post_init__(self):
+        for section, keyed in _LAYOUT.items():
+            for key, f in keyed.items():
+                if f.metadata["check"] is not None:
+                    predicate, message = f.metadata["check"]
+                    if not predicate(getattr(self, f.name)):
+                        raise ConfigError(f"{section}.{key}", message)
+        if not self.t_min < self.t_max:
+            raise ConfigError("grid.t_max", "must exceed t_min")
+        if not 1 <= self.probe_step <= self.steps:
+            raise ConfigError("run.probe_step", "must fall inside the run")
+        try:
+            self.toy_problem()
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(_TOY, str(exc)) from exc
 
     def schedule(self) -> NoiseSchedule:
         return NoiseSchedule(beta0=self.beta0, beta1=self.beta1)
@@ -93,28 +136,11 @@ class RunConfig:
         return ToyProblem(mixture=mixture, prior_sigma=self.prior_sigma)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "schedule": {"beta0": self.beta0, "beta1": self.beta1},
-            "grid": {"n_steps": self.n_steps, "t_min": self.t_min,
-                     "t_max": self.t_max},
-            "model": {"hidden": self.hidden, "depth": self.depth,
-                      "time_embed_dim": self.time_embed_dim,
-                      "sigma_data": self.sigma_data},
-            "optimizer": {"lr": self.lr, "final_lr": self.final_lr,
-                          "flat_fraction": self.flat_fraction,
-                          "adam_beta2": self.adam_beta2,
-                          "ema_decay": self.ema_decay},
-            "toy": {"means": [list(m) for m in self.toy_means],
-                    "sigmas": list(self.toy_sigmas),
-                    "weights": list(self.toy_weights),
-                    "prior_sigma": self.prior_sigma},
-            "run": {"steps": self.steps, "batch_size": self.batch_size,
-                    "seed": self.seed, "probe_step": self.probe_step},
-            "metrics": {"lre_linear": self.lre_linear,
-                        "cepstral_k": self.cepstral_k},
-            "io": {"out_dir": self.out_dir},
-        }
+        out = {"schema_version": SCHEMA_VERSION}
+        for section, keyed in _LAYOUT.items():
+            out[section] = {key: _to_json(getattr(self, f.name))
+                            for key, f in keyed.items()}
+        return out
 
     def config_hash(self) -> str:
         """Short content hash for report provenance."""
@@ -122,13 +148,31 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _layout() -> dict:
+    """Section -> key -> field, in declaration order."""
+    layout = {}
+    for f in fields(RunConfig):
+        layout.setdefault(f.metadata["section"], {})[f.metadata["key"] or f.name] = f
+    return layout
+
+
+_LAYOUT = _layout()
+
+
+def _to_json(value):
+    return [_to_json(v) for v in value] if isinstance(value, tuple) else value
+
+
 def default_config() -> RunConfig:
     return RunConfig()
 
 
 # ---------------------------------------------------------------------------
-# Parsing and validation
+# Parsing
 # ---------------------------------------------------------------------------
+
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
+
 
 def _require_mapping(raw, location):
     if not isinstance(raw, dict):
@@ -139,166 +183,62 @@ def _require_mapping(raw, location):
 def _reject_unknown(raw: dict, allowed, location: str):
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
-        raise ConfigError(_key_location(location, str(unknown[0])), "unknown key")
+        key = str(unknown[0])
+        raise ConfigError(f"{location}.{key}" if location else key, "unknown key")
 
 
-def _key_location(location: str, key: str) -> str:
-    return f"{location}.{key}" if location else key
+def _typed(value, default, location: str):
+    """``value`` checked to have the JSON type of ``default``.
 
-
-def _get_number(raw: dict, key: str, location: str, default):
-    v = raw.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(_key_location(location, key),
-                          f"expected a number, got {v!r}")
-    if not np.isfinite(v):
-        raise ConfigError(_key_location(location, key), "must be finite")
-    return float(v)
-
-
-def _get_int(raw: dict, key: str, location: str, default):
-    v = raw.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(_key_location(location, key),
-                          f"expected an integer, got {v!r}")
-    return v
-
-
-def _get_bool(raw: dict, key: str, location: str, default):
-    v = raw.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(_key_location(location, key),
-                          f"expected a boolean, got {v!r}")
-    return v
-
-
-def _check(cond: bool, location: str, message: str):
-    if not cond:
-        raise ConfigError(location, message)
+    Numbers become finite floats; a tuple default takes a list whose
+    elements are checked against the default's first element.
+    """
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(location, f"expected a list, got {value!r}")
+        return tuple(_typed(v, default[0], location) for v in value)
+    if isinstance(default, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(location, f"expected a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(location, "must be finite")
+        return number
+    kind = type(default)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigError(location, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
     """Validate a parsed JSON object and return the typed view.
 
     Raises :class:`ConfigError` naming the offending key for any unknown
-    key, wrong type, or out-of-range value.  Validation is complete before
-    the function returns — commands never start work on a half-checked
-    config.
+    key, wrong type, or out-of-range value.  Unknown keys and types are
+    checked here, ranges by :class:`RunConfig` itself, so validation is
+    complete before the function returns — commands never start work on a
+    half-checked config.
     """
-    d = default_config()
     raw = _require_mapping(raw, source)
-    _reject_unknown(raw, {"schema_version", "schedule", "grid", "model",
-                          "optimizer", "toy", "run", "metrics", "io"}, "")
-
+    _reject_unknown(raw, {"schema_version", *_LAYOUT}, "")
     if "schema_version" not in raw:
         raise ConfigError("schema_version", "required")
-    version = _get_int(raw, "schema_version", "", None)
+    version = _typed(raw["schema_version"], SCHEMA_VERSION, "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version",
                           f"unsupported version {version}, expected {SCHEMA_VERSION}")
 
-    sched = _require_mapping(raw.get("schedule", {}), "schedule")
-    _reject_unknown(sched, {"beta0", "beta1"}, "schedule")
-    beta0 = _get_number(sched, "beta0", "schedule", d.beta0)
-    beta1 = _get_number(sched, "beta1", "schedule", d.beta1)
-    _check(beta0 > 0, "schedule.beta0", "must be positive")
-    _check(beta1 > 0, "schedule.beta1", "must be positive")
-
-    grid = _require_mapping(raw.get("grid", {}), "grid")
-    _reject_unknown(grid, {"n_steps", "t_min", "t_max"}, "grid")
-    n_steps = _get_int(grid, "n_steps", "grid", d.n_steps)
-    t_min = _get_number(grid, "t_min", "grid", d.t_min)
-    t_max = _get_number(grid, "t_max", "grid", d.t_max)
-    _check(n_steps >= 1, "grid.n_steps", "must be at least 1")
-    _check(0.0 < t_min, "grid.t_min", "must be strictly positive")
-    _check(t_min < t_max, "grid.t_max", "must exceed t_min")
-    _check(t_max < 1.0, "grid.t_max",
-           "must be strictly below 1 (the bridge variance vanishes there)")
-
-    model = _require_mapping(raw.get("model", {}), "model")
-    _reject_unknown(model, {"hidden", "depth", "time_embed_dim", "sigma_data"},
-                    "model")
-    hidden = _get_int(model, "hidden", "model", d.hidden)
-    depth = _get_int(model, "depth", "model", d.depth)
-    time_embed_dim = _get_int(model, "time_embed_dim", "model", d.time_embed_dim)
-    sigma_data = _get_number(model, "sigma_data", "model", d.sigma_data)
-    _check(hidden >= 1, "model.hidden", "must be at least 1")
-    _check(depth >= 2, "model.depth", "must be at least 2")
-    _check(time_embed_dim >= 2 and time_embed_dim % 2 == 0,
-           "model.time_embed_dim", "must be an even integer >= 2")
-    _check(sigma_data > 0, "model.sigma_data", "must be positive")
-
-    opt = _require_mapping(raw.get("optimizer", {}), "optimizer")
-    _reject_unknown(opt, {"lr", "final_lr", "flat_fraction", "adam_beta2",
-                          "ema_decay"}, "optimizer")
-    lr = _get_number(opt, "lr", "optimizer", d.lr)
-    final_lr = _get_number(opt, "final_lr", "optimizer", d.final_lr)
-    flat_fraction = _get_number(opt, "flat_fraction", "optimizer", d.flat_fraction)
-    adam_beta2 = _get_number(opt, "adam_beta2", "optimizer", d.adam_beta2)
-    ema_decay = _get_number(opt, "ema_decay", "optimizer", d.ema_decay)
-    _check(lr > 0, "optimizer.lr", "must be positive")
-    _check(final_lr >= 0, "optimizer.final_lr", "must be nonnegative")
-    _check(0.0 < flat_fraction <= 1.0, "optimizer.flat_fraction",
-           "must lie in (0, 1]")
-    _check(0.0 < adam_beta2 < 1.0, "optimizer.adam_beta2", "must lie in (0, 1)")
-    _check(0.0 <= ema_decay < 1.0, "optimizer.ema_decay", "must lie in [0, 1)")
-
-    toy = _require_mapping(raw.get("toy", {}), "toy")
-    _reject_unknown(toy, {"means", "sigmas", "weights", "prior_sigma"}, "toy")
-    means = toy.get("means", [list(m) for m in d.toy_means])
-    sigmas = toy.get("sigmas", list(d.toy_sigmas))
-    weights = toy.get("weights", list(d.toy_weights))
-    prior_sigma = _get_number(toy, "prior_sigma", "toy", d.prior_sigma)
-    try:
-        mixture = GaussianMixture(
-            means=np.asarray(means, dtype=np.float64),
-            sigmas=np.asarray(sigmas, dtype=np.float64),
-            weights=np.asarray(weights, dtype=np.float64),
-        )
-        ToyProblem(mixture=mixture, prior_sigma=prior_sigma)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("toy", str(exc)) from exc
-
-    run = _require_mapping(raw.get("run", {}), "run")
-    _reject_unknown(run, {"steps", "batch_size", "seed", "probe_step"}, "run")
-    steps = _get_int(run, "steps", "run", d.steps)
-    batch_size = _get_int(run, "batch_size", "run", d.batch_size)
-    seed = _get_int(run, "seed", "run", d.seed)
-    probe_step = _get_int(run, "probe_step", "run", d.probe_step)
-    _check(steps >= 1, "run.steps", "must be at least 1")
-    _check(batch_size >= 1, "run.batch_size", "must be at least 1")
-    _check(seed >= 0, "run.seed", "must be nonnegative")
-    _check(1 <= probe_step <= steps, "run.probe_step",
-           "must fall inside the run")
-
-    metrics = _require_mapping(raw.get("metrics", {}), "metrics")
-    _reject_unknown(metrics, {"lre_linear", "cepstral_k"}, "metrics")
-    lre_linear = _get_bool(metrics, "lre_linear", "metrics", d.lre_linear)
-    cepstral_k = _get_int(metrics, "cepstral_k", "metrics", d.cepstral_k)
-    _check(2 <= cepstral_k <= N_MELS, "metrics.cepstral_k",
-           f"must lie in [2, {N_MELS}], the mel band count")
-
-    io = _require_mapping(raw.get("io", {}), "io")
-    _reject_unknown(io, {"out_dir"}, "io")
-    out_dir = io.get("out_dir", d.out_dir)
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError("io.out_dir", "must be a nonempty string")
-
-    return RunConfig(
-        beta0=beta0, beta1=beta1,
-        n_steps=n_steps, t_min=t_min, t_max=t_max,
-        hidden=hidden, depth=depth, time_embed_dim=time_embed_dim,
-        sigma_data=sigma_data,
-        lr=lr, final_lr=final_lr, flat_fraction=flat_fraction,
-        adam_beta2=adam_beta2, ema_decay=ema_decay,
-        toy_means=tuple(tuple(float(v) for v in m) for m in means),
-        toy_sigmas=tuple(float(v) for v in sigmas),
-        toy_weights=tuple(float(v) for v in weights),
-        prior_sigma=prior_sigma,
-        steps=steps, batch_size=batch_size, seed=seed, probe_step=probe_step,
-        lre_linear=lre_linear, cepstral_k=cepstral_k,
-        out_dir=out_dir,
-    )
+    values = {}
+    for section, keyed in _LAYOUT.items():
+        body = _require_mapping(raw.get(section, {}), section)
+        _reject_unknown(body, keyed, section)
+        for key, value in body.items():
+            f = keyed[key]
+            values[f.name] = _typed(value, f.default, f"{section}.{key}")
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:

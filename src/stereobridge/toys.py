@@ -64,7 +64,7 @@ class GaussianMixture:
             raise ValueError("mixture parameters must be finite")
         if np.any(sigmas < 0.0):
             raise ValueError("component deviations must be nonnegative")
-        if np.any(weights <= 0.0) or abs(float(weights.sum()) - 1.0) > 1e-9:
+        if not (np.all(weights > 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-9):
             raise ValueError("weights must be positive and sum to one")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "sigmas", sigmas)
@@ -365,9 +365,10 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
 
     ``cfg`` is a :class:`stereobridge.config.RunConfig`; every setting comes
     from it, and ``default_config()`` is the reference recipe used by the
-    command line and the acceptance checks.  The learning rate holds at
-    ``cfg.lr`` for the first ``cfg.flat_fraction`` of the run and then ramps
-    linearly down to ``cfg.final_lr``.
+    command line and the acceptance checks.  A ``RunConfig`` validates its
+    own ranges when it is built, so none are re-checked here.  The learning
+    rate holds at ``cfg.lr`` for the first ``cfg.flat_fraction`` of the run
+    and then ramps linearly down to ``cfg.final_lr``.
 
     Deterministic for a fixed config: one generator seeded from ``cfg.seed``
     drives initialization, data, grid-index, and noise draws, and a separate
@@ -383,14 +384,6 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
     """
     steps, probe_step, flat_fraction = cfg.steps, cfg.probe_step, cfg.flat_fraction
     lr, final_lr = cfg.lr, cfg.final_lr
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    if cfg.batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    if not 1 <= probe_step <= steps:
-        raise ValueError(f"probe_step {probe_step} must fall inside the run")
-    if not 0.0 < flat_fraction <= 1.0:
-        raise ValueError("flat_fraction must lie in (0, 1]")
 
     problem = cfg.toy_problem()
     rng = np.random.default_rng(cfg.seed)

@@ -72,6 +72,24 @@ def test_undecodable_config_exits_two(command, body, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+HUGE = "1" + "0" * 399   # a valid JSON integer too large for a float
+
+
+@pytest.mark.parametrize("command", ["selftest-bridge", "train-toy"])
+@pytest.mark.parametrize("section, key", [
+    ('"toy": {"weights": [NaN, NaN]}', "toy.weights"),
+    ('"toy": {"means": [[' + HUGE + ', 0.0], [2.0, 0.0]]}', "toy.means"),
+    ('"optimizer": {"lr": ' + HUGE + '}', "optimizer.lr"),
+    ('"toy": {"means": [[true, false], [false, true]]}', "toy.means"),
+], ids=["nan-weights", "huge-integer-mean", "huge-integer-lr", "boolean-means"])
+def test_unusable_number_exits_two(command, section, key, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema_version": 1, ' + section + '}')
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 1, "grid": {"t_max": 1.0}}))

@@ -1,4 +1,7 @@
 import json
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,39 @@ from stereobridge.config import (
     parse_config,
 )
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Every key set to a valid value that differs from its default.
+NON_DEFAULT = {
+    "schema_version": SCHEMA_VERSION,
+    "schedule": {"beta0": 0.2, "beta1": 15.0},
+    "grid": {"n_steps": 8, "t_min": 0.01, "t_max": 0.9},
+    "model": {"hidden": 24, "depth": 3, "time_embed_dim": 6, "sigma_data": 0.5},
+    "optimizer": {"lr": 1e-3, "final_lr": 1e-4, "flat_fraction": 0.5,
+                  "adam_beta2": 0.999, "ema_decay": 0.9},
+    "toy": {"means": [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.5], [0.0, 0.0, 2.0]],
+            "sigmas": [0.2, 0.3, 0.4], "weights": [0.25, 0.25, 0.5],
+            "prior_sigma": 0.7},
+    "run": {"steps": 300, "batch_size": 8, "seed": 5, "probe_step": 30},
+    "metrics": {"lre_linear": True, "cepstral_k": 20},
+    "io": {"out_dir": "elsewhere"},
+}
+
+# json.dumps(default_config().to_dict(), sort_keys=True): train_meta.json
+# carries it, and every metric report carries its hash.
+DEFAULT_LAYOUT = (
+    '{"grid": {"n_steps": 12, "t_max": 0.999, "t_min": 0.001}, '
+    '"io": {"out_dir": "runs"}, '
+    '"metrics": {"cepstral_k": 13, "lre_linear": false}, '
+    '"model": {"depth": 4, "hidden": 192, "sigma_data": 1.0, "time_embed_dim": 32}, '
+    '"optimizer": {"adam_beta2": 0.99, "ema_decay": 0.8, "final_lr": 1e-05, '
+    '"flat_fraction": 0.6, "lr": 0.003}, '
+    '"run": {"batch_size": 16, "probe_step": 100, "seed": 21, "steps": 5000}, '
+    '"schedule": {"beta0": 0.1, "beta1": 20.0}, "schema_version": 1, '
+    '"toy": {"means": [[-2.0, 0.0], [2.0, 0.0]], "prior_sigma": 1.0, '
+    '"sigmas": [0.5, 0.5], "weights": [0.5, 0.5]}}'
+)
+
 
 def minimal(**sections):
     raw = {"schema_version": SCHEMA_VERSION}
@@ -21,6 +57,43 @@ def minimal(**sections):
 def test_defaults_round_trip():
     cfg = default_config()
     assert parse_config(cfg.to_dict()) == cfg
+
+    custom = parse_config(NON_DEFAULT)
+    assert custom.to_dict() == NON_DEFAULT
+    assert parse_config(custom.to_dict()) == custom
+    assert len(fields(custom)) == 25
+    assert [f.name for f in fields(custom)
+            if getattr(custom, f.name) == getattr(cfg, f.name)] == []
+    # each key lands in its own field, not merely somewhere that round-trips
+    for section, body in NON_DEFAULT.items():
+        if section == "schema_version":
+            continue
+        for key, value in body.items():
+            name = f"toy_{key}" if key in ("means", "sigmas", "weights") else key
+            assert json.loads(json.dumps(getattr(custom, name))) == value
+
+
+def test_default_layout_and_hash_are_pinned():
+    cfg = default_config()
+    assert cfg.config_hash() == "1664bfd49fef"
+    assert json.dumps(cfg.to_dict(), sort_keys=True) == DEFAULT_LAYOUT
+
+
+@pytest.mark.parametrize("changes, location", [
+    (dict(t_min=0.5, t_max=0.4), "grid.t_max"),
+    (dict(seed=-1), "run.seed"),
+    (dict(toy_weights=(0.5, 0.6)), "toy"),
+])
+def test_built_config_validates_itself(changes, location):
+    with pytest.raises(ConfigError) as exc:
+        replace(default_config(), **changes)
+    assert exc.value.location == location
+
+
+def test_readme_config_example_parses():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    parse_config(json.loads(blocks[0]))
 
 
 def test_default_values_pin_the_reference_run():

@@ -59,6 +59,8 @@ def test_mixture_rejects_negative_sigma():
 def test_mixture_rejects_unnormalized_weights():
     with pytest.raises(ValueError):
         GaussianMixture(np.zeros((2, 2)), np.ones(2), np.array([0.5, 0.6]))
+    with pytest.raises(ValueError):
+        GaussianMixture(np.zeros((2, 2)), np.ones(2), np.array([np.nan, np.nan]))
 
 
 def test_mixture_sample_moments():
