@@ -21,10 +21,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dsp import N_MELS
+from .net import layer_widths
 from .schedule import NoiseSchedule, TimeGrid, make_grid
 from .toys import GaussianMixture, ToyProblem
 
 SCHEMA_VERSION = 1
+
+# The most parameters a denoiser may hold (the recipe's holds 118,658).
+MAX_DENOISER_PARAMETERS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -50,7 +54,11 @@ def _setting(default, section: str, check=None, key: str | None = None):
 # The toy section is checked as a whole, by RunConfig.toy_problem().
 _TOY = "toy"
 _POSITIVE = (lambda v: v > 0, "must be positive")
-_AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+
+
+def _count(low: int, high: int):
+    """Range check for an integer setting in [low, high]."""
+    return (lambda v: low <= v <= high, f"must lie in [{low}, {high:,}]")
 
 
 @dataclass(frozen=True)
@@ -70,16 +78,17 @@ class RunConfig:
 
     beta0: float = _setting(0.1, "schedule", _POSITIVE)
     beta1: float = _setting(20.0, "schedule", _POSITIVE)
-    n_steps: int = _setting(12, "grid", _AT_LEAST_ONE)
+    n_steps: int = _setting(12, "grid", _count(1, 1000))
     t_min: float = _setting(0.001, "grid", (lambda v: v > 0.0,
                                             "must be strictly positive"))
     t_max: float = _setting(0.999, "grid", (
         lambda v: v < 1.0,
         "must be strictly below 1 (the bridge variance vanishes there)"))
-    hidden: int = _setting(192, "model", _AT_LEAST_ONE)
-    depth: int = _setting(4, "model", (lambda v: v >= 2, "must be at least 2"))
+    hidden: int = _setting(192, "model", _count(1, 4096))
+    depth: int = _setting(4, "model", _count(2, 64))
     time_embed_dim: int = _setting(32, "model", (
-        lambda v: v >= 2 and v % 2 == 0, "must be an even integer >= 2"))
+        lambda v: 2 <= v <= 1024 and v % 2 == 0,
+        "must be an even integer in [2, 1,024]"))
     sigma_data: float = _setting(1.0, "model", _POSITIVE)
     lr: float = _setting(3e-3, "optimizer", _POSITIVE)
     final_lr: float = _setting(1e-5, "optimizer", (lambda v: v >= 0,
@@ -94,8 +103,8 @@ class RunConfig:
     toy_sigmas: tuple = _setting((0.5, 0.5), _TOY, key="sigmas")
     toy_weights: tuple = _setting((0.5, 0.5), _TOY, key="weights")
     prior_sigma: float = _setting(1.0, _TOY)
-    steps: int = _setting(5000, "run", _AT_LEAST_ONE)
-    batch_size: int = _setting(16, "run", _AT_LEAST_ONE)
+    steps: int = _setting(5000, "run", _count(1, 1_000_000))
+    batch_size: int = _setting(16, "run", _count(1, 1024))
     seed: int = _setting(21, "run", (lambda v: v >= 0, "must be nonnegative"))
     probe_step: int = _setting(100, "run")
     lre_linear: bool = _setting(False, "metrics")
@@ -117,9 +126,15 @@ class RunConfig:
         if not 1 <= self.probe_step <= self.steps:
             raise ConfigError("run.probe_step", "must fall inside the run")
         try:
-            self.toy_problem()
+            dim = self.toy_problem().dim
         except (ValueError, TypeError) as exc:
             raise ConfigError(_TOY, str(exc)) from exc
+        widths = layer_widths(dim, dim, self.hidden, self.depth, self.time_embed_dim)
+        size = sum(a * b + b for a, b in zip(widths, widths[1:]))
+        if size > MAX_DENOISER_PARAMETERS:
+            raise ConfigError("model.hidden", (
+                f"gives a denoiser of {size:,} parameters at depth {self.depth}; "
+                f"at most {MAX_DENOISER_PARAMETERS:,} allowed"))
 
     def schedule(self) -> NoiseSchedule:
         return NoiseSchedule(beta0=self.beta0, beta1=self.beta1)

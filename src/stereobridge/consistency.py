@@ -250,20 +250,18 @@ def sample_multistep(
     return x0_hat
 
 
-def self_consistency_spread(m: ConsistencyModel, batch, z: np.ndarray, indices=None) -> float:
+def self_consistency_spread(m: ConsistencyModel, batch, z: np.ndarray) -> float:
     """Max pairwise distance between data estimates along each trajectory.
 
     ``batch`` is an ``(x0, x1, cond)`` triple of (batch, dim) arrays and
     ``z`` the matching shared noise.  Builds each row's shared-noise bridge
-    states at the given grid indices (all nodes by default), takes the
-    largest distance between the model's outputs along that trajectory and
-    returns the mean over rows; a perfectly self-consistent model returns
-    zero.
+    states at every grid node, takes the largest distance between the
+    model's outputs along that trajectory and returns the mean over rows; a
+    perfectly self-consistent model returns zero.
     """
     x0, x1, cond = batch
-    if indices is None:
-        indices = range(len(m.grid.nodes))
-    outs = np.stack([denoise(m, _state(m, i, x0, x1, z), i, cond) for i in indices])
+    nodes = range(len(m.grid.nodes))
+    outs = np.stack([denoise(m, _state(m, i, x0, x1, z), i, cond) for i in nodes])
     diff = outs[:, None] - outs[None, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))    # (nodes, nodes, batch)
     return float(np.mean(np.max(dist, axis=(0, 1))))
@@ -279,16 +277,14 @@ def stereo_enhancement_loss(
     ref_left: np.ndarray,
     ref_right: np.ndarray,
     repulsion_weight: float = 0.1,
-    clamp: bool = True,
 ) -> float:
     """Per-channel reconstruction plus a channel-separation reward.
 
     Penalizes squared error against each reference channel and subtracts a
     weighted term for the distance between the two generated channels, so
-    collapsing to mono costs more than keeping the channels apart.  With
-    ``clamp`` (default) the repulsion term is capped at the reconstruction
-    error, which bounds the loss below by zero for weights <= 1; pass
-    ``clamp=False`` for the raw, unbounded form.
+    collapsing to mono costs more than keeping the channels apart.  The
+    repulsion term is capped at the reconstruction error, which bounds the
+    loss below by zero for weights <= 1.
     """
     gl = np.asarray(gen_left, dtype=np.float64)
     gr = np.asarray(gen_right, dtype=np.float64)
@@ -300,7 +296,5 @@ def stereo_enhancement_loss(
             f"{gl.shape}, {gr.shape}, {rl.shape}, {rr.shape}"
         )
     recon = float(np.sum((gl - rl) ** 2) + np.sum((gr - rr) ** 2))
-    repulsion = float(np.sum((gl - gr) ** 2))
-    if clamp:
-        repulsion = min(repulsion, recon)
+    repulsion = min(float(np.sum((gl - gr) ** 2)), recon)
     return recon - repulsion_weight * repulsion

@@ -6,7 +6,7 @@ files fail with the offending chunk named.  Features are computed at
 an 80-filter mel bank; log-mels are mapped onto [-1, 1] with fixed bounds so
 the scaling is invertible and identical across files.
 
-The mel filter centers span [fmin, fmax] inclusive (the outermost triangles
+The mel filter centers span [0, rate / 2] inclusive (the outermost triangles
 extend past the range), which guarantees that every FFT bin inside the range
 receives positive total weight — including the DC bin, which the common
 edge-spanning construction leaves orphaned.
@@ -155,18 +155,15 @@ def read_wav(path) -> StereoWaveform:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Complex STFT frames, shape (n_frames, frame_size // 2 + 1)."""
+    """Complex STFT frames, shape (n_frames, FRAME_SIZE // 2 + 1)."""
 
     values: np.ndarray
-    frame_size: int
-    hop: int
 
     def __post_init__(self):
         v = np.asarray(self.values)
-        if v.ndim != 2 or v.shape[1] != self.frame_size // 2 + 1:
+        if v.ndim != 2 or v.shape[1] != FRAME_SIZE // 2 + 1:
             raise ValueError(
-                f"expected (frames, {self.frame_size // 2 + 1}) values, "
-                f"got {v.shape}"
+                f"expected (frames, {FRAME_SIZE // 2 + 1}) values, got {v.shape}"
             )
         object.__setattr__(self, "values", v)
 
@@ -183,35 +180,32 @@ def periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def frame_signal(x: np.ndarray, frame_size: int = FRAME_SIZE,
-                 hop: int = HOP) -> np.ndarray:
+def frame_signal(x: np.ndarray) -> np.ndarray:
     """Windowed, centered analysis frames of a 1-D signal.
 
-    Reflection padding centers frame i on sample i*hop; the right padding
+    Reflection padding centers frame i on sample i*HOP; the right padding
     is extended just enough that the frame count is exactly
-    ``1 + ceil(len(x) / hop)``.
+    ``1 + ceil(len(x) / HOP)``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("frame_signal expects a single channel")
     n = len(x)
-    if n < frame_size:
+    if n < FRAME_SIZE:
         raise ValueError(f"signal of {n} samples is shorter than one "
-                         f"{frame_size}-sample frame")
-    n_frames = 1 + int(np.ceil(n / hop))
-    pad_left = frame_size // 2
-    pad_right = (n_frames - 1) * hop + frame_size - pad_left - n
+                         f"{FRAME_SIZE}-sample frame")
+    n_frames = 1 + int(np.ceil(n / HOP))
+    pad_left = FRAME_SIZE // 2
+    pad_right = (n_frames - 1) * HOP + FRAME_SIZE - pad_left - n
     padded = np.pad(x, (pad_left, max(pad_right, 0)), mode="reflect")
-    window = periodic_hann(frame_size)
-    starts = hop * np.arange(n_frames)
-    return padded[starts[:, None] + np.arange(frame_size)] * window
+    window = periodic_hann(FRAME_SIZE)
+    starts = HOP * np.arange(n_frames)
+    return padded[starts[:, None] + np.arange(FRAME_SIZE)] * window
 
 
-def stft(x: np.ndarray, frame_size: int = FRAME_SIZE, hop: int = HOP) -> Spectrogram:
+def stft(x: np.ndarray) -> Spectrogram:
     """Short-time Fourier transform of one channel (periodic Hann window)."""
-    frames = frame_signal(x, frame_size, hop)
-    return Spectrogram(values=np.fft.rfft(frames, axis=1),
-                       frame_size=frame_size, hop=hop)
+    return Spectrogram(values=np.fft.rfft(frame_signal(x), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -222,67 +216,42 @@ def _hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
-def _mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
+def mel_filterbank() -> np.ndarray:
+    """Triangular mel filters, shape (N_MELS, FRAME_SIZE // 2 + 1).
 
-
-def mel_center_frequencies(n_mels: int = N_MELS, rate: int = TARGET_RATE,
-                           fmin: float = 0.0, fmax: float | None = None) -> np.ndarray:
-    """Filter peak frequencies in Hz, uniformly spaced on the mel scale."""
-    if fmax is None:
-        fmax = rate / 2.0
-    if not (0.0 <= fmin < fmax <= rate / 2.0):
-        raise ValueError(f"need 0 <= fmin < fmax <= rate/2, got ({fmin}, {fmax})")
-    return _mel_to_hz(np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels))
-
-
-def mel_filterbank(n_mels: int = N_MELS, rate: int = TARGET_RATE,
-                   frame_size: int = FRAME_SIZE, fmin: float = 0.0,
-                   fmax: float | None = None) -> np.ndarray:
-    """Triangular mel filters, shape (n_mels, frame_size // 2 + 1).
-
-    Peaks sit exactly on :func:`mel_center_frequencies`, so the first and
-    last filters peak at fmin and fmax and their outer slopes extrapolate
-    one mel step beyond the range.  Filters have unit peak weight.
+    The N_MELS peaks are spaced uniformly on the mel scale from 0 Hz to
+    TARGET_RATE / 2, so the first and last filters peak on the first and
+    last FFT bins and their outer slopes extrapolate one mel step beyond
+    the range.  Filters have unit peak weight.
     """
-    if fmax is None:
-        fmax = rate / 2.0
-    bins = frame_size // 2 + 1
-    if not 0 < n_mels < bins:
-        raise ValueError(f"n_mels must be in (0, {bins}), got {n_mels}")
-    if n_mels < 2:
-        raise ValueError("need at least two filters to span a range")
-    centers = np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels)
+    bins = FRAME_SIZE // 2 + 1
+    centers = np.linspace(_hz_to_mel(0.0), _hz_to_mel(TARGET_RATE / 2.0), N_MELS)
     step = centers[1] - centers[0]
-    bin_mels = _hz_to_mel(np.arange(bins) * rate / frame_size)
+    bin_mels = _hz_to_mel(np.arange(bins) * TARGET_RATE / FRAME_SIZE)
     offset = (bin_mels[None, :] - centers[:, None]) / step
     weights = np.maximum(0.0, 1.0 - np.abs(offset))
     return weights
 
 
-def log_mel(w: StereoWaveform, n_mels: int = N_MELS,
-            frame_size: int = FRAME_SIZE, hop: int = HOP,
-            bounds=LOG_MEL_BOUNDS) -> np.ndarray:
+def log_mel(w: StereoWaveform) -> np.ndarray:
     """Per-channel log-mel frames scaled onto [-1, 1].
 
-    Returns shape (channels, n_frames, n_mels).  The natural-log features
+    Returns shape (channels, n_frames, N_MELS).  The natural-log features
     ``ln(mel_magnitude + 1e-5)`` are mapped affinely from the fixed
-    ``bounds`` interval onto [-1, 1] and clamped, so silence sits exactly
-    at the lower clamp and the mapping never depends on the input file.
-    The sample rate must match the 22050 Hz pipeline.
+    ``LOG_MEL_BOUNDS`` interval onto [-1, 1] and clamped, so silence sits
+    exactly at the lower clamp and the mapping never depends on the input
+    file.  The sample rate must match the 22050 Hz pipeline.
     """
     if w.rate != TARGET_RATE:
         raise ValueError(
             f"feature pipeline is fixed at {TARGET_RATE} Hz; "
             f"got {w.rate} Hz (resample upstream)"
         )
-    lo, hi = bounds
-    if not hi > lo:
-        raise ValueError(f"bounds must be increasing, got {bounds}")
-    fb = mel_filterbank(n_mels, w.rate, frame_size)
+    lo, hi = LOG_MEL_BOUNDS
+    fb = mel_filterbank()
     out = []
     for ch in range(w.channels):
-        mag = stft(w.channel(ch), frame_size, hop).magnitude
+        mag = stft(w.channel(ch)).magnitude
         mel = mag @ fb.T
         feats = np.log(mel + 1e-5)
         scaled = 2.0 * (feats - lo) / (hi - lo) - 1.0
@@ -313,7 +282,7 @@ class MelCepstra:
         return self.coeffs.shape[1]
 
 
-def mel_cepstra(log_mel_frames: np.ndarray, k: int = 13) -> MelCepstra:
+def mel_cepstra(log_mel_frames: np.ndarray, k: int) -> MelCepstra:
     """Orthonormal DCT-II over each frame, keeping coefficients 0..k-1."""
     frames = np.atleast_2d(np.asarray(log_mel_frames, dtype=np.float64))
     if not 0 < k <= frames.shape[1]:

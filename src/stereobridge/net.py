@@ -3,7 +3,7 @@
 The network maps ``(x_t, t, cond)`` to a raw output of the data dimension.
 Inputs are concatenated as ``[x_t, time_embedding(t), cond]`` and passed
 through SiLU hidden layers; the final layer is linear and zero-initialized
-by default so a fresh network outputs exactly zero.
+so a fresh network outputs exactly zero.
 
 Gradients are computed by explicit backpropagation in float64, which keeps
 every parameter checkable against central finite differences and makes
@@ -30,6 +30,12 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
+
+
+# Adam's first-moment decay and denominator guard, at the published values
+# (Kingma & Ba, arXiv 1412.6980); the second-moment decay is a run setting.
+ADAM_BETA1 = 0.9
+ADAM_EPS = 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -92,7 +98,9 @@ class DenoiserParams:
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators and hyperparameters.
+    """Adam moment accumulators, step count, learning rate and second-moment
+    decay; the first-moment decay and epsilon are ``ADAM_BETA1`` and
+    ``ADAM_EPS``.
 
     ``m`` and ``v`` have the parameters' layout; :func:`adam_step` updates
     them, ``step`` and two preallocated scratch vectors in place.
@@ -102,13 +110,17 @@ class AdamState:
     v: DenoiserParams
     step: int
     lr: float
-    beta1: float
     beta2: float
-    eps: float
     _scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._scratch = (np.empty_like(self.m.flat), np.empty_like(self.m.flat))
+
+
+def layer_widths(data_dim: int, cond_dim: int, hidden: int, depth: int,
+                 time_embed_dim: int) -> list:
+    """Input width, ``depth`` hidden widths and the output width."""
+    return [data_dim + time_embed_dim + cond_dim] + [hidden] * depth + [data_dim]
 
 
 def init_denoiser(
@@ -118,22 +130,19 @@ def init_denoiser(
     hidden: int,
     depth: int,
     time_embed_dim: int,
-    zero_final: bool = True,
 ) -> DenoiserParams:
-    """He-normal hidden layers; zero final layer unless disabled.
+    """He-normal hidden layers and a zero final layer.
 
     ``depth`` counts hidden layers, so the network has ``depth + 1`` weight
     matrices in total.
     """
     if time_embed_dim % 2 != 0:
         raise ValueError("time_embed_dim must be even")
-    in_dim = data_dim + time_embed_dim + cond_dim
-    dims = [in_dim] + [hidden] * depth + [data_dim]
+    dims = layer_widths(data_dim, cond_dim, hidden, depth, time_embed_dim)
     weights, biases = [], []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
-        last = i == len(dims) - 2
-        if last and zero_final:
+        if i == len(dims) - 2:
             w = np.zeros((fan_in, fan_out))
         else:
             w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
@@ -261,10 +270,8 @@ def loss_and_grads(p: DenoiserParams, batch, loss_fn):
 # Optimizer and EMA
 # ---------------------------------------------------------------------------
 
-def init_adam(p: DenoiserParams, lr: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(m=p.zeros_like(), v=p.zeros_like(), step=0, lr=lr,
-                     beta1=beta1, beta2=beta2, eps=eps)
+def init_adam(p: DenoiserParams, lr: float, beta2: float) -> AdamState:
+    return AdamState(m=p.zeros_like(), v=p.zeros_like(), step=0, lr=lr, beta2=beta2)
 
 
 def _check_layout(p: DenoiserParams, other: DenoiserParams, what: str) -> None:
@@ -287,7 +294,7 @@ def adam_step(state: AdamState, p: DenoiserParams, grads: DenoiserParams):
     """
     _check_layout(p, grads, "gradient")
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, state.beta2
     g, m, v = grads.flat, state.m.flat, state.v.flat
     s, u = state._scratch
     np.multiply(m, b1, out=m)                 # m = b1*m + (1-b1)*g
@@ -299,7 +306,7 @@ def adam_step(state: AdamState, p: DenoiserParams, grads: DenoiserParams):
     np.add(v, s, out=v)
     np.divide(v, 1.0 - b2 ** t, out=s)        # s = sqrt(v_hat) + eps
     np.sqrt(s, out=s)
-    np.add(s, state.eps, out=s)
+    np.add(s, ADAM_EPS, out=s)
     np.divide(m, 1.0 - b1 ** t, out=u)        # u = lr*m_hat / s
     np.multiply(u, state.lr, out=u)
     np.divide(u, s, out=u)

@@ -21,6 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+D_MODEL = 16        # encoder width; grids and text states carry this many channels
+EMBED_DIM = 8       # width of one energy-code embedding
+ENERGY_BINS = 32    # energy quantization levels, one embedding row each
+
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -77,19 +81,16 @@ class SpeakerPose:
 class EnergyVector:
     """Quantized per-frame, per-channel log-energy codes.
 
-    ``codes`` has shape (frames, 2) with integer entries in [0, n_bins).
+    ``codes`` has shape (frames, 2) with integer entries in [0, ENERGY_BINS).
     """
 
     codes: np.ndarray
-    n_bins: int
 
     def __post_init__(self):
         codes = np.asarray(self.codes)
         if codes.ndim != 2 or codes.shape[1] != 2:
             raise ValueError(f"codes must be (frames, 2), got {codes.shape}")
-        if self.n_bins < 1:
-            raise ValueError("need at least one quantization bin")
-        if np.any(codes < 0) or np.any(codes >= self.n_bins):
+        if np.any(codes < 0) or np.any(codes >= ENERGY_BINS):
             raise ValueError("codes out of bin range")
         object.__setattr__(self, "codes", codes.astype(np.intp))
 
@@ -102,13 +103,12 @@ class EnergyVector:
 # Viewpoint masking and positional encoding
 # ---------------------------------------------------------------------------
 
-def viewpoint_split(grid: SceneFeatureGrid, mask_same_side: bool = True):
+def viewpoint_split(grid: SceneFeatureGrid):
     """Zero out one quarter of the columns for each eye view.
 
-    Returns ``(left_view, right_view)``.  With ``mask_same_side`` (default)
-    the left view zeroes the leftmost ``floor(W/4)`` columns and the right
-    view the rightmost; passing False swaps which side each view hides.
-    Unmasked cells pass through bit-exactly.
+    Returns ``(left_view, right_view)``: the left view zeroes the leftmost
+    ``floor(W/4)`` columns and the right view the rightmost.  Unmasked
+    cells pass through bit-exactly.
     """
     f = grid.features
     w = f.shape[1]
@@ -117,8 +117,6 @@ def viewpoint_split(grid: SceneFeatureGrid, mask_same_side: bool = True):
     right = f.copy()
     left[:, :k, :] = 0.0
     right[:, w - k:, :] = 0.0
-    if not mask_same_side:
-        left, right = right, left
     return SceneFeatureGrid(left), SceneFeatureGrid(right)
 
 
@@ -157,18 +155,13 @@ LOG_ENERGY_RANGE = (-6.0, 2.0)
 ENERGY_EPS = 1e-8
 
 
-def energy_vector(
-    spec_left: np.ndarray,
-    spec_right: np.ndarray,
-    bins: int = 32,
-    log_range=LOG_ENERGY_RANGE,
-) -> EnergyVector:
+def energy_vector(spec_left: np.ndarray, spec_right: np.ndarray) -> EnergyVector:
     """Quantize per-frame channel energies on a base-10 log scale.
 
     ``spec_left``/``spec_right`` are (frames, freq) magnitude arrays.  Each
     frame's L2 norm is mapped through ``log10(e + 1e-8)``, scaled affinely
-    from ``log_range`` onto [0, bins) and floored, then clamped into range.
-    A silent frame lands in bin 0.
+    from ``LOG_ENERGY_RANGE`` onto [0, ENERGY_BINS) and floored, then
+    clamped into range.  A silent frame lands in bin 0.
     """
     left = np.asarray(spec_left, dtype=np.float64)
     right = np.asarray(spec_right, dtype=np.float64)
@@ -178,16 +171,14 @@ def energy_vector(
         raise ValueError(
             f"frame counts differ: {left.shape[0]} vs {right.shape[0]}"
         )
-    lo, hi = log_range
-    if not hi > lo:
-        raise ValueError(f"log range must be increasing, got {log_range}")
+    lo, hi = LOG_ENERGY_RANGE
     codes = np.empty((left.shape[0], 2), dtype=np.intp)
     for ch, spec in enumerate((left, right)):
         e = np.sqrt(np.sum(spec * spec, axis=1))
         level = (np.log10(e + ENERGY_EPS) - lo) / (hi - lo)
-        codes[:, ch] = np.clip(np.floor(bins * level).astype(np.intp),
-                               0, bins - 1)
-    return EnergyVector(codes=codes, n_bins=bins)
+        codes[:, ch] = np.clip(np.floor(ENERGY_BINS * level).astype(np.intp),
+                               0, ENERGY_BINS - 1)
+    return EnergyVector(codes=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -218,27 +209,19 @@ class SpatialEncoder:
         return self.conv1_w.shape[2]
 
 
-def init_spatial_encoder(
-    rng: np.random.Generator,
-    d_model: int = 16,
-    bins: int = 32,
-    embed_dim: int = 8,
-    zero_proj: bool = True,
-) -> SpatialEncoder:
-    """He-normal weights; the fuse projection is zero unless disabled."""
-    in_dim = 2 * embed_dim + 3
+def init_spatial_encoder(rng: np.random.Generator) -> SpatialEncoder:
+    """He-normal weights; the fuse projection is zero."""
+    in_dim = 2 * EMBED_DIM + 3
     def he(*shape):
         return rng.standard_normal(shape) * np.sqrt(2.0 / shape[-2])
-    proj = (np.zeros((d_model, d_model)) if zero_proj
-            else rng.standard_normal((d_model, d_model)) / np.sqrt(d_model))
     return SpatialEncoder(
-        embed=rng.standard_normal((bins, embed_dim)) / np.sqrt(embed_dim),
-        conv1_w=he(3, in_dim, d_model),
-        conv1_b=np.zeros(d_model),
-        conv2_w=he(3, d_model, d_model),
-        conv2_b=np.zeros(d_model),
-        mix=rng.standard_normal((2 * d_model, d_model)) / np.sqrt(2 * d_model),
-        proj=proj,
+        embed=rng.standard_normal((ENERGY_BINS, EMBED_DIM)) / np.sqrt(EMBED_DIM),
+        conv1_w=he(3, in_dim, D_MODEL),
+        conv1_b=np.zeros(D_MODEL),
+        conv2_w=he(3, D_MODEL, D_MODEL),
+        conv2_b=np.zeros(D_MODEL),
+        mix=rng.standard_normal((2 * D_MODEL, D_MODEL)) / np.sqrt(2 * D_MODEL),
+        proj=np.zeros((D_MODEL, D_MODEL)),
     )
 
 
@@ -288,9 +271,9 @@ def _pool_pairs(h: np.ndarray) -> np.ndarray:
 # Attention and fusion
 # ---------------------------------------------------------------------------
 
-def attention_weights(q_states: np.ndarray, kv_states: np.ndarray,
-                      d_k: int | None = None) -> np.ndarray:
-    """Row-stochastic attention matrix softmax(Q K^T / sqrt(d_k))."""
+def attention_weights(q_states: np.ndarray, kv_states: np.ndarray) -> np.ndarray:
+    """Row-stochastic attention matrix softmax(Q K^T / sqrt(d_k)), with d_k
+    the query width."""
     q = np.atleast_2d(np.asarray(q_states, dtype=np.float64))
     kv = np.atleast_2d(np.asarray(kv_states, dtype=np.float64))
     if kv.shape[0] == 0:
@@ -299,19 +282,16 @@ def attention_weights(q_states: np.ndarray, kv_states: np.ndarray,
         raise ValueError(
             f"query dim {q.shape[1]} does not match key dim {kv.shape[1]}"
         )
-    if d_k is None:
-        d_k = q.shape[1]
-    logits = q @ kv.T / math.sqrt(d_k)
+    logits = q @ kv.T / math.sqrt(q.shape[1])
     logits -= logits.max(axis=1, keepdims=True)
     weights = np.exp(logits)
     return weights / weights.sum(axis=1, keepdims=True)
 
 
-def cross_modal_attention(q_states: np.ndarray, kv_states: np.ndarray,
-                          d_k: int | None = None) -> np.ndarray:
+def cross_modal_attention(q_states: np.ndarray, kv_states: np.ndarray) -> np.ndarray:
     """Single-head scaled dot-product attention with K = V = kv_states."""
     kv = np.atleast_2d(np.asarray(kv_states, dtype=np.float64))
-    return attention_weights(q_states, kv, d_k) @ kv
+    return attention_weights(q_states, kv) @ kv
 
 
 def build_spatial_embedding(

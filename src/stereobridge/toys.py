@@ -94,7 +94,7 @@ class ToyProblem:
     """
 
     mixture: GaussianMixture
-    prior_sigma: float = 1.0
+    prior_sigma: float
 
     def __post_init__(self):
         if not (np.isfinite(self.prior_sigma) and self.prior_sigma >= 0.0):
@@ -296,8 +296,8 @@ def oracle_ode_sample(
     x1: np.ndarray,
     sched: NoiseSchedule,
     rng: np.random.Generator,
-    t_start: float = 0.999,
-    t_end: float = 0.001,
+    t_start: float,
+    t_end: float,
     steps: int = 256,
 ) -> np.ndarray:
     """Reference sampler: exact start marginal plus marginal-score flow.
@@ -440,7 +440,7 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
 
 
 def toy_sample(model: ConsistencyModel, problem: ToyProblem, n: int,
-               rng: np.random.Generator, nfe: int = 1) -> np.ndarray:
+               rng: np.random.Generator, nfe: int) -> np.ndarray:
     """Generate ``n`` points from fresh far endpoints.
 
     Draws the far endpoints from ``rng`` and hands the same generator to

@@ -81,7 +81,15 @@ HUGE = "1" + "0" * 399   # a valid JSON integer too large for a float
     ('"toy": {"means": [[' + HUGE + ', 0.0], [2.0, 0.0]]}', "toy.means"),
     ('"optimizer": {"lr": ' + HUGE + '}', "optimizer.lr"),
     ('"toy": {"means": [[true, false], [false, true]]}', "toy.means"),
-], ids=["nan-weights", "huge-integer-mean", "huge-integer-lr", "boolean-means"])
+    ('"run": {"steps": 1' + "0" * 400 + '}', "run.steps"),
+    ('"model": {"hidden": 100000000000}', "model.hidden"),
+    ('"model": {"time_embed_dim": 1000000000000}', "model.time_embed_dim"),
+    ('"run": {"batch_size": 1000000000000}', "run.batch_size"),
+    ('"grid": {"n_steps": 1000000000000}', "grid.n_steps"),
+    ('"model": {"depth": 100000000}', "model.depth"),
+], ids=["nan-weights", "huge-integer-mean", "huge-integer-lr", "boolean-means",
+        "huge-steps", "huge-hidden", "huge-time-embed-dim", "huge-batch-size",
+        "huge-n-steps", "huge-depth"])
 def test_unusable_number_exits_two(command, section, key, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 1, ' + section + '}')
@@ -376,6 +384,15 @@ def test_sample_rejects_bad_count(tiny_config, trained, tmp_path, capsys):
                "--out", str(tmp_path / "s")])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_sample_rejects_huge_count(tiny_config, trained, tmp_path, capsys):
+    rc = main(["sample", "--config", str(tiny_config),
+               "--checkpoint", str(trained), "--count", "1000000000000",
+               "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "--count" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 # ---------------------------------------------------------------------------

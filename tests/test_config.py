@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from stereobridge.config import (
+    MAX_DENOISER_PARAMETERS,
     ConfigError,
     SCHEMA_VERSION,
     default_config,
     load_config,
     parse_config,
 )
+from stereobridge.net import init_denoiser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -178,6 +180,27 @@ def test_toy_section_delegates_to_mixture_validation():
     assert exc.value.location == "toy"
     with pytest.raises(ConfigError):
         parse_config(minimal(toy={"prior_sigma": -0.5}))
+
+
+def denoiser_size(hidden, depth, time_embed_dim=32, dim=2):
+    return init_denoiser(np.random.default_rng(0), data_dim=dim, cond_dim=dim,
+                         hidden=hidden, depth=depth,
+                         time_embed_dim=time_embed_dim).flat.size
+
+
+def test_denoiser_parameter_limit():
+    cfg = default_config()
+    assert denoiser_size(cfg.hidden, cfg.depth, cfg.time_embed_dim) == 118_658
+    assert denoiser_size(512, 4) <= MAX_DENOISER_PARAMETERS
+    parse_config(minimal(model={"hidden": 512}))
+    # Two more layers of that width pass the limit; the message counts the
+    # parameters the built network would hold.
+    too_big = denoiser_size(512, 6)
+    assert too_big > MAX_DENOISER_PARAMETERS
+    with pytest.raises(ConfigError) as exc:
+        parse_config(minimal(model={"hidden": 512, "depth": 6}))
+    assert exc.value.location == "model.hidden"
+    assert f"{too_big:,} parameters" in str(exc.value)
 
 
 def test_custom_toy_geometry_parses():

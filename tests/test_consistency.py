@@ -27,11 +27,18 @@ DIM = 3
 COND = 2
 
 
+def he_final_layer(p, rng):
+    """Draw the zero-initialized final layer as the hidden layers are drawn."""
+    w = p.weights[-1]
+    w[:] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+
+
 def make_model(sched=DEFAULT, sigma_data=0.5, n_steps=8, seed=0,
-               zero_final=False, decay=0.999, t_min=0.001, t_max=0.999):
+               decay=0.999, t_min=0.001, t_max=0.999):
     rng = np.random.default_rng(seed)
     online = init_denoiser(rng, data_dim=DIM, cond_dim=COND, hidden=8,
-                           depth=2, time_embed_dim=4, zero_final=zero_final)
+                           depth=2, time_embed_dim=4)
+    he_final_layer(online, rng)
     return ConsistencyModel(online=online, target=online.copy(), sched=sched,
                             grid=make_grid(n_steps, t_min=t_min, t_max=t_max),
                             sigma_data=sigma_data, ema_decay=decay)
@@ -244,7 +251,7 @@ def test_loss_batched_equals_mean_of_singles():
 def test_train_step_zero_lr_keeps_parameters():
     m = make_model(seed=14)
     batch = make_batch(4, seed=15)
-    opt = init_adam(m.online, lr=0.0)
+    opt = init_adam(m.online, lr=0.0, beta2=0.999)
     before = m.online.copy()
     target_before = m.target.copy()
     new_m, _, loss = train_step(m, batch, opt, np.random.default_rng(16))
@@ -257,7 +264,7 @@ def test_train_step_zero_lr_keeps_parameters():
 def test_train_step_seeded_runs_identical():
     def run():
         m = make_model(seed=17)
-        opt = init_adam(m.online, lr=1e-3)
+        opt = init_adam(m.online, lr=1e-3, beta2=0.999)
         batch = make_batch(4, seed=18)
         losses = []
         rng = np.random.default_rng(19)
@@ -278,7 +285,7 @@ def test_train_step_target_follows_closed_form_ema():
     # bitwise agreement: any gradient leak into the target would break it.
     decay = 0.9
     m = make_model(seed=20, decay=decay)
-    opt = init_adam(m.online, lr=1e-2)
+    opt = init_adam(m.online, lr=1e-2, beta2=0.999)
     batch = make_batch(4, seed=21)
     rng = np.random.default_rng(22)
     expect_w = [w.copy() for w in m.target.weights]
@@ -299,7 +306,8 @@ def test_train_step_rejects_empty_batch():
     m = make_model()
     empty = (np.zeros((0, DIM)), np.zeros((0, DIM)), np.zeros((0, COND)))
     with pytest.raises(ValueError):
-        train_step(m, empty, init_adam(m.online), np.random.default_rng(0))
+        train_step(m, empty, init_adam(m.online, lr=1e-4, beta2=0.999),
+                   np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +377,8 @@ def test_self_consistency_spread_basics():
     m = make_model(seed=31)
     batch = make_batch(1, seed=32)
     z = np.random.default_rng(33).standard_normal((1, DIM))
-    assert self_consistency_spread(m, batch, z, indices=[3]) == 0.0
-    sub = self_consistency_spread(m, batch, z, indices=[0, 4])
-    full = self_consistency_spread(m, batch, z)
-    assert full >= sub >= 0.0
+    spread = self_consistency_spread(m, batch, z)
+    assert np.isfinite(spread) and spread > 0.0
 
 
 def test_self_consistency_spread_averages_rows():
@@ -399,15 +405,6 @@ def test_enhancement_loss_clamp_kills_repulsion_at_zero_reconstruction():
     # Perfect reconstruction of genuinely different channels: the clamped
     # repulsion is capped by the zero reconstruction error.
     assert stereo_enhancement_loss(left, right, left, right) == 0.0
-
-
-def test_enhancement_loss_unclamped_rewards_separation():
-    rng = np.random.default_rng(36)
-    left = rng.standard_normal((4, 6))
-    right = left + 1.0
-    raw = stereo_enhancement_loss(left, right, left, right, clamp=False)
-    assert raw == pytest.approx(-0.1 * np.sum((left - right) ** 2))
-    assert raw < 0.0
 
 
 def test_enhancement_loss_mono_collapse_costs_more():

@@ -1,4 +1,5 @@
-"""Source hygiene that no installed linter checks: every import is used."""
+"""Source hygiene that no installed linter checks: every import is used, and
+``src/`` keeps only the defaulted parameters listed here."""
 
 import ast
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "stereobridge"
 SOURCES = sorted(
-    [p for p in (ROOT / "src" / "stereobridge").glob("*.py") if p.name != "__init__.py"]
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py")),
     key=lambda p: p.relative_to(ROOT),
 )
@@ -39,3 +41,50 @@ def test_scan_flags_only_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Every defaulted function parameter in src/, with why it keeps a default.
+# Any other setting has one value, a module constant or a RunConfig field,
+# so a new knob needs a deliberate entry here.
+DEFAULTED = {
+    "cli.main(argv)": "the console script calls main() bare; argparse reads sys.argv",
+    "config._setting(check)": "RunConfig fields with no range check leave it unset",
+    "config._setting(key)": "the toy arrays set it; other fields use their own name",
+    "config.parse_config(source)": "load_config sets it to the file path",
+    "consistency.stereo_enhancement_loss(repulsion_weight)":
+        "acceptance criterion 09 sets it and relies on its default",
+    "metrics.lre(linear)": "eval passes cfg.lre_linear; criterion 07 relies on the default",
+    "schedule.make_grid(t_min)": "RunConfig.time_grid sets it; the acceptance GRID does not",
+    "schedule.make_grid(t_max)": "RunConfig.time_grid sets it; the acceptance GRID does not",
+    "toys.oracle_ode_sample(steps)": "criteria 05 and 06 and perfbench use its 256 steps",
+    "toys.run_toy_training(step_callback)":
+        "train-toy passes a callback; criterion 05 trains without one",
+}
+
+
+def defaulted_parameters(path: Path) -> list[str]:
+    """``module.function(parameter)`` for each parameter that has a default,
+    methods and nested functions included."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                named = positional[len(positional) - len(a.defaults):]
+                named += [k for k, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+                found.extend(f"{prefix}{child.name}({arg.arg})" for arg in named)
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(ast.parse(path.read_text()), f"{path.stem}.")
+    return found
+
+
+def test_defaulted_parameters_are_the_listed_ten():
+    found = [name for path in sorted(PACKAGE.glob("*.py"))
+             for name in defaulted_parameters(path)]
+    assert sorted(found) == sorted(DEFAULTED)

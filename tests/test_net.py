@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from stereobridge.net import (
+    ADAM_BETA1,
+    ADAM_EPS,
     DenoiserParams,
     TrainingError,
     adam_step,
@@ -20,11 +22,25 @@ from stereobridge.net import (
 )
 
 
-def probe_net(seed=0, zero_final=False):
+def he_final_layer(p, rng):
+    """Draw the zero-initialized final layer as the hidden layers are drawn."""
+    w = p.weights[-1]
+    w[:] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+
+
+def fresh_probe_net(rng):
     """Width-8 / depth-2 network, small enough for exhaustive FD checks."""
-    rng = np.random.default_rng(seed)
     return init_denoiser(rng, data_dim=3, cond_dim=2, hidden=8, depth=2,
-                         time_embed_dim=4, zero_final=zero_final)
+                         time_embed_dim=4)
+
+
+def probe_net(seed=0):
+    """The probe network with a random final layer, so gradients reach every
+    layer."""
+    rng = np.random.default_rng(seed)
+    p = fresh_probe_net(rng)
+    he_final_layer(p, rng)
+    return p
 
 
 def probe_batch(seed=1, batch=5):
@@ -63,7 +79,7 @@ def test_time_embedding_batch_shape():
 
 
 def test_zero_final_layer_outputs_zero():
-    p = probe_net(zero_final=True)
+    p = fresh_probe_net(np.random.default_rng(0))
     x_t, t, cond = probe_batch()
     out = forward(p, x_t, t, cond)
     assert np.array_equal(out, np.zeros_like(out))
@@ -150,7 +166,8 @@ def test_linear_net_matches_normal_equation_gradient():
     # has the closed form A^T (A W + b - Y) with A the assembled inputs.
     rng = np.random.default_rng(11)
     p = init_denoiser(rng, data_dim=2, cond_dim=1, hidden=8, depth=0,
-                      time_embed_dim=4, zero_final=False)
+                      time_embed_dim=4)
+    he_final_layer(p, rng)
     assert p.n_layers == 1
     x_t = rng.standard_normal((6, 2))
     t = rng.uniform(0.1, 0.9, size=6)
@@ -192,7 +209,7 @@ def unit_grads():
 
 def test_adam_zero_gradients_no_op():
     p = probe_net()
-    state = init_adam(p, lr=0.1)
+    state = init_adam(p, lr=0.1, beta2=0.999)
     zeros = p.zeros_like()
     before = p.copy()
     new_p, new_state = adam_step(state, p, zeros)
@@ -207,7 +224,7 @@ def test_adam_first_step_size_is_lr():
     # Bias correction makes the first update lr * g / (|g| + eps) for any
     # constant gradient, hence almost exactly lr here.
     p = scalar_params()
-    state = init_adam(p, lr=1e-4)
+    state = init_adam(p, lr=1e-4, beta2=0.999)
     before = p.copy()
     new_p, _ = adam_step(state, p, unit_grads())
     step = before.weights[0][0, 0] - new_p.weights[0][0, 0]
@@ -218,7 +235,7 @@ def test_adam_first_step_size_is_lr():
 
 def test_adam_moments_decay_after_gradients_stop():
     p = scalar_params()
-    state = init_adam(p, lr=1e-3)
+    state = init_adam(p, lr=1e-3, beta2=0.999)
     p, state = adam_step(state, p, unit_grads())
     m_after = state.m.weights[0][0, 0]
     zeros = p.zeros_like()
@@ -230,7 +247,7 @@ def test_adam_moments_decay_after_gradients_stop():
 
 def test_adam_shape_mismatch_rejected():
     p = probe_net()
-    state = init_adam(p)
+    state = init_adam(p, lr=1e-4, beta2=0.999)
     bad = DenoiserParams([np.zeros((2, 2)) for _ in p.weights], p.biases,
                          p.data_dim, p.time_embed_dim, p.cond_dim)
     with pytest.raises(ValueError):
@@ -241,7 +258,7 @@ def test_training_loop_bitwise_deterministic():
     def run():
         rng = np.random.default_rng(42)
         p = probe_net(seed=7)
-        state = init_adam(p, lr=1e-3)
+        state = init_adam(p, lr=1e-3, beta2=0.999)
         for _ in range(5):
             x_t = rng.standard_normal((4, 3))
             t = rng.uniform(0.1, 0.9, size=4)
@@ -293,7 +310,7 @@ def test_adam_never_touches_ema():
     p = probe_net(seed=8)
     target = p.copy()
     before = [w.copy() for w in target.weights] + [b.copy() for b in target.biases]
-    state = init_adam(p, lr=0.5)
+    state = init_adam(p, lr=0.5, beta2=0.999)
     adam_step(state, p, replace(p, flat=np.ones_like(p.flat)))
     after = list(target.weights) + list(target.biases)
     for old, new in zip(before, after):
@@ -327,7 +344,7 @@ def test_flat_adam_and_ema_match_per_tensor_reference_bitwise():
         assert ema_update(target, p, 0.8) is target
         for k in range(len(ref_p)):
             ref_m[k], ref_v[k], delta = reference_adam_tensor(
-                ref_m[k], ref_v[k], g[k], t, state.lr, state.beta1, state.beta2, state.eps)
+                ref_m[k], ref_v[k], g[k], t, state.lr, ADAM_BETA1, state.beta2, ADAM_EPS)
             ref_p[k] = ref_p[k] - delta
         ref_ema = [0.8 * e + (1.0 - 0.8) * o for e, o in zip(ref_ema, ref_p)]
         for got, want in ((p, ref_p), (target, ref_ema), (state.m, ref_m), (state.v, ref_v)):

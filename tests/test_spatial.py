@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from stereobridge.spatial import (
+    D_MODEL,
+    ENERGY_BINS,
     EnergyVector,
     SceneFeatureGrid,
     SpeakerPose,
@@ -23,17 +25,13 @@ from stereobridge.spatial import (
     write_grid,
 )
 
-D_MODEL = 16
-
-
 def random_grid(seed=0, h=4, w=8, c=D_MODEL):
     rng = np.random.default_rng(seed)
     return SceneFeatureGrid(rng.standard_normal((h, w, c)))
 
 
-def make_encoder(seed=0, **kw):
-    return init_spatial_encoder(np.random.default_rng(seed),
-                                d_model=D_MODEL, **kw)
+def make_encoder(seed=0):
+    return init_spatial_encoder(np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +73,6 @@ def test_viewpoint_split_mirror_symmetry():
     left_of_mirror, _ = viewpoint_split(mirrored)
     _, right = viewpoint_split(g)
     assert np.array_equal(left_of_mirror.features, right.features[:, ::-1, :])
-
-
-def test_viewpoint_split_swapped_sides():
-    g = random_grid(seed=2)
-    l_default, r_default = viewpoint_split(g)
-    l_swapped, r_swapped = viewpoint_split(g, mask_same_side=False)
-    assert np.array_equal(l_swapped.features, r_default.features)
-    assert np.array_equal(r_swapped.features, l_default.features)
 
 
 def test_position_encoding_shape_and_distinctness():
@@ -181,8 +171,8 @@ def test_energy_vector_monotone_under_scaling():
 def test_energy_vector_clamps_extremes():
     huge = np.full((2, 4), 1e9)
     tiny = np.full((2, 4), 1e-12)
-    ve = energy_vector(huge, tiny, bins=32)
-    assert np.all(ve.codes[:, 0] == 31)
+    ve = energy_vector(huge, tiny)
+    assert np.all(ve.codes[:, 0] == ENERGY_BINS - 1)
     assert np.all(ve.codes[:, 1] == 0)
 
 
@@ -193,9 +183,9 @@ def test_energy_vector_frame_mismatch():
 
 def test_energy_vector_type_rejects_bad_codes():
     with pytest.raises(ValueError):
-        EnergyVector(codes=np.array([[0, 32]]), n_bins=32)
+        EnergyVector(codes=np.array([[0, ENERGY_BINS]]))
     with pytest.raises(ValueError):
-        EnergyVector(codes=np.array([[-1, 0]]), n_bins=32)
+        EnergyVector(codes=np.array([[-1, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +197,7 @@ def test_conv_stack_pools_frames_by_two():
     vloc = pose_encoding(SpeakerPose(1.0, 0.3))
     for frames, expect in ((4, 2), (5, 3), (1, 1)):
         codes = np.zeros((frames, 2), dtype=int)
-        out = conv_stack(enc, EnergyVector(codes, 32), vloc)
+        out = conv_stack(enc, EnergyVector(codes), vloc)
         assert out.shape == (expect, D_MODEL)
 
 
@@ -224,7 +214,7 @@ def test_conv_stack_zero_weights_zero_output():
     enc = make_encoder()
     for name in ("embed", "conv1_w", "conv1_b", "conv2_w", "conv2_b"):
         setattr(enc, name, np.zeros_like(getattr(enc, name)))
-    ve = EnergyVector(np.ones((6, 2), dtype=int), 32)
+    ve = EnergyVector(np.ones((6, 2), dtype=int))
     out = conv_stack(enc, ve, pose_encoding(SpeakerPose(2.0, 1.0)))
     assert np.array_equal(out, np.zeros_like(out))
 
@@ -232,14 +222,14 @@ def test_conv_stack_zero_weights_zero_output():
 def test_conv_stack_sensitive_to_codes():
     enc = make_encoder(seed=7)
     vloc = pose_encoding(SpeakerPose(1.0, 0.0))
-    a = conv_stack(enc, EnergyVector(np.full((6, 2), 3, dtype=int), 32), vloc)
-    b = conv_stack(enc, EnergyVector(np.full((6, 2), 9, dtype=int), 32), vloc)
+    a = conv_stack(enc, EnergyVector(np.full((6, 2), 3, dtype=int)), vloc)
+    b = conv_stack(enc, EnergyVector(np.full((6, 2), 9, dtype=int)), vloc)
     assert np.max(np.abs(a - b)) > 1e-6
 
 
 def test_conv_stack_sensitive_to_pose():
     enc = make_encoder(seed=8)
-    ve = EnergyVector(np.full((6, 2), 5, dtype=int), 32)
+    ve = EnergyVector(np.full((6, 2), 5, dtype=int))
     a = conv_stack(enc, ve, pose_encoding(SpeakerPose(1.0, 0.0)))
     b = conv_stack(enc, ve, pose_encoding(SpeakerPose(4.0, 2.0)))
     assert np.max(np.abs(a - b)) > 1e-6
@@ -248,7 +238,7 @@ def test_conv_stack_sensitive_to_pose():
 def test_conv_stack_rejects_bad_pose_shape():
     enc = make_encoder()
     with pytest.raises(ValueError):
-        conv_stack(enc, EnergyVector(np.zeros((2, 2), dtype=int), 32),
+        conv_stack(enc, EnergyVector(np.zeros((2, 2), dtype=int)),
                    np.zeros(4))
 
 
@@ -339,7 +329,7 @@ def test_build_embedding_rejects_channel_mismatch():
 
 
 def test_fuse_text_identity_with_zero_projection():
-    enc = make_encoder(seed=20)  # zero_proj defaults on
+    enc = make_encoder(seed=20)
     h_txt = np.random.default_rng(21).standard_normal((11, D_MODEL))
     es = np.random.default_rng(22).standard_normal((4, D_MODEL))
     fused = fuse_text(h_txt, es, enc)
@@ -347,7 +337,8 @@ def test_fuse_text_identity_with_zero_projection():
 
 
 def test_fuse_text_changes_states_once_trained():
-    enc = make_encoder(seed=23, zero_proj=False)
+    enc = make_encoder(seed=23)
+    enc.proj[:] = np.random.default_rng(26).standard_normal(enc.proj.shape)
     h_txt = np.random.default_rng(24).standard_normal((5, D_MODEL))
     es = np.random.default_rng(25).standard_normal((3, D_MODEL))
     fused = fuse_text(h_txt, es, enc)

@@ -160,6 +160,7 @@ def test_oracle_computes_the_posterior_once_per_call(steps, monkeypatch):
     monkeypatch.setattr(toys, "posterior_mixing", counting)
     problem = PROBLEMS["default"]
     x1, _ = endpoints(problem, n=64)
-    oracle_ode_sample(problem, x1, SCHED, np.random.default_rng(0), steps=steps)
+    oracle_ode_sample(problem, x1, SCHED, np.random.default_rng(0),
+                      t_start=GRID.t_max, t_end=GRID.t_min, steps=steps)
     # One for the start draw, one for the flow, however many steps.
     assert len(calls) <= 2
