@@ -71,18 +71,13 @@ class BridgeSample:
         object.__setattr__(self, "x", x)
 
 
-def posterior_moments(ep: Endpoints, t, sched: NoiseSchedule):
+def posterior_moments(ep: Endpoints, t: float, sched: NoiseSchedule):
     """Mean and variance of the bridge conditional at time t.
 
-    Returns ``(mu_t, cap_sigma2)``; broadcasts over array-valued ``t`` with
-    one trailing data axis.
+    Returns ``(mu_t, cap_sigma2)`` for a scalar time ``t``.
     """
     a, b, cap_sigma2 = bridge_coefficients(sched, t)
-    if np.ndim(a) == 0:
-        mu = a * ep.x0 + b * ep.x1
-    else:
-        mu = np.asarray(a)[..., None] * ep.x0 + np.asarray(b)[..., None] * ep.x1
-    return mu, cap_sigma2
+    return a * ep.x0 + b * ep.x1, cap_sigma2
 
 
 def bridge_state(a, b, sqrt_cap_sigma2, x0, x1, z):

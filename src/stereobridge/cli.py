@@ -104,7 +104,7 @@ def _write_json(path: Path, payload: dict) -> None:
 # selftest-bridge
 # ---------------------------------------------------------------------------
 
-def _check_endpoint_pinning(cfg: RunConfig) -> dict:
+def _check_endpoint_pinning(cfg: RunConfig) -> tuple:
     """The state collapses onto x0 at the bottom of the grid and x1 at the top."""
     sched = cfg.schedule()
     rng = np.random.default_rng(101)
@@ -123,10 +123,10 @@ def _check_endpoint_pinning(cfg: RunConfig) -> dict:
         dev = float(np.max(np.abs(sample_posterior(ep, t, sched, z).x - anchor)))
         detail[label] = {"deviation": dev, "bound": bound}
         passed = passed and dev <= bound + 1e-12 and bound < budget
-    return {"name": "endpoint-pinning", "passed": passed, "detail": detail}
+    return passed, detail
 
 
-def _check_posterior_moments(cfg: RunConfig) -> dict:
+def _check_posterior_moments(cfg: RunConfig) -> tuple:
     """Monte-Carlo mean/variance agree with the closed form within 4 SE."""
     sched = cfg.schedule()
     rng = np.random.default_rng(202)
@@ -144,11 +144,10 @@ def _check_posterior_moments(cfg: RunConfig) -> dict:
         worst_var = max(worst_var, float(
             np.max(np.abs(draws.var(axis=0, ddof=1) - v)) / se_var))
     passed = worst_mean <= 4.0 and worst_var <= 4.0
-    return {"name": "posterior-moments", "passed": passed,
-            "detail": {"worst_mean_z": worst_mean, "worst_var_z": worst_var}}
+    return passed, {"worst_mean_z": worst_mean, "worst_var_z": worst_var}
 
 
-def _check_score_oracle(cfg: RunConfig) -> dict:
+def _check_score_oracle(cfg: RunConfig) -> tuple:
     """Analytic posterior score vs finite differences of the log density."""
     sched = cfg.schedule()
     rng = np.random.default_rng(303)
@@ -172,11 +171,10 @@ def _check_score_oracle(cfg: RunConfig) -> dict:
             fd[axis] = (logpdf(x + e) - logpdf(x - e)) / (2 * h)
         denom = max(float(np.linalg.norm(fd)), 1e-30)
         worst = max(worst, float(np.linalg.norm(analytic - fd)) / denom)
-    return {"name": "score-oracle", "passed": worst <= 1e-6,
-            "detail": {"worst_rel_err": worst}}
+    return worst <= 1e-6, {"worst_rel_err": worst}
 
 
-def _check_ode_convergence(cfg: RunConfig) -> dict:
+def _check_ode_convergence(cfg: RunConfig) -> tuple:
     """Second-order self-convergence and closed-form agreement at 256 steps.
 
     Uses the unit-rate schedule, where the affine drift integrates in
@@ -197,19 +195,31 @@ def _check_ode_convergence(cfg: RunConfig) -> dict:
             for steps in (32, 64, 128)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     passed = rel_err <= 1e-4 and min(orders) >= 1.9
-    return {"name": "ode-convergence", "passed": passed,
-            "detail": {"rel_err_256": rel_err, "orders": orders}}
+    return passed, {"rel_err_256": rel_err, "orders": orders}
+
+
+# Each invariant's report name and check; a check returns (passed, detail).
+INVARIANTS = (
+    ("endpoint-pinning", _check_endpoint_pinning),
+    ("posterior-moments", _check_posterior_moments),
+    ("score-oracle", _check_score_oracle),
+    ("ode-convergence", _check_ode_convergence),
+)
 
 
 def cmd_selftest_bridge(args) -> int:
+    """Run every invariant and report each; one that raises ``ValueError``
+    (a schedule too extreme for it, say) fails with the message as its
+    detail, and the others still run."""
     cfg = _load_run_config(args)
     out = _out_dir(args, cfg)
-    invariants = [
-        _check_endpoint_pinning(cfg),
-        _check_posterior_moments(cfg),
-        _check_score_oracle(cfg),
-        _check_ode_convergence(cfg),
-    ]
+    invariants = []
+    for name, check in INVARIANTS:
+        try:
+            passed, detail = check(cfg)
+        except ValueError as exc:
+            passed, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
+        invariants.append({"name": name, "passed": passed, "detail": detail})
     passed = all(entry["passed"] for entry in invariants)
     report = {
         "command": "selftest-bridge",

@@ -102,20 +102,17 @@ def _boundary(m: ConsistencyModel, i, x, raw) -> np.ndarray:
     return m.table.c_skip[i] * x + m.table.c_out[i] * raw
 
 
-def denoise(m: ConsistencyModel, x_t, i: int, cond) -> np.ndarray:
-    """Map a bridge state at grid node ``i`` (batch or single vector) to the
-    online network's data estimate.
+def denoise(m: ConsistencyModel, x_t: np.ndarray, i: int, cond: np.ndarray) -> np.ndarray:
+    """Map (batch, dim) bridge states at grid node ``i`` to the online
+    network's data estimates, one row per state.
 
     One call counts as one function evaluation regardless of batch size.
     """
-    single = np.asarray(x_t).ndim == 1
-    x2 = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    raw, _ = net.forward_with_cache(m.online, x2, m.grid.nodes[i], cond)
+    raw, _ = net.forward_with_cache(m.online, x_t, m.grid.nodes[i], cond)
     if not np.all(np.isfinite(raw)):
         raise TrainingError("network produced a non-finite output; parameters may be corrupt")
     m.eval_count += 1
-    out = _boundary(m, i, x2, raw)
-    return out[0] if single else out
+    return _boundary(m, i, x_t, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +137,6 @@ def consistency_loss_and_grads(
     model's table.  Returns ``(loss, grads)`` with the loss averaged over
     the batch.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
-    n = np.atleast_1d(np.asarray(n, dtype=np.intp))
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if np.any(n < 0) or np.any(n >= m.grid.n_steps):
         raise IndexError("grid index out of range")
 

@@ -1,9 +1,11 @@
 """Conditional denoiser MLP with hand-written reverse-mode gradients.
 
-The network maps ``(x_t, t, cond)`` to a raw output of the data dimension.
-Inputs are concatenated as ``[x_t, time_embedding(t), cond]`` and passed
-through SiLU hidden layers; the final layer is linear and zero-initialized
-so a fresh network outputs exactly zero.
+The network maps a batch ``(x_t, t, cond)`` to a raw (batch, data_dim)
+output: ``x_t`` and ``cond`` are (batch, features) arrays with one row per
+item, and ``t`` is one time or one per row.  Inputs are concatenated as
+``[x_t, time_embedding(t), cond]`` and passed through SiLU hidden layers;
+the final layer is linear and zero-initialized so a fresh network outputs
+exactly zero.
 
 Gradients are computed by explicit backpropagation in float64, which keeps
 every parameter checkable against central finite differences and makes
@@ -195,11 +197,11 @@ def _assemble_input(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
         raise ValueError(f"state dim {x_t.shape[1]} != data_dim {p.data_dim}")
     if cond.shape[1] != p.cond_dim:
         raise ValueError(f"cond dim {cond.shape[1]} != cond_dim {p.cond_dim}")
+    if cond.shape[0] != x_t.shape[0]:
+        raise ValueError(f"cond has {cond.shape[0]} rows, state {x_t.shape[0]}")
     t = np.asarray(t, dtype=np.float64)
     if t.ndim == 0:
         t = np.full(x_t.shape[0], float(t))
-    if cond.shape[0] == 1 and x_t.shape[0] > 1:
-        cond = np.broadcast_to(cond, (x_t.shape[0], cond.shape[1]))
     emb = time_embedding(t, p.time_embed_dim)
     return np.concatenate([x_t, emb, cond], axis=1)
 
@@ -221,13 +223,6 @@ def forward_with_cache(p: DenoiserParams, x_t, t, cond):
         else:
             a = z
     return a, (acts, pre_acts)
-
-
-def forward(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
-    """Raw network output; a single input vector yields a 1-D result."""
-    single = np.asarray(x_t).ndim == 1
-    out, _ = forward_with_cache(p, x_t, t, cond)
-    return out[0] if single else out
 
 
 def backward(p: DenoiserParams, cache, d_out: np.ndarray) -> DenoiserParams:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -131,43 +132,8 @@ def draw_training_items(problem: ToyProblem, n: int, rng: np.random.Generator):
 # Closed-form bridge marginal
 # ---------------------------------------------------------------------------
 
-def posterior_mixing(problem: ToyProblem, x1):
-    """Mixture representation of the clean point given the far endpoint.
-
-    Conjugate update per component j (all isotropic):
-
-        weight_j(x1) ∝ w_j · N(x1; m_j, (σ_j² + σ_p²) I)
-        mean_j(x1)   = (σ_p² m_j + σ_j² x1) / (σ_j² + σ_p²)
-        var_j        = σ_j² σ_p² / (σ_j² + σ_p²)
-
-    Returns ``(log_weights (n, k), means (n, k, dim), variances (k,))``.
-    """
-    mix = problem.mixture
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    if x1.shape[1] != mix.dim:
-        raise ValueError(f"endpoints have dim {x1.shape[1]}, mixture has {mix.dim}")
-    s2 = mix.sigmas ** 2
-    p2 = problem.prior_sigma ** 2
-    raw_total = s2 + p2
-    total = np.maximum(raw_total, VARIANCE_FLOOR)
-    diff = x1[:, None, :] - mix.means[None, :, :]
-    log_like = -0.5 * mix.dim * np.log(2.0 * np.pi * total)[None, :] \
-        - 0.5 * np.sum(diff * diff, axis=-1) / total[None, :]
-    log_w = np.log(mix.weights)[None, :] + log_like
-    log_w = log_w - logsumexp(log_w, axis=1, keepdims=True)
-    conjugate = (p2 * mix.means[None, :, :] + s2[None, :, None] * x1[:, None, :]) \
-        / total[None, :, None]
-    # A zero-width component paired with zero prior noise pins the clean
-    # point at the component mean; the conjugate ratio would return 0/floor.
-    degenerate = np.broadcast_to(mix.means[None, :, :], conjugate.shape)
-    means = np.where(raw_total[None, :, None] > 0.0, conjugate, degenerate)
-    variances = s2 * p2 / total
-    return log_w, means, variances
-
-
-@dataclass(frozen=True)
-class _Posterior:
-    """:func:`posterior_mixing` held component-major, for the state mixture.
+class Posterior(NamedTuple):
+    """The clean point's posterior given the far endpoints, component-major.
 
     It depends on ``x1`` alone, so one is built per call and reused at every
     time.  Each (k, n) or (dim, n) row is a contiguous run over the points,
@@ -184,15 +150,40 @@ class _Posterior:
     variances: np.ndarray    # (k,)
 
 
-def _posterior(problem: ToyProblem, x1) -> _Posterior:
+def posterior_mixing(problem: ToyProblem, x1) -> Posterior:
+    """Mixture representation of the clean point given the far endpoints.
+
+    Conjugate update per component j (all isotropic):
+
+        weight_j(x1) ∝ w_j · N(x1; m_j, (σ_j² + σ_p²) I)
+        mean_j(x1)   = (σ_p² m_j + σ_j² x1) / (σ_j² + σ_p²)
+        var_j        = σ_j² σ_p² / (σ_j² + σ_p²)
+
+    ``x1`` is an (n, dim) array; the result is a :class:`Posterior`.
+    """
+    mix = problem.mixture
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    log_w, means, variances = posterior_mixing(problem, x1)
-    return _Posterior(x1=x1, log_w=np.ascontiguousarray(log_w.T),
-                      means=np.ascontiguousarray(means.transpose(1, 2, 0)),
-                      variances=variances)
+    if x1.shape[1] != mix.dim:
+        raise ValueError(f"endpoints have dim {x1.shape[1]}, mixture has {mix.dim}")
+    s2 = mix.sigmas ** 2
+    p2 = problem.prior_sigma ** 2
+    raw_total = s2 + p2
+    total = np.maximum(raw_total, VARIANCE_FLOOR)
+    centers = mix.means[:, :, None]
+    coords = np.ascontiguousarray(x1.T)   # (dim, n): each row runs over the points
+    diff = coords - centers
+    log_like = -0.5 * mix.dim * np.log(2.0 * np.pi * total)[:, None] \
+        - 0.5 * np.sum(diff * diff, axis=1) / total[:, None]
+    log_w = np.log(mix.weights)[:, None] + log_like
+    log_w = log_w - logsumexp(log_w, axis=0, keepdims=True)
+    conjugate = (p2 * centers + s2[:, None, None] * coords) / total[:, None, None]
+    # A zero-width component paired with zero prior noise pins the clean
+    # point at the component mean; the conjugate ratio would return 0/floor.
+    means = np.where(raw_total[:, None, None] > 0.0, conjugate, centers)
+    return Posterior(x1=x1, log_w=log_w, means=means, variances=s2 * p2 / total)
 
 
-def _state_mixture(post: _Posterior, t, sched):
+def _state_mixture(post: Posterior, t, sched):
     """Log weights (k, n), means (k, dim, n) and variances (k,) at time t."""
     a, b, cap_sigma2 = bridge_coefficients(sched, float(t))
     means = a * post.means + b * post.x1.T
@@ -200,7 +191,7 @@ def _state_mixture(post: _Posterior, t, sched):
     return post.log_w, means, variances
 
 
-def _component_logpdfs(x, t, post: _Posterior, sched):
+def _component_logpdfs(x, t, post: Posterior, sched):
     """Per-component log densities (k, n), offsets x − mean (k, dim, n), variances."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     dim = post.means.shape[1]
@@ -217,66 +208,14 @@ def _component_logpdfs(x, t, post: _Posterior, sched):
     return log_comp, diff, variances
 
 
-def _score(x, t, post: _Posterior, sched):
+def _score(x, t, post: Posterior, sched):
     log_comp, diff, variances = _component_logpdfs(x, t, post, sched)
     log_resp = log_comp - logsumexp(log_comp, axis=0, keepdims=True)
     resp = np.exp(log_resp)
     return -np.sum(resp[:, None, :] * diff / variances[:, None, None], axis=0).T
 
 
-def _drift(x, t, post: _Posterior, sched):
-    beta = float(beta_at(sched, float(t)))
-    _, sigma_bar2 = accumulated_variances(sched, float(t))
-    sigma_bar2 = max(float(sigma_bar2), VARIANCE_FLOOR)
-    score = _score(x, t, post, sched)
-    return beta * (post.x1 - x) / sigma_bar2 - 0.5 * beta * score
-
-
-def bridge_marginal_logpdf(x, t, x1, problem: ToyProblem, sched: NoiseSchedule):
-    """Log density of the bridge state with the clean endpoint integrated out.
-
-    The clean point is mixed over its posterior given ``x1``, so component j
-    of the state mixture has mean a·mean_j(x1) + b·x1 and isotropic variance
-    a²·var_j + Σ².  ``x`` may be a vector or a (n, dim) batch; ``x1``
-    broadcasts against it.
-    """
-    squeeze = np.asarray(x).ndim == 1
-    log_comp, _, _ = _component_logpdfs(x, t, _posterior(problem, x1), sched)
-    out = logsumexp(log_comp, axis=0)
-    return float(out[0]) if squeeze else out
-
-
-def bridge_marginal_score(x, t, x1, problem: ToyProblem, sched: NoiseSchedule):
-    """Gradient of :func:`bridge_marginal_logpdf` in the state argument.
-
-    Computed through component responsibilities rather than by
-    differentiating the log density numerically, so tests can play the two
-    routes against each other.
-    """
-    squeeze = np.asarray(x).ndim == 1
-    score = _score(x, t, _posterior(problem, x1), sched)
-    return score[0] if squeeze else score
-
-
-def sample_bridge_marginal(t, x1, problem: ToyProblem, sched: NoiseSchedule,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Draw exact bridge states at time t, one per row of ``x1``."""
-    post = _posterior(problem, x1)
-    log_w, means, variances = _state_mixture(post, t, sched)
-    n = post.x1.shape[0]
-    cum = np.cumsum(np.exp(log_w), axis=0)
-    u = rng.random(n)
-    comp = np.minimum((u > cum).sum(axis=0), problem.mixture.n_components - 1)
-    centers = means[comp, :, np.arange(n)]
-    scales = np.sqrt(variances[comp])
-    return centers + scales[:, None] * rng.standard_normal(post.x1.shape)
-
-
-# ---------------------------------------------------------------------------
-# Reference ODE sampler
-# ---------------------------------------------------------------------------
-
-def marginal_ode_drift(x, t, x1, problem: ToyProblem, sched: NoiseSchedule):
+def _drift(x, t, post: Posterior, sched):
     """Velocity field whose flow preserves the bridge marginals over time.
 
     The bridge toward x1 follows dx = β(t)(x1 − x)/σ̄² dt + √β(t) dW
@@ -287,9 +226,56 @@ def marginal_ode_drift(x, t, x1, problem: ToyProblem, sched: NoiseSchedule):
 
         v(x, t) = β(t)(x1 − x)/σ̄²(t) − β(t)/2 · ∇log q_t(x | x1).
     """
-    drift = _drift(x, t, _posterior(problem, x1), sched)
-    return drift[0] if np.asarray(x).ndim == 1 else drift
+    beta = float(beta_at(sched, float(t)))
+    _, sigma_bar2 = accumulated_variances(sched, float(t))
+    sigma_bar2 = max(float(sigma_bar2), VARIANCE_FLOOR)
+    score = _score(x, t, post, sched)
+    return beta * (post.x1 - x) / sigma_bar2 - 0.5 * beta * score
 
+
+def _draw(post: Posterior, t, sched, rng: np.random.Generator) -> np.ndarray:
+    """Exact bridge states at time t, one per row of ``post.x1``."""
+    log_w, means, variances = _state_mixture(post, t, sched)
+    n = post.x1.shape[0]
+    cum = np.cumsum(np.exp(log_w), axis=0)
+    u = rng.random(n)
+    comp = np.minimum((u > cum).sum(axis=0), len(variances) - 1)
+    centers = means[comp, :, np.arange(n)]
+    scales = np.sqrt(variances[comp])
+    return centers + scales[:, None] * rng.standard_normal(post.x1.shape)
+
+
+def bridge_marginal_logpdf(x, t, x1, problem: ToyProblem, sched: NoiseSchedule):
+    """Log density of the bridge state with the clean endpoint integrated out.
+
+    The clean point is mixed over its posterior given ``x1``, so component j
+    of the state mixture has mean a·mean_j(x1) + b·x1 and isotropic variance
+    a²·var_j + Σ².  ``x`` is an (n, dim) batch and ``x1`` is (n, dim) too,
+    or (1, dim) for one endpoint that every point shares.
+    """
+    log_comp, _, _ = _component_logpdfs(x, t, posterior_mixing(problem, x1), sched)
+    return logsumexp(log_comp, axis=0)
+
+
+def bridge_marginal_score(x, t, x1, problem: ToyProblem, sched: NoiseSchedule):
+    """Gradient of :func:`bridge_marginal_logpdf` in the state argument.
+
+    Computed through component responsibilities rather than by
+    differentiating the log density numerically, so tests can play the two
+    routes against each other.
+    """
+    return _score(x, t, posterior_mixing(problem, x1), sched)
+
+
+def sample_bridge_marginal(t, x1, problem: ToyProblem, sched: NoiseSchedule,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Draw exact bridge states at time t, one per row of ``x1``."""
+    return _draw(posterior_mixing(problem, x1), t, sched, rng)
+
+
+# ---------------------------------------------------------------------------
+# Reference ODE sampler
+# ---------------------------------------------------------------------------
 
 def oracle_ode_sample(
     problem: ToyProblem,
@@ -302,15 +288,15 @@ def oracle_ode_sample(
 ) -> np.ndarray:
     """Reference sampler: exact start marginal plus marginal-score flow.
 
-    Draws the bridge state at ``t_start`` in closed form and integrates
-    :func:`marginal_ode_drift` down to ``t_end`` with the shared
+    Draws the bridge state at ``t_start`` in closed form and integrates the
+    velocity field of :func:`_drift` down to ``t_end`` with the shared
     second-order integrator.  Only analytic quantities enter, making this a
     gold-standard baseline for learned samplers.  The posterior over the
-    clean point depends on ``x1`` alone, so it is computed once per call;
-    each drift evaluation only brings in the time coefficients.
+    clean point depends on ``x1`` alone, so one per call serves the start
+    draw and every drift evaluation, which adds only time coefficients.
     """
-    post = _posterior(problem, x1)
-    start = sample_bridge_marginal(t_start, post.x1, problem, sched, rng)
+    post = posterior_mixing(problem, x1)
+    start = _draw(post, t_start, sched, rng)
 
     def drift(x, t):
         return _drift(x, t, post, sched)

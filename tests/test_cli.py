@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stereobridge
 from stereobridge.cli import main
 from stereobridge.config import load_config
 from stereobridge.consistency import ConsistencyModel
@@ -134,9 +137,10 @@ def test_negative_seed_is_usage_error(command, tiny_config, tmp_path, capsys):
 
 
 def test_console_module_entry():
+    src = Path(stereobridge.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "stereobridge.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert "selftest-bridge" in proc.stdout
@@ -157,6 +161,45 @@ def test_selftest_bridge_passes_default_config(tmp_path, capsys):
     assert all(entry["passed"] for entry in report["invariants"])
     stdout = capsys.readouterr().out
     assert stdout.count("PASS") == 4
+
+
+def run_selftest_on_schedule(beta, tmp_path):
+    """``(exit code, {name: entry})`` for selftest-bridge at a constant rate."""
+    cfg = tmp_path / "sched.json"
+    cfg.write_text(json.dumps({"schema_version": 1,
+                               "schedule": {"beta0": beta, "beta1": beta}}))
+    out = tmp_path / "st"
+    rc = main(["selftest-bridge", "--config", str(cfg), "--out", str(out)])
+    report = json.loads((out / "bridge_selftest.json").read_text())
+    assert report["passed"] is False
+    return rc, {entry["name"]: entry for entry in report["invariants"]}
+
+
+def test_selftest_bridge_reports_a_raising_check(tmp_path, capsys):
+    # At beta = 1e-20 the bridge variance is ~1e-21, under the floor the
+    # score refuses to divide by: that check fails, the rest still run.
+    rc, entries = run_selftest_on_schedule(1e-20, tmp_path)
+    assert rc == 1
+    assert list(entries) == ["endpoint-pinning", "posterior-moments",
+                             "score-oracle", "ode-convergence"]
+    failed = entries["score-oracle"]
+    assert failed["passed"] is False
+    assert "NearEndpointError" in failed["detail"]["error"]
+    assert entries["ode-convergence"]["passed"] is True
+    assert "FAIL score-oracle" in capsys.readouterr().out
+
+
+# NumPy warns of the overflow before the bridge state's finiteness check
+# raises; the test is about the report, so only that warning is let through.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_selftest_bridge_reports_an_overflowing_schedule(tmp_path, capsys):
+    rc, entries = run_selftest_on_schedule(1e300, tmp_path)
+    assert rc == 1
+    failed = entries["endpoint-pinning"]
+    assert failed["passed"] is False
+    assert "must be finite" in failed["detail"]["error"]
+    assert len(entries) == 4
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +489,26 @@ def test_eval_flags_failures_but_keeps_partial_results(tmp_path, capsys):
     assert "error" in json.loads((out / "pair_001.json").read_text())
     # the good pair still made it into the aggregate
     assert len((out / "aggregate.csv").read_text().splitlines()) == 2
+
+
+def test_eval_survives_every_single_bit_flip_of_the_header(tmp_path, capsys):
+    # Each one-bit corruption of the 44-byte header ends in a clean exit:
+    # 0 if the file still reads as audio, 1 if the pair is reported failed.
+    ref = tmp_path / "ref.wav"
+    write_decaying_stereo(ref)
+    blob = ref.read_bytes()
+    syn = tmp_path / "syn.wav"
+    codes = set()
+    for bit in range(8 * 44):
+        corrupt = bytearray(blob)
+        corrupt[bit // 8] ^= 1 << (bit % 8)
+        syn.write_bytes(corrupt)
+        rc = main(["eval", "--ref", str(ref), "--syn", str(syn),
+                   "--out", str(tmp_path / "ev")])
+        assert rc in (0, 1), f"bit {bit}: exit {rc}"
+        codes.add(rc)
+    capsys.readouterr()
+    assert codes == {0, 1}
 
 
 def test_eval_misaligned_path_lists(tmp_path, capsys):

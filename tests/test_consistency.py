@@ -174,9 +174,11 @@ def test_loss_zero_when_networks_and_times_coincide():
     # the same state and time must agree exactly and the distance vanish.
     m = make_model()
     rng = np.random.default_rng(3)
-    x = rng.standard_normal(DIM)
-    on = denoise(m, x, 4, np.zeros(COND))
-    tg = _boundary(m, 4, x, net.forward(m.target, x, m.grid.nodes[4], np.zeros(COND)))
+    x = rng.standard_normal((1, DIM))
+    cond = np.zeros((1, COND))
+    on = denoise(m, x, 4, cond)
+    raw, _ = net.forward_with_cache(m.target, x, m.grid.nodes[4], cond)
+    tg = _boundary(m, 4, x, raw)
     assert np.array_equal(on, tg)
     assert float(np.sum((on - tg) ** 2)) == 0.0
 
@@ -318,9 +320,9 @@ def test_one_step_uses_exactly_one_evaluation():
     m = make_model(seed=23)
     top = [m.grid.n_steps]
     assert m.eval_count == 0
-    sample_multistep(m, np.zeros(DIM), np.zeros(COND), top, np.random.default_rng(0))
+    sample_multistep(m, np.zeros((1, DIM)), np.zeros((1, COND)), top, np.random.default_rng(0))
     assert m.eval_count == 1
-    sample_multistep(m, np.zeros((5, DIM)), np.zeros(COND), top, np.random.default_rng(0))
+    sample_multistep(m, np.zeros((5, DIM)), np.zeros((5, COND)), top, np.random.default_rng(0))
     assert m.eval_count == 2
 
 
@@ -328,15 +330,16 @@ def test_multistep_single_time_reduces_to_one_step():
     # One node, at the top or below it: denoise the start state
     # b * x1 + sqrt(cap_sigma2) * z built from the generator's first draw.
     m = make_model(seed=25)
-    x1 = np.array([0.3, -0.7, 1.1])
-    cond = np.ones(COND)
+    x1 = np.array([[0.3, -0.7, 1.1]])
+    cond = np.ones((1, COND))
     for i in (m.grid.n_steps, 3):
         t = float(m.grid.nodes[i])
-        z = np.random.default_rng(26).standard_normal(DIM)
+        z = np.random.default_rng(26).standard_normal((1, DIM))
         _, b, cap_sigma2 = bridge_coefficients(m.sched, t)
         c_skip, c_out = _scalings(cap_sigma2, m.sigma_data)
         start = b * x1 + np.sqrt(cap_sigma2) * z
-        expected = c_skip * start + c_out * net.forward(m.online, start, t, cond)
+        raw, _ = net.forward_with_cache(m.online, start, t, cond)
+        expected = c_skip * start + c_out * raw
         out = sample_multistep(m, x1, cond, [i], np.random.default_rng(26))
         assert np.array_equal(out, expected)
 
@@ -344,15 +347,15 @@ def test_multistep_single_time_reduces_to_one_step():
 def test_multistep_counts_evaluations():
     m = make_model(seed=27)
     before = m.eval_count
-    sample_multistep(m, np.zeros(DIM), np.zeros(COND), [8, 6, 4, 2],
+    sample_multistep(m, np.zeros((1, DIM)), np.zeros((1, COND)), [8, 6, 4, 2],
                      np.random.default_rng(28))
     assert m.eval_count - before == 4
 
 
 def test_multistep_validates_times():
     m = make_model()
-    x1 = np.zeros(DIM)
-    cond = np.zeros(COND)
+    x1 = np.zeros((1, DIM))
+    cond = np.zeros((1, COND))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         sample_multistep(m, x1, cond, [], rng)
@@ -366,8 +369,8 @@ def test_multistep_validates_times():
 
 def test_sampling_deterministic_given_seed():
     m = make_model(seed=29)
-    x1 = np.array([0.5, 0.5, -0.5])
-    cond = np.ones(COND)
+    x1 = np.array([[0.5, 0.5, -0.5]])
+    cond = np.ones((1, COND))
     a = sample_multistep(m, x1, cond, [8, 4], np.random.default_rng(30))
     b = sample_multistep(m, x1, cond, [8, 4], np.random.default_rng(30))
     assert np.array_equal(a, b)

@@ -1,10 +1,13 @@
-"""Source hygiene that no installed linter checks: every import is used, and
-``src/`` keeps only the defaulted parameters listed here."""
+"""Source hygiene that no installed linter checks: the package under test is
+this checkout's, every import is used, and ``src/`` keeps only the defaulted
+parameters listed here."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import stereobridge
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stereobridge"
@@ -13,6 +16,12 @@ SOURCES = sorted(
     + list((ROOT / "tests").glob("*.py")),
     key=lambda p: p.relative_to(ROOT),
 )
+
+
+def test_package_is_imported_from_this_checkout():
+    # pyproject's pytest pythonpath puts src/ first, so a bare `pytest` tests
+    # this tree rather than some other installed copy.
+    assert Path(stereobridge.__file__).resolve().parent == PACKAGE.resolve()
 
 
 def unused_imports(source: str) -> list[str]:

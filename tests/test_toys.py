@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stereobridge.bridge import Endpoints, analytic_posterior_score, heun_integrate
+from stereobridge.bridge import Endpoints, analytic_posterior_score
 from stereobridge.config import default_config
 from stereobridge.consistency import ConsistencyModel
 from stereobridge.schedule import NoiseSchedule, bridge_coefficients, make_grid
@@ -14,7 +14,6 @@ from stereobridge.toys import (
     bridge_marginal_score,
     draw_training_items,
     energy_distance,
-    marginal_ode_drift,
     oracle_ode_sample,
     posterior_mixing,
     run_toy_training,
@@ -127,11 +126,11 @@ def test_posterior_mixing_single_component_hand_values():
     # One component: conjugate Gaussian update, checked against pencil work.
     mix = GaussianMixture(np.array([[1.0, -1.0]]), np.array([0.5]), np.array([1.0]))
     prob = ToyProblem(mixture=mix, prior_sigma=1.0)
-    log_w, means, variances = posterior_mixing(prob, np.array([[2.0, 0.0]]))
-    assert log_w[0, 0] == pytest.approx(0.0, abs=1e-12)
+    post = posterior_mixing(prob, np.array([[2.0, 0.0]]))
+    assert post.log_w[0, 0] == pytest.approx(0.0, abs=1e-12)
     # mean = (p^2 m + s^2 x1) / (s^2 + p^2) = (m + 0.25 x1) / 1.25
-    assert means[0, 0] == pytest.approx([1.2, -0.8])
-    assert variances[0] == pytest.approx(0.25 / 1.25)
+    assert post.means[0, :, 0] == pytest.approx([1.2, -0.8])
+    assert post.variances[0] == pytest.approx(0.25 / 1.25)
 
 
 def test_posterior_mixing_matches_numerical_bayes():
@@ -156,9 +155,9 @@ def test_posterior_mixing_matches_numerical_bayes():
         numeric = mix_pdf(grid) * like
         numeric /= numeric.sum() * dx
 
-        log_w, means, variances = posterior_mixing(prob, np.array([[x1]]))
+        post = posterior_mixing(prob, np.array([[x1]]))
         closed = np.zeros_like(grid)
-        for lw, m, v in zip(log_w[0], means[0, :, 0], variances):
+        for lw, m, v in zip(post.log_w[:, 0], post.means[:, 0, 0], post.variances):
             closed += np.exp(lw) * np.exp(-0.5 * (grid - m) ** 2 / v) / np.sqrt(2 * np.pi * v)
         assert np.max(np.abs(closed - numeric)) < 1e-6
 
@@ -179,7 +178,7 @@ def test_marginal_logpdf_normalizes():
         weights=np.array([0.6, 0.4]),
     )
     prob = ToyProblem(mixture=mix, prior_sigma=0.8)
-    x1 = np.array([0.5])
+    x1 = np.array([[0.5]])
     grid = np.linspace(-20.0, 20.0, 20001)[:, None]
     for t in (0.05, 0.5, 0.95):
         pdf = np.exp(bridge_marginal_logpdf(grid, t, x1, prob, SCHED))
@@ -189,7 +188,7 @@ def test_marginal_logpdf_normalizes():
 
 def test_marginal_score_matches_finite_differences():
     prob = PROBLEM
-    x1 = np.array([0.7, -1.2])
+    x1 = np.array([[0.7, -1.2]])
     rng = np.random.default_rng(2)
     pts = rng.normal(scale=2.0, size=(12, 2))
     h = 1e-6
@@ -214,18 +213,9 @@ def test_marginal_score_reduces_to_pinned_bridge():
     x1 = np.array([1.5, 2.0])
     pts = np.random.default_rng(4).normal(size=(6, 2))
     for t in (0.3, 0.9):
-        ours = bridge_marginal_score(pts, t, x1, prob, SCHED)
+        ours = bridge_marginal_score(pts, t, x1[None, :], prob, SCHED)
         ref = np.stack([analytic_posterior_score(p, Endpoints(m, x1), t, SCHED) for p in pts])
         assert np.allclose(ours, ref, rtol=1e-12, atol=1e-9)
-
-
-def test_marginal_score_vector_input_squeezes():
-    prob = PROBLEM
-    x1 = np.array([1.0, 0.0])
-    single = bridge_marginal_score(np.array([0.5, 0.5]), 0.5, x1, prob, SCHED)
-    batch = bridge_marginal_score(np.array([[0.5, 0.5]]), 0.5, x1, prob, SCHED)
-    assert single.shape == (2,)
-    assert np.array_equal(single, batch[0])
 
 
 def test_sample_bridge_marginal_moments():
@@ -237,9 +227,9 @@ def test_sample_bridge_marginal_moments():
     draws = sample_bridge_marginal(t, np.repeat(x1, n, axis=0), prob, SCHED,
                                    np.random.default_rng(9))
     a, b, cap = bridge_coefficients(SCHED, t)
-    _, post_means, post_vars = posterior_mixing(prob, x1)
-    mean = a * post_means[0, 0] + b * x1[0]
-    var = a * a * post_vars[0] + cap
+    post = posterior_mixing(prob, x1)
+    mean = a * post.means[0, :, 0] + b * x1[0]
+    var = a * a * post.variances[0] + cap
     assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4.0 * np.sqrt(var / n))
     assert np.all(np.abs(draws.var(axis=0, ddof=1) - var) <= 4.0 * var * np.sqrt(2.0 / n))
 
@@ -255,18 +245,13 @@ def test_marginal_flow_transports_moments():
     x1 = np.array([[1.0, 0.4]])
     t0, t1 = 0.9, 0.3
     n = 40_000
-    rng = np.random.default_rng(14)
-    start = sample_bridge_marginal(t0, np.repeat(x1, n, axis=0), prob, SCHED, rng)
-
-    def drift(x, t):
-        return marginal_ode_drift(x, t, x1, prob, SCHED)
-
-    end = heun_integrate(drift, start, t0, t1, 64)
+    end = oracle_ode_sample(prob, np.repeat(x1, n, axis=0), SCHED,
+                            np.random.default_rng(14), t_start=t0, t_end=t1, steps=64)
 
     a, b, cap = bridge_coefficients(SCHED, t1)
-    _, post_means, post_vars = posterior_mixing(prob, x1)
-    mean = a * post_means[0, 0] + b * x1[0]
-    var = a * a * post_vars[0] + cap
+    post = posterior_mixing(prob, x1)
+    mean = a * post.means[0, :, 0] + b * x1[0]
+    var = a * a * post.variances[0] + cap
     assert np.all(np.abs(end.mean(axis=0) - mean) <= 5.0 * np.sqrt(var / n))
     assert np.all(np.abs(end.var(axis=0, ddof=1) - var) <= 5.0 * var * np.sqrt(2.0 / n))
 

@@ -57,7 +57,8 @@ PROBLEMS = {
 
 def ref_state_mixture(t, x1, problem, sched):
     a, b, cap_sigma2 = bridge_coefficients(sched, float(t))
-    log_w, post_means, post_vars = posterior_mixing(problem, x1)
+    post = posterior_mixing(problem, x1)
+    log_w, post_means, post_vars = post.log_w.T, post.means.transpose(2, 0, 1), post.variances
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     means = a * post_means + b * x1[:, None, :]
     variances = np.maximum(a * a * post_vars + cap_sigma2, VARIANCE_FLOOR)
@@ -162,5 +163,5 @@ def test_oracle_computes_the_posterior_once_per_call(steps, monkeypatch):
     x1, _ = endpoints(problem, n=64)
     oracle_ode_sample(problem, x1, SCHED, np.random.default_rng(0),
                       t_start=GRID.t_max, t_end=GRID.t_min, steps=steps)
-    # One for the start draw, one for the flow, however many steps.
-    assert len(calls) <= 2
+    # One for the start draw and the flow together, however many steps.
+    assert len(calls) == 1
