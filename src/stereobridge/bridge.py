@@ -132,15 +132,17 @@ def pf_ode_drift(
     t: float,
     sched: NoiseSchedule,
 ) -> np.ndarray:
-    """Drift of the probability-flow ODE at ``(x_t, t)``.
+    """Drift ``0.5 * beta(t) * (x1 - x_t) / cap_sigma2`` at ``(x_t, t)``.
 
-    ``0.5 * beta(t)^2 * (x1 - x_t) / cap_sigma2``, affine in ``x_t``.
+    The flow of ``beta(t) / 2`` times the score of ``N(x1, cap_sigma2(t))``,
+    with the variance rate ``beta`` taken once; it needs no ``x0``, so it is
+    not the pinned bridge's own flow.  At any schedule it has the closed form
+    ``x(t) = x1 + (x(s) - x1) * sqrt(sigma_bar2(t) sigma2(s) / (sigma2(t) sigma_bar2(s)))``.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     x1 = np.asarray(x1, dtype=np.float64)
     cap_sigma2 = _checked_cap_sigma2(sched, t)
-    rate = beta_at(sched, t)
-    return 0.5 * (rate * rate) * (x1 - x_t) / cap_sigma2
+    return 0.5 * beta_at(sched, t) * (x1 - x_t) / cap_sigma2
 
 
 def heun_integrate(drift_fn, x0: np.ndarray, t0: float, t1: float, steps: int) -> np.ndarray:

@@ -9,8 +9,8 @@ Four subcommands cover the artifact's operational surface:
   per-step loss CSV, and run metadata recording every documented
   substitution in effect.
 * ``sample`` — load a checkpoint and generate with a fixed evaluation
-  budget; writes a sample CSV and a timing record with explicit
-  function-evaluation accounting.
+  budget under the run config the checkpoint carries; writes a sample CSV
+  and a timing record with explicit function-evaluation accounting.
 * ``eval`` — score aligned reference/synthesis audio pairs; writes per-pair
   JSON plus an aggregate CSV, flagging failed pairs while keeping partial
   results.
@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import net
 from .bridge import (
     BridgeSample,
     Endpoints,
@@ -41,8 +40,8 @@ from .bridge import (
     posterior_moments,
     sample_posterior,
 )
-from .config import ConfigError, RunConfig, default_config, load_config
-from .consistency import ConsistencyModel, nfe_times
+from .config import ConfigError, RunConfig, default_config, load_config, load_run, save_run
+from .consistency import nfe_times
 from .dsp import log_mel, mel_cepstra, read_wav
 from .metrics import (
     MetricReport,
@@ -53,7 +52,7 @@ from .metrics import (
     write_aggregate_csv,
 )
 from .net import TrainingError
-from .schedule import NoiseSchedule, bridge_coefficients
+from .schedule import accumulated_variances, bridge_coefficients
 from .toys import run_toy_training, toy_sample
 
 # Documented stand-ins relative to the full-scale system; recorded in every
@@ -75,13 +74,16 @@ MAX_SAMPLE_COUNT = 100_000
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else default_config()
+def _with_seed(args, cfg: RunConfig) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         if args.seed < 0:
             raise ConfigError("--seed", f"must be nonnegative, got {args.seed}")
         cfg = replace(cfg, seed=args.seed)
     return cfg
+
+
+def _load_run_config(args) -> RunConfig:
+    return _with_seed(args, load_config(args.config) if args.config else default_config())
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -139,12 +141,14 @@ def _check_posterior_moments(cfg: RunConfig) -> tuple:
         draws = mu + math.sqrt(v) * rng.standard_normal((n, 16))
         se_mean = math.sqrt(v / n)
         se_var = v * math.sqrt(2.0 / (n - 1))
-        worst_mean = max(worst_mean, float(
+        # np.maximum keeps a NaN figure, which then fails the check; the
+        # builtin max would drop it.
+        worst_mean = np.maximum(worst_mean, float(
             np.max(np.abs(draws.mean(axis=0) - mu)) / se_mean))
-        worst_var = max(worst_var, float(
+        worst_var = np.maximum(worst_var, float(
             np.max(np.abs(draws.var(axis=0, ddof=1) - v)) / se_var))
-    passed = worst_mean <= 4.0 and worst_var <= 4.0
-    return passed, {"worst_mean_z": worst_mean, "worst_var_z": worst_var}
+    passed = bool(worst_mean <= 4.0 and worst_var <= 4.0)
+    return passed, {"worst_mean_z": float(worst_mean), "worst_var_z": float(worst_var)}
 
 
 def _check_score_oracle(cfg: RunConfig) -> tuple:
@@ -170,28 +174,26 @@ def _check_score_oracle(cfg: RunConfig) -> tuple:
             e[axis] = h
             fd[axis] = (logpdf(x + e) - logpdf(x - e)) / (2 * h)
         denom = max(float(np.linalg.norm(fd)), 1e-30)
-        worst = max(worst, float(np.linalg.norm(analytic - fd)) / denom)
-    return worst <= 1e-6, {"worst_rel_err": worst}
+        worst = np.maximum(worst, float(np.linalg.norm(analytic - fd)) / denom)
+    return bool(worst <= 1e-6), {"worst_rel_err": float(worst)}
 
 
 def _check_ode_convergence(cfg: RunConfig) -> tuple:
-    """Second-order self-convergence and closed-form agreement at 256 steps.
-
-    Uses the unit-rate schedule, where the affine drift integrates in
-    closed form, independent of the configured schedule.
-    """
-    const = NoiseSchedule(beta0=1.0, beta1=1.0)
+    """Second-order self-convergence and agreement at 256 steps with the
+    closed form of :func:`stereobridge.bridge.pf_ode_drift`'s flow, at the
+    configured schedule."""
+    sched = cfg.schedule()
     t0, t1 = 0.9, 0.1
     xs = np.array([3.0])
     x1 = np.array([-1.0])
     start = BridgeSample(xs, t0)
-    ratio = (t1 * (1.0 - t0)) / (t0 * (1.0 - t1))
-    exact = x1 + (xs - x1) * ratio ** -0.5
-    out = integrate_pf_ode(start, t1, 256, x1, const).x
+    (s0, sb0), (s1, sb1) = (accumulated_variances(sched, t) for t in (t0, t1))
+    exact = x1 + (xs - x1) * math.sqrt(sb1 * s0 / (s1 * sb0))
+    out = integrate_pf_ode(start, t1, 256, x1, sched).x
     rel_err = float(np.abs(out - exact)[0] / np.abs(exact)[0])
 
-    ref = integrate_pf_ode(start, t1, 10_000, x1, const).x
-    errs = [float(np.abs(integrate_pf_ode(start, t1, steps, x1, const).x - ref)[0])
+    ref = integrate_pf_ode(start, t1, 10_000, x1, sched).x
+    errs = [float(np.abs(integrate_pf_ode(start, t1, steps, x1, sched).x - ref)[0])
             for steps in (32, 64, 128)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     passed = rel_err <= 1e-4 and min(orders) >= 1.9
@@ -209,15 +211,15 @@ INVARIANTS = (
 
 def cmd_selftest_bridge(args) -> int:
     """Run every invariant and report each; one that raises ``ValueError``
-    (a schedule too extreme for it, say) fails with the message as its
-    detail, and the others still run."""
+    or ``ArithmeticError`` (a schedule too extreme for it, say) fails with
+    the message as its detail, and the others still run."""
     cfg = _load_run_config(args)
     out = _out_dir(args, cfg)
     invariants = []
     for name, check in INVARIANTS:
         try:
             passed, detail = check(cfg)
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             passed, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
         invariants.append({"name": name, "passed": passed, "detail": detail})
     passed = all(entry["passed"] for entry in invariants)
@@ -254,7 +256,7 @@ def cmd_train_toy(args) -> int:
     def callback(step, model, loss, wall_ms):
         rows.append((step, loss, wall_ms))
         if step == 1 or step % CHECKPOINT_EVERY == 0:
-            net.save_checkpoint(ckpt_path, model.online, model.target, model.ema_decay)
+            save_run(ckpt_path, cfg, model, step)
 
     meta = {
         "command": "train-toy",
@@ -278,8 +280,7 @@ def cmd_train_toy(args) -> int:
               file=sys.stderr)
         return 1
 
-    model = result.model
-    net.save_checkpoint(ckpt_path, model.online, model.target, model.ema_decay)
+    save_run(ckpt_path, cfg, result.model, len(rows))
     _write_loss_csv(out / "loss.csv", rows)
     meta.update({
         "status": "completed",
@@ -304,47 +305,54 @@ def cmd_train_toy(args) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-def cmd_sample(args) -> int:
-    if not 1 <= args.count <= MAX_SAMPLE_COUNT:
-        print(f"--count must lie in [1, {MAX_SAMPLE_COUNT:,}], got {args.count}",
-              file=sys.stderr)
-        return 2
-    cfg = _load_run_config(args)
-    grid = cfg.time_grid()
+def _check_budget(grid, nfe: int) -> None:
     try:
-        nfe_times(grid, args.nfe)
+        nfe_times(grid, nfe)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    out = _out_dir(args, cfg)
+        raise ConfigError("--nfe", str(exc)) from exc
+
+
+def _check_agrees(given: RunConfig, run: RunConfig) -> None:
+    """Raise naming the first model-defining key where the configs differ."""
+    mine, theirs = given.to_dict(), run.to_dict()
+    for section in ("schedule", "grid", "model", "toy"):
+        for key, value in mine[section].items():
+            if value != theirs[section][key]:
+                raise ConfigError(f"{section}.{key}", "--config and the "
+                                  "checkpoint's run config do not match")
+
+
+def cmd_sample(args) -> int:
+    """Sample under the run config the checkpoint carries.  A ``--config``
+    must agree with it on every model-defining section, so in effect it
+    supplies only the seed and output directory."""
+    if not 1 <= args.count <= MAX_SAMPLE_COUNT:
+        raise ConfigError("--count", f"must lie in [1, {MAX_SAMPLE_COUNT:,}], got {args.count}")
+    given = _load_run_config(args) if args.config else None
+    if given is not None:
+        # Its usage errors end the call before the checkpoint is opened.
+        _check_budget(given.time_grid(), args.nfe)
+        _out_dir(args, given)
     try:
-        online, target, ema_decay = net.load_checkpoint(args.checkpoint)
+        run, model, step = load_run(args.checkpoint)
     except (OSError, ValueError) as exc:
         print(f"cannot load checkpoint: {exc}", file=sys.stderr)
         return 1
-    problem = cfg.toy_problem()
-    if online.data_dim != problem.dim or online.cond_dim != problem.dim:
-        print(
-            f"checkpoint dimensions (data {online.data_dim}, cond "
-            f"{online.cond_dim}) do not match the configured problem "
-            f"(dim {problem.dim})",
-            file=sys.stderr,
-        )
-        return 2
+    if given is not None:
+        _check_agrees(given, run)
+    cfg = _with_seed(args, run) if given is None else given
+    _check_budget(model.grid, args.nfe)
+    out = _out_dir(args, cfg)
 
-    model = ConsistencyModel(online=online, target=target,
-                             sched=cfg.schedule(), grid=grid,
-                             sigma_data=cfg.sigma_data, ema_decay=ema_decay)
-    before = model.eval_count
     t_begin = time.perf_counter()
     try:
-        samples = toy_sample(model, problem, args.count,
+        samples = toy_sample(model, cfg.toy_problem(), args.count,
                              np.random.default_rng(cfg.seed), args.nfe)
     except TrainingError as exc:
         print(f"sampling failed: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t_begin
-    used = model.eval_count - before
+    used = model.eval_count
     if used != args.nfe:
         print(f"evaluation accounting failed: budget {args.nfe}, "
               f"recorded {used}", file=sys.stderr)
@@ -357,6 +365,7 @@ def cmd_sample(args) -> int:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     timing = {
         "command": "sample",
+        "checkpoint_step": step,
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "nfe": args.nfe,

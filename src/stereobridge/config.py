@@ -9,6 +9,10 @@ compatibility.
 The :class:`RunConfig` field list is the one copy of the file layout: each
 field names its section, its key and its range check, and parsing,
 :meth:`RunConfig.to_dict` and validation all derive from it.
+
+A checkpoint carries its run config beside the nets: :func:`load_run`
+validates it as a config file is validated and builds the network layout,
+EMA decay, schedule, grid and toy problem from it alone.
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import net
+from .consistency import ConsistencyModel
 from .dsp import N_MELS
-from .net import layer_widths
 from .schedule import NoiseSchedule, TimeGrid, make_grid
 from .toys import GaussianMixture, ToyProblem
 
@@ -129,7 +134,7 @@ class RunConfig:
             dim = self.toy_problem().dim
         except (ValueError, TypeError) as exc:
             raise ConfigError(_TOY, str(exc)) from exc
-        widths = layer_widths(dim, dim, self.hidden, self.depth, self.time_embed_dim)
+        widths = net.layer_widths(dim, dim, self.hidden, self.depth, self.time_embed_dim)
         size = sum(a * b + b for a, b in zip(widths, widths[1:]))
         if size > MAX_DENOISER_PARAMETERS:
             raise ConfigError("model.hidden", (
@@ -150,6 +155,18 @@ class RunConfig:
         )
         return ToyProblem(mixture=mixture, prior_sigma=self.prior_sigma)
 
+    def model(self, online: np.ndarray, target: np.ndarray) -> ConsistencyModel:
+        """This run's consistency model, its online and EMA nets laid over
+        the given flat vectors without a copy; training and the checkpoint
+        reader both build theirs here.  A vector that does not fit the
+        layers raises ``ValueError``."""
+        dim = self.toy_problem().dim
+        layout = net.denoiser_layout(online, dim, dim, self.hidden, self.depth,
+                                     self.time_embed_dim)
+        return ConsistencyModel(layout, replace(layout, flat=target),
+                                sched=self.schedule(), grid=self.time_grid(),
+                                sigma_data=self.sigma_data, ema_decay=self.ema_decay)
+
     def to_dict(self) -> dict:
         out = {"schema_version": SCHEMA_VERSION}
         for section, keyed in _LAYOUT.items():
@@ -157,10 +174,13 @@ class RunConfig:
                             for key, f in keyed.items()}
         return out
 
+    def to_json(self) -> str:
+        """:meth:`to_dict` as canonical JSON, with sorted keys."""
+        return json.dumps(self.to_dict(), sort_keys=True)
+
     def config_hash(self) -> str:
         """Short content hash for report provenance."""
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
 
 
 def _layout() -> dict:
@@ -256,15 +276,41 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
     return RunConfig(**values)
 
 
-def load_config(path) -> RunConfig:
-    """Read and validate a JSON config file."""
+def _decode(blob: bytes, source: str) -> RunConfig:
+    """Validate UTF-8 JSON bytes as a run config; ``source`` names them."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(str(path), f"cannot read config: {exc}") from exc
+        raw = json.loads(blob.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON, bytes that are not UTF-8 and
         # integers past Python's digit limit; RecursionError, deep nesting.
-        raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
-    return parse_config(raw, source=str(path))
+        raise ConfigError(source, f"invalid JSON: {exc}") from exc
+    return parse_config(raw, source=source)
+
+
+def load_config(path) -> RunConfig:
+    """Read and validate a JSON config file."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot read config: {exc}") from exc
+    return _decode(blob, str(path))
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints
+# ---------------------------------------------------------------------------
+
+def save_run(path, cfg: RunConfig, model: ConsistencyModel, step: int) -> None:
+    """Checkpoint the optimizer step, the config as canonical JSON and both
+    nets in the container of :func:`stereobridge.net.save_checkpoint`."""
+    net.save_checkpoint(path, step, cfg.to_json().encode(),
+                        model.online.flat, model.target.flat)
+
+
+def load_run(path) -> tuple:
+    """``(cfg, model, step)`` from a checkpoint written by :func:`save_run`;
+    a fault in the container or the config raises ``ValueError``."""
+    step, blob, online, target = net.load_checkpoint(path)
+    cfg = _decode(blob, f"{path} run config")
+    return cfg, cfg.model(online, target), step

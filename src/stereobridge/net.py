@@ -9,8 +9,10 @@ exactly zero.
 
 Gradients are computed by explicit backpropagation in float64, which keeps
 every parameter checkable against central finite differences and makes
-training bitwise deterministic for a fixed seed.  Checkpoints use a small
-versioned binary container of named little-endian float64 arrays.
+training bitwise deterministic for a fixed seed.  A checkpoint holds the
+optimizer step, the run config's bytes (parsed by :mod:`stereobridge.config`,
+the one record of the layer layout and EMA decay) and the online and EMA
+flat vectors as little-endian float64.
 
 One parameter type: online parameters, the EMA target, gradients and the
 Adam moments are all :class:`DenoiserParams`, each one contiguous float64
@@ -21,7 +23,7 @@ reshaped views into it, so writing either writes the other.
 their arguments in place: they return the objects they were given, and a
 caller that needs the old values must copy them first.  The EMA decay
 belongs to the consistency model, not to the parameters: it is an argument
-of :func:`ema_update` and is stored in the checkpoint beside both nets.
+of :func:`ema_update`.
 """
 
 from __future__ import annotations
@@ -75,14 +77,11 @@ class DenoiserParams:
         if self.flat is None:
             self.flat = np.concatenate([np.ravel(a) for a in arrays],
                                        dtype=np.float64)
-        views, offset = [], 0
-        for a in arrays:
-            shape = np.shape(a)
-            size = math.prod(shape)
-            views.append(self.flat[offset:offset + size].reshape(shape))
-            offset += size
-        if offset != self.flat.size:
-            raise ValueError(f"layers hold {offset} values, flat vector {self.flat.size}")
+        ends = np.cumsum([math.prod(np.shape(a)) for a in arrays])
+        if ends[-1] != self.flat.size:
+            raise ValueError(f"layers hold {ends[-1]} values, flat vector {self.flat.size}")
+        views = [self.flat[end - np.size(a):end].reshape(np.shape(a))
+                 for a, end in zip(arrays, ends)]
         self.weights, self.biases = views[0::2], views[1::2]
 
     @property
@@ -125,6 +124,22 @@ def layer_widths(data_dim: int, cond_dim: int, hidden: int, depth: int,
     return [data_dim + time_embed_dim + cond_dim] + [hidden] * depth + [data_dim]
 
 
+def denoiser_layout(flat: np.ndarray | None, data_dim: int, cond_dim: int, hidden: int,
+                    depth: int, time_embed_dim: int) -> DenoiserParams:
+    """Parameters of the given widths laid over ``flat`` without a copy, or
+    over a fresh zero vector if ``flat`` is None.
+
+    ``depth`` counts hidden layers, so the network has ``depth + 1`` weight
+    matrices in total; ``time_embed_dim`` must be even.
+    """
+    widths = layer_widths(data_dim, cond_dim, hidden, depth, time_embed_dim)
+    # Zero views that allocate nothing: their shapes lay out ``flat``, or
+    # their values fill the fresh vector.
+    return DenoiserParams([np.broadcast_to(0.0, fans) for fans in zip(widths, widths[1:])],
+                          [np.broadcast_to(0.0, width) for width in widths[1:]],
+                          data_dim, time_embed_dim, cond_dim, flat=flat)
+
+
 def init_denoiser(
     rng: np.random.Generator,
     data_dim: int,
@@ -133,30 +148,11 @@ def init_denoiser(
     depth: int,
     time_embed_dim: int,
 ) -> DenoiserParams:
-    """He-normal hidden layers and a zero final layer.
-
-    ``depth`` counts hidden layers, so the network has ``depth + 1`` weight
-    matrices in total.
-    """
-    if time_embed_dim % 2 != 0:
-        raise ValueError("time_embed_dim must be even")
-    dims = layer_widths(data_dim, cond_dim, hidden, depth, time_embed_dim)
-    weights, biases = [], []
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        if i == len(dims) - 2:
-            w = np.zeros((fan_in, fan_out))
-        else:
-            w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-        weights.append(w)
-        biases.append(np.zeros(fan_out))
-    return DenoiserParams(
-        weights=weights,
-        biases=biases,
-        data_dim=data_dim,
-        time_embed_dim=time_embed_dim,
-        cond_dim=cond_dim,
-    )
+    """He-normal hidden layers and a zero final layer, drawn layer by layer."""
+    p = denoiser_layout(None, data_dim, cond_dim, hidden, depth, time_embed_dim)
+    for w in p.weights[:-1]:
+        w[:] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +323,9 @@ def ema_update(target: DenoiserParams, online: DenoiserParams,
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SBDENOIS"
-_VERSION = 1
-
-
-def _pack_array(name: str, arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    name_b = name.encode("ascii")
-    head = struct.pack("<I", len(name_b)) + name_b
-    head += struct.pack("<I", arr.ndim)
-    head += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-    return head + arr.tobytes()
+_VERSION = 2
+# Magic, version, optimizer step, run-config byte count, values per net.
+_HEAD = struct.Struct("<8sIQIQ")
 
 
 def _need(buf: bytes, offset: int, size: int, what: str) -> None:
@@ -347,108 +336,40 @@ def _need(buf: bytes, offset: int, size: int, what: str) -> None:
         )
 
 
-def _read(fmt: str, buf: bytes, offset: int, what: str):
-    """Unpack ``fmt`` at ``offset``; returns ``(values, next offset)``."""
-    size = struct.calcsize(fmt)
-    _need(buf, offset, size, what)
-    return struct.unpack_from(fmt, buf, offset), offset + size
-
-
-def _array_table(buf: bytes) -> dict:
-    """Name -> read-only float64 view into ``buf`` for every stored array."""
-    (magic,), offset = _read("8s", buf, 0, "magic")
-    if magic != _MAGIC:
-        raise ValueError(f"bad checkpoint magic {magic!r}")
-    (version, n_arrays), offset = _read("<II", buf, offset, "header")
-    if version != _VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    table = {}
-    for k in range(n_arrays):
-        what = f"array {k}"
-        (name_len,), offset = _read("<I", buf, offset, f"{what} name length")
-        (name_b,), offset = _read(f"{name_len}s", buf, offset, f"{what} name")
-        try:
-            name = name_b.decode("ascii")
-        except UnicodeDecodeError:
-            raise ValueError(f"{what} name at byte {offset - name_len} "
-                             f"is not ASCII") from None
-        (ndim,), offset = _read("<I", buf, offset, f"array {name!r} rank")
-        shape, offset = _read(f"<{ndim}Q", buf, offset, f"array {name!r} shape")
-        count = math.prod(shape)
-        _need(buf, offset, 8 * count, f"array {name!r} data")
-        table[name] = np.frombuffer(buf, "<f8", count, offset).reshape(shape)
-        if not np.all(np.isfinite(table[name])):
-            raise ValueError(f"checkpoint array {name!r} holds a non-finite value")
-        offset += 8 * count
-    return table
-
-
-def _check_shapes(p: DenoiserParams) -> None:
-    fan_in = p.data_dim + 2 * (p.time_embed_dim // 2) + p.cond_dim
-    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        if w.ndim != 2 or w.shape[0] != fan_in or b.shape != (w.shape[1],):
-            raise ValueError(f"checkpoint layer {i} has weight {w.shape} and "
-                             f"bias {b.shape}; expected fan-in {fan_in}")
-        fan_in = w.shape[1]
-    if fan_in != p.data_dim:
-        raise ValueError(f"checkpoint output width {fan_in} != data_dim {p.data_dim}")
-
-
-def save_checkpoint(path, online: DenoiserParams, target: DenoiserParams,
-                    ema_decay: float) -> None:
-    """Write both nets and the EMA decay to a flat versioned binary container."""
-    arrays = [
-        ("meta.dims", np.array([online.data_dim, online.time_embed_dim,
-                                online.cond_dim, online.n_layers], dtype=np.float64)),
-        ("meta.ema_decay", np.array(ema_decay, dtype=np.float64)),
-    ]
-    for i in range(online.n_layers):
-        arrays.append((f"online.w{i}", online.weights[i]))
-        arrays.append((f"online.b{i}", online.biases[i]))
-    for i in range(target.n_layers):
-        arrays.append((f"ema.w{i}", target.weights[i]))
-        arrays.append((f"ema.b{i}", target.biases[i]))
-    blob = b"".join([_MAGIC, struct.pack("<II", _VERSION, len(arrays))]
-                    + [_pack_array(name, arr) for name, arr in arrays])
+def save_checkpoint(path, step: int, config: bytes, online: np.ndarray,
+                    target: np.ndarray) -> None:
+    """Write the optimizer step, the run config's bytes and the online and
+    EMA flat vectors, which must have one length, to a versioned container."""
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(_HEAD.pack(_MAGIC, _VERSION, step, len(config), online.size)
+                 + config + np.concatenate([online, target], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
     """Read a container written by :func:`save_checkpoint`.
 
-    Returns ``(online, target, ema_decay)``; round-trips bitwise with the
-    writer.  Each stored array is copied once, from the file buffer into the
-    flat vector.  A truncated or malformed container, or one holding a
-    non-finite value, raises ``ValueError``.
+    Returns ``(step, config, online, target)``: the config bytes as stored,
+    parsed by the caller, and both flat vectors, copied once from the file
+    buffer into one fresh array; round-trips bitwise with the writer.  A
+    truncated container, one with trailing bytes or one holding a
+    non-finite value raises ``ValueError``.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
-    table = _array_table(buf)
-
-    def get(name):
-        try:
-            return table[name]
-        except KeyError:
-            raise ValueError(f"checkpoint has no array {name!r}") from None
-
-    dims = get("meta.dims")
-    if (dims.shape != (4,) or not np.all(np.isfinite(dims))
-            or np.any(dims < 0) or np.any(dims != np.floor(dims))):
-        raise ValueError(f"bad checkpoint dimensions {dims!r}")
-    data_dim, time_embed_dim, cond_dim, n_layers = (int(v) for v in dims)
-    decay = get("meta.ema_decay")
-    if decay.size != 1:
-        raise ValueError(f"bad checkpoint EMA decay {decay!r}")
-    dims_kw = dict(data_dim=data_dim, time_embed_dim=time_embed_dim,
-                   cond_dim=cond_dim)
-
-    def layers(prefix):
-        return ([get(f"{prefix}.w{i}") for i in range(n_layers)],
-                [get(f"{prefix}.b{i}") for i in range(n_layers)])
-
-    online = DenoiserParams(*layers("online"), **dims_kw)
-    target = DenoiserParams(*layers("ema"), **dims_kw)
-    _check_shapes(online)
-    _check_layout(online, target, "EMA")
-    return online, target, float(decay.reshape(-1)[0])
+    _need(buf, 0, _HEAD.size, "header")
+    magic, version, step, config_len, count = _HEAD.unpack_from(buf)
+    if magic != _MAGIC:
+        raise ValueError(f"bad checkpoint magic {magic!r}")
+    if version != _VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    _need(buf, _HEAD.size, config_len, "run config")
+    start = _HEAD.size + config_len
+    _need(buf, start, 16 * count, "online and EMA nets")
+    if start + 16 * count != len(buf):
+        raise ValueError(f"checkpoint has {len(buf) - start - 16 * count} "
+                         f"trailing bytes")
+    nets = np.frombuffer(buf, "<f8", 2 * count, start).astype(np.float64).reshape(2, count)
+    for name, flat in zip(("online", "EMA"), nets):
+        if not np.all(np.isfinite(flat)):
+            raise ValueError(f"checkpoint {name} net holds a non-finite value")
+    return step, buf[_HEAD.size:start], nets[0], nets[1]

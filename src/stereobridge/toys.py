@@ -381,15 +381,8 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
         depth=cfg.depth,
         time_embed_dim=cfg.time_embed_dim,
     )
-    model = ConsistencyModel(
-        online=params,
-        target=params.copy(),
-        sched=cfg.schedule(),
-        grid=cfg.time_grid(),
-        sigma_data=cfg.sigma_data,
-        ema_decay=cfg.ema_decay,
-    )
-    opt = net.init_adam(params, lr=lr, beta2=cfg.adam_beta2)
+    model = cfg.model(params.flat, params.flat.copy())
+    opt = net.init_adam(model.online, lr=lr, beta2=cfg.adam_beta2)
 
     probe_rng = np.random.default_rng((cfg.seed, 0x534E4150))
     probe_batch = draw_training_items(problem, 1, probe_rng)

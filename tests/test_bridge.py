@@ -14,7 +14,13 @@ from stereobridge.bridge import (
     posterior_moments,
     sample_posterior,
 )
-from stereobridge.schedule import NoiseSchedule, bridge_coefficients, make_grid
+from stereobridge.schedule import (
+    NoiseSchedule,
+    accumulated_variances,
+    beta_at,
+    bridge_coefficients,
+    make_grid,
+)
 
 CONST = NoiseSchedule(beta0=1.0, beta1=1.0)
 DEFAULT = NoiseSchedule()
@@ -114,7 +120,7 @@ def test_drift_zero_at_prior_with_zero_base():
 
 
 def test_drift_hand_value():
-    # 0.5 * beta^2 * (x1 - x) / cap_sigma2 = 0.5 * 1 * 2 / 0.25
+    # 0.5 * beta * (x1 - x) / cap_sigma2 = 0.5 * 1 * 2 / 0.25
     d = pf_ode_drift(np.array([0.0]), np.array([2.0]), 0.5, CONST)
     assert d == pytest.approx([4.0])
 
@@ -127,11 +133,8 @@ def test_drift_affine_in_state():
     t = 0.37
     d0 = pf_ode_drift(x, x1, t, DEFAULT)
     d1 = pf_ode_drift(x + delta, x1, t, DEFAULT)
-    from stereobridge.schedule import beta_at, bridge_coefficients as bc
-
-    beta = beta_at(DEFAULT, t)
-    _, _, v = bc(DEFAULT, t)
-    assert d1 - d0 == pytest.approx(-0.5 * beta * beta * delta / v)
+    _, _, v = bridge_coefficients(DEFAULT, t)
+    assert d1 - d0 == pytest.approx(-0.5 * beta_at(DEFAULT, t) * delta / v)
 
 
 def _linear_ode_exact(xs, x1, t0, t1, c=1.0):
@@ -156,6 +159,23 @@ def test_integrate_matches_linear_ode_oracle():
     out = integrate_pf_ode(start, t1, 256, x1, CONST)
     exact = _linear_ode_exact(xs, x1, t0, t1)
     assert np.abs(out.x - exact) <= 1e-4 * np.abs(exact)
+
+
+@pytest.mark.parametrize("sched, expected", [
+    (DEFAULT, 77.92027531689247),
+    (NoiseSchedule(beta0=2.0, beta1=2.0), 35.0),
+], ids=["default-schedule", "constant-rate-2"])
+def test_integrate_matches_closed_form_at_any_schedule(sched, expected):
+    # The drift carries the rate once, so (x - x1) * sqrt(sigma2 / sigma_bar2)
+    # is constant along the flow at any schedule.  A squared rate gives
+    # 3.19e12 and 323 here.
+    t0, t1 = 0.9, 0.1
+    xs, x1 = np.array([3.0]), np.array([-1.0])
+    (s0, sb0), (s1, sb1) = (accumulated_variances(sched, t) for t in (t0, t1))
+    exact = x1 + (xs - x1) * np.sqrt(sb1 * s0 / (s1 * sb0))
+    assert exact[0] == pytest.approx(expected, rel=1e-12)
+    out = integrate_pf_ode(BridgeSample(xs, t0), t1, 4096, x1, sched).x
+    assert np.abs(out - exact) <= 1e-6 * np.abs(exact)
 
 
 def test_integrate_self_convergence_order():

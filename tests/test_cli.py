@@ -9,11 +9,9 @@ import pytest
 
 import stereobridge
 from stereobridge.cli import main
-from stereobridge.config import load_config
-from stereobridge.consistency import ConsistencyModel
+from stereobridge.config import load_config, load_run, save_run
 from stereobridge.dsp import StereoWaveform, write_wav
 from stereobridge.metrics import exponential_ir
-from stereobridge.net import load_checkpoint, save_checkpoint
 from stereobridge.toys import toy_sample
 
 RATE = 22050
@@ -185,7 +183,7 @@ def test_selftest_bridge_reports_a_raising_check(tmp_path, capsys):
     failed = entries["score-oracle"]
     assert failed["passed"] is False
     assert "NearEndpointError" in failed["detail"]["error"]
-    assert entries["ode-convergence"]["passed"] is True
+    assert entries["endpoint-pinning"]["passed"] is True
     assert "FAIL score-oracle" in capsys.readouterr().out
 
 
@@ -199,6 +197,9 @@ def test_selftest_bridge_reports_an_overflowing_schedule(tmp_path, capsys):
     assert failed["passed"] is False
     assert "must be finite" in failed["detail"]["error"]
     assert len(entries) == 4
+    # Their figures are NaN here, and a NaN figure fails its check.
+    assert entries["posterior-moments"]["passed"] is False
+    assert entries["score-oracle"]["passed"] is False
     capsys.readouterr()
 
 
@@ -225,9 +226,11 @@ def test_train_toy_outputs(tiny_config, tmp_path, capsys):
         "distance", "loss_weighting", "schedule", "training_scale"}
     assert "wall_ms" in meta["nondeterministic_fields"]
 
-    online, _, ema_decay = load_checkpoint(out / "model.ckpt")
-    assert online.data_dim == 2
-    assert ema_decay == meta["config"]["optimizer"]["ema_decay"]
+    cfg, model, step = load_run(out / "model.ckpt")
+    assert cfg.to_dict() == meta["config"]
+    assert step == 50
+    assert model.online.data_dim == 2
+    assert model.ema_decay == meta["config"]["optimizer"]["ema_decay"]
 
 
 def test_train_toy_checkpoints_are_reproducible(tiny_config, tmp_path, capsys):
@@ -267,7 +270,7 @@ def test_train_toy_aborts_on_nonfinite_loss(tmp_path, capsys):
     assert meta["status"] == "aborted"
     assert meta["checkpoint_retained"] is True
     # the retained checkpoint predates the failure and still loads
-    load_checkpoint(out / "model.ckpt")
+    assert load_run(out / "model.ckpt")[2] == 1
     lines = (out / "loss.csv").read_text().splitlines()
     assert len(lines) - 1 == meta["completed_steps"] < 500
 
@@ -297,6 +300,7 @@ def test_sample_writes_samples_and_timing(tiny_config, trained, tmp_path, capsys
     timing = json.loads((out / "timing_nfe1.json").read_text())
     assert timing["nfe"] == 1
     assert timing["network_evaluations"] == 1
+    assert timing["checkpoint_step"] == 50
     assert timing["sample_count"] == 64
     assert "wall_seconds" in timing["nondeterministic_fields"]
 
@@ -343,10 +347,7 @@ def test_sample_writes_toy_sample_rows(nfe, tiny_config, trained, tmp_path, caps
     capsys.readouterr()
     written = np.loadtxt(out / f"samples_nfe{nfe}.csv", delimiter=",", skiprows=1)
     cfg = load_config(tiny_config)
-    online, target, ema_decay = load_checkpoint(trained)
-    model = ConsistencyModel(online=online, target=target, sched=cfg.schedule(),
-                             grid=cfg.time_grid(), sigma_data=cfg.sigma_data,
-                             ema_decay=ema_decay)
+    _, model, _ = load_run(trained)
     expected = toy_sample(model, cfg.toy_problem(), 32, np.random.default_rng(9), nfe)
     assert np.array_equal(written, expected)
 
@@ -377,6 +378,62 @@ def test_sample_dimension_mismatch_is_config_error(trained, tmp_path, capsys):
     assert "do not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nfe", ["1", "8"])
+def test_sample_without_config_reads_the_run_from_the_checkpoint(
+        nfe, tiny_config, trained, tmp_path, capsys):
+    # The checkpoint carries the tiny config, its seed included.
+    given, bare = tmp_path / "given", tmp_path / "bare"
+    assert main(["sample", "--config", str(tiny_config), "--checkpoint", str(trained),
+                 "--nfe", nfe, "--count", "64", "--out", str(given)]) == 0
+    assert main(["sample", "--checkpoint", str(trained),
+                 "--nfe", nfe, "--count", "64", "--out", str(bare)]) == 0
+    capsys.readouterr()
+    name = f"samples_nfe{nfe}.csv"
+    assert (bare / name).read_bytes() == (given / name).read_bytes()
+
+
+def test_sample_without_config_keeps_the_trained_grid(tmp_path, capsys):
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "schedule": {"beta1": 5.0}, "grid": {"n_steps": 4},
+        "run": {"steps": 2, "batch_size": 4, "probe_step": 1},
+        "model": {"hidden": 16, "depth": 2, "time_embed_dim": 8}}))
+    assert main(["train-toy", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    capsys.readouterr()
+    rc = main(["sample", "--checkpoint", str(tmp_path / "t" / "model.ckpt"),
+               "--nfe", "8", "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "budget 8 does not fit a grid of 4 steps" in capsys.readouterr().err
+
+
+def test_sample_config_that_differs_from_the_checkpoint_is_config_error(
+        tiny_config, trained, tmp_path, capsys):
+    raw = json.loads(tiny_config.read_text())
+    raw["grid"] = {"n_steps": 8}
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(raw))
+    rc = main(["sample", "--config", str(other), "--checkpoint", str(trained),
+               "--count", "8", "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "grid.n_steps: --config and the checkpoint's run config do not match" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b'"grid"', b'"gri\xff"', "invalid JSON"),
+    (b'"t_max": 0.999', b'"t_max": 1.999', "grid.t_max"),
+], ids=["not-utf8", "out-of-range"])
+def test_sample_corrupt_run_config_in_checkpoint_fails_cleanly(
+        old, new, message, trained, tmp_path, capsys):
+    # A bad stored config is a corrupt checkpoint (exit 1), not a usage error.
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(trained.read_bytes().replace(old, new, 1))
+    rc = main(["sample", "--checkpoint", str(bad), "--out", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot load checkpoint" in err and message in err
+
+
 def test_sample_missing_checkpoint_fails(tiny_config, tmp_path, capsys):
     rc = main(["sample", "--config", str(tiny_config),
                "--checkpoint", str(tmp_path / "absent.ckpt"),
@@ -396,24 +453,24 @@ def test_sample_truncated_checkpoint_fails_cleanly(tiny_config, trained, tmp_pat
 
 
 def test_sample_non_finite_checkpoint_fails_cleanly(tiny_config, trained, tmp_path, capsys):
-    online, target, ema_decay = load_checkpoint(trained)
-    online.weights[0][0, 0] = np.nan
+    cfg, model, step = load_run(trained)
+    model.online.weights[0][0, 0] = np.nan
     bad = tmp_path / "nan.ckpt"
-    save_checkpoint(bad, online, target, ema_decay)
+    save_run(bad, cfg, model, step)
     rc = main(["sample", "--config", str(tiny_config),
                "--checkpoint", str(bad), "--out", str(tmp_path / "s")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "cannot load checkpoint" in err and "online.w0" in err
+    assert "cannot load checkpoint" in err and "online net" in err
 
 
 def test_sample_overflowing_network_fails_cleanly(tiny_config, trained, tmp_path, capsys):
     # Finite but huge first-layer weights overflow the forward pass, so the
     # checkpoint loads and sampling itself raises TrainingError.
-    online, target, ema_decay = load_checkpoint(trained)
-    online.weights[0][:] = 1e308
+    cfg, model, step = load_run(trained)
+    model.online.weights[0][:] = 1e308
     big = tmp_path / "big.ckpt"
-    save_checkpoint(big, online, target, ema_decay)
+    save_run(big, cfg, model, step)
     with np.errstate(all="ignore"):
         rc = main(["sample", "--config", str(tiny_config), "--count", "8",
                    "--checkpoint", str(big), "--out", str(tmp_path / "s")])

@@ -1,13 +1,16 @@
 """Source hygiene that no installed linter checks: the package under test is
-this checkout's, every import is used, and ``src/`` keeps only the defaulted
-parameters listed here."""
+this checkout's, every import is used, ``src/`` keeps only the defaulted
+parameters listed here, and the README's commands parse."""
 
 import ast
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import stereobridge
+from stereobridge.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stereobridge"
@@ -97,3 +100,24 @@ def test_defaulted_parameters_are_the_listed_ten():
     found = [name for path in sorted(PACKAGE.glob("*.py"))
              for name in defaulted_parameters(path)]
     assert sorted(found) == sorted(DEFAULTED)
+
+
+def readme_commands() -> list[str]:
+    """Every ``stereobridge ...`` line in the README's shell blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("stereobridge ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {shlex.split(line)[1] for line in commands} == {
+        "selftest-bridge", "train-toy", "sample", "eval"}
+    parser = _build_parser()
+    unparsed = []
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            unparsed.append(line)
+    assert unparsed == []

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stereobridge.config import load_run, parse_config, save_run
 from stereobridge.net import (
     ADAM_BETA1,
     ADAM_EPS,
@@ -17,7 +18,6 @@ from stereobridge.net import (
     init_denoiser,
     load_checkpoint,
     loss_and_grads,
-    save_checkpoint,
     time_embedding,
 )
 
@@ -366,84 +366,109 @@ def test_layer_arrays_are_views_of_the_flat_vector():
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+# A run off the defaults in every section the model reads; its denoiser has
+# widths 6, 3, 3 and 2: 41 parameters.
+SMALL = parse_config({
+    "schema_version": 1,
+    "schedule": {"beta1": 5.0},
+    "grid": {"n_steps": 4},
+    "model": {"hidden": 3, "depth": 2, "time_embed_dim": 2, "sigma_data": 0.5},
+    "optimizer": {"ema_decay": 0.97},
+    "toy": {"prior_sigma": 0.7},
+    "run": {"seed": 3},
+})
+
+
+def small_model(cfg=SMALL, seed=13):
+    """``cfg``'s consistency model with random online and EMA nets."""
+    rng = np.random.default_rng(seed)
+    online = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=cfg.hidden,
+                           depth=cfg.depth, time_embed_dim=cfg.time_embed_dim)
+    he_final_layer(online, rng)
+    return cfg.model(online.flat, rng.standard_normal(online.flat.size))
+
+
 def test_checkpoint_round_trips_bitwise(tmp_path):
-    online = probe_net(seed=13)
-    target = probe_net(seed=14)
+    model = small_model()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, online, target, 0.97)
-    online2, target2, decay2 = load_checkpoint(path)
+    save_run(path, SMALL, model, 7)
+    cfg, loaded, step = load_run(path)
 
-    assert online2.data_dim == online.data_dim
-    assert online2.time_embed_dim == online.time_embed_dim
-    assert online2.cond_dim == online.cond_dim
-    assert decay2 == 0.97
-    for a, b in zip(online2.weights + online2.biases,
-                    online.weights + online.biases):
-        assert np.array_equal(a, b)
-    for a, b in zip(target2.weights + target2.biases,
-                    target.weights + target.biases):
-        assert np.array_equal(a, b)
+    assert cfg == SMALL
+    assert step == 7
+    assert np.array_equal(loaded.online.flat, model.online.flat)
+    assert np.array_equal(loaded.target.flat, model.target.flat)
+    assert loaded.online.data_dim == loaded.online.cond_dim == 2
+    assert (loaded.ema_decay, loaded.sigma_data, loaded.sched) == (0.97, 0.5, SMALL.schedule())
+    assert np.array_equal(loaded.grid.nodes, SMALL.time_grid().nodes)
 
 
-def test_checkpoint_v1_bytes_are_pinned(tmp_path):
+def test_checkpoint_v2_bytes_are_pinned(tmp_path):
     # Exactly representable values make the container bytes platform-free;
-    # the digest is that of the v1 format, which every saved checkpoint uses.
-    online = probe_net(seed=13)
-    online.flat[:] = np.arange(online.flat.size) / 8.0
-    target = online.copy()
-    target.flat[:] = -np.arange(target.flat.size) / 4.0
+    # the digest is that of the v2 format, which every saved checkpoint uses.
+    model = small_model()
+    model.online.flat[:] = np.arange(model.online.flat.size) / 8.0
+    model.target.flat[:] = -np.arange(model.target.flat.size) / 4.0
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, online, target, 0.97)
+    save_run(path, SMALL, model, 7)
     blob = path.read_bytes()
-    assert len(blob) == 3305
+    config = SMALL.to_json().encode()
+    assert blob[32:32 + len(config)] == config
+    assert len(blob) == 32 + len(config) + 2 * 8 * 41
     assert hashlib.sha256(blob).hexdigest() == (
-        "c9d35ca23290f72fe52eafac462b88e91f1b053e353f50a44815e2ffe87409d4")
+        "0147c8b0eea8433fbd970559df0784dc3bd03f911a7c3490920a77c96622727d")
 
-    loaded = load_checkpoint(path)
-    assert loaded[2] == 0.97
+    cfg, loaded, step = load_run(path)
     again = tmp_path / "again.ckpt"
-    save_checkpoint(again, *loaded)
+    save_run(again, cfg, loaded, step)
     assert again.read_bytes() == blob
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="magic"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_run(path, SMALL, small_model(), 7)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
         load_checkpoint(path)
 
 
 def test_checkpoint_loaded_params_behave_identically(tmp_path):
-    online = probe_net(seed=13)
+    model = small_model()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, online, online.copy(), 0.999)
-    online2, _, _ = load_checkpoint(path)
-    x_t, t, cond = probe_batch(seed=15)
-    assert np.array_equal(forward_with_cache(online, x_t, t, cond)[0],
-                          forward_with_cache(online2, x_t, t, cond)[0])
+    save_run(path, SMALL, model, 7)
+    online = load_run(path)[1].online
+    rng = np.random.default_rng(15)
+    x_t, t, cond = rng.standard_normal((5, 2)), rng.uniform(size=5), rng.standard_normal((5, 2))
+    assert np.array_equal(forward_with_cache(model.online, x_t, t, cond)[0],
+                          forward_with_cache(online, x_t, t, cond)[0])
 
 
 def test_checkpoint_truncated_at_any_byte_raises_value_error(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, probe_net(seed=13), probe_net(seed=14), 0.999)
+    save_run(path, SMALL, small_model(), 7)
     blob = path.read_bytes()
     cut = tmp_path / "cut.ckpt"
     for n in range(len(blob)):
         cut.write_bytes(blob[:n])
         with pytest.raises(ValueError, match=r"truncated at byte \d+") as info:
-            load_checkpoint(cut)
+            load_run(cut)
         assert int(re.search(r"byte (\d+)", str(info.value)).group(1)) <= n
 
 
 def test_checkpoint_single_bit_flips_load_or_raise_value_error(tmp_path):
-    # Every one-bit corruption of a tiny checkpoint either still parses or
-    # is rejected as malformed; no other exception escapes the reader.
-    p = init_denoiser(np.random.default_rng(0), data_dim=2, cond_dim=2,
-                      hidden=3, depth=2, time_embed_dim=2)
+    # Every one-bit corruption of a tiny checkpoint, its run config included,
+    # either still loads or is rejected as malformed; no other exception
+    # escapes the reader.
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, p, p.copy(), 0.99)
+    save_run(path, SMALL, small_model(), 7)
     blob = path.read_bytes()
-    assert len(blob) == 1097
     flipped = tmp_path / "flipped.ckpt"
     outcomes = {"loaded": 0, "rejected": 0}
     for bit in range(8 * len(blob)):
@@ -451,7 +476,7 @@ def test_checkpoint_single_bit_flips_load_or_raise_value_error(tmp_path):
         corrupt[bit // 8] ^= 1 << (bit % 8)
         flipped.write_bytes(corrupt)
         try:
-            load_checkpoint(flipped)
+            load_run(flipped)
         except ValueError:
             outcomes["rejected"] += 1
         else:
@@ -459,33 +484,27 @@ def test_checkpoint_single_bit_flips_load_or_raise_value_error(tmp_path):
     assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0
 
 
-def test_checkpoint_missing_array_raises_value_error(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, probe_net(seed=13), probe_net(seed=14), 0.999)
-    path.write_bytes(path.read_bytes().replace(b"ema.b1", b"ema.x1"))
-    with pytest.raises(ValueError, match="ema.b1"):
-        load_checkpoint(path)
-
-
 def test_checkpoint_non_finite_value_raises_value_error(tmp_path):
-    online = probe_net(seed=13)
-    online.weights[0][1, 2] = np.nan
+    model = small_model()
+    model.online.weights[0][1, 2] = np.nan
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, online, probe_net(seed=14), 0.999)
-    with pytest.raises(ValueError, match="online.w0"):
-        load_checkpoint(path)
+    save_run(path, SMALL, model, 7)
+    with pytest.raises(ValueError, match="online net holds a non-finite value"):
+        load_run(path)
 
 
 @pytest.mark.parametrize("fault", ["dims", "ema"])
 def test_checkpoint_layout_mismatch_raises_value_error(tmp_path, fault):
-    online = probe_net(seed=13)
-    target = probe_net(seed=14)
-    if fault == "dims":
-        online.cond_dim += 1
-    else:
-        target = init_denoiser(np.random.default_rng(0), data_dim=3, cond_dim=2,
-                               hidden=5, depth=2, time_embed_dim=4)
+    # The stored nets must fit the layers of the stored config, and the EMA
+    # net must be as long as the online net.
+    model = small_model()
+    wide = small_model(replace(SMALL, hidden=4))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, online, target, 0.999)
-    with pytest.raises(ValueError, match="layer 0"):
-        load_checkpoint(path)
+    if fault == "dims":
+        save_run(path, replace(SMALL, hidden=4), model, 7)
+        message = "layers hold 58 values, flat vector 41"
+    else:
+        save_run(path, SMALL, replace(model, target=wide.target), 7)
+        message = "136 trailing bytes"
+    with pytest.raises(ValueError, match=message):
+        load_run(path)
