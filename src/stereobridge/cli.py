@@ -96,7 +96,18 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write(path: Path, writer, *args) -> None:
+    """Every output file goes through here as ``writer(path, *args)``.  A
+    file that cannot be written (a directory in its place, no permission, a
+    full disk) is a config error naming it, as an output directory that
+    cannot be created is."""
+    try:
+        writer(path, *args)
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot write output file: {exc}") from exc
+
+
+def _json_file(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -229,7 +240,7 @@ def cmd_selftest_bridge(args) -> int:
         "passed": passed,
         "invariants": invariants,
     }
-    _write_json(out / "bridge_selftest.json", report)
+    _write(out / "bridge_selftest.json", _json_file, report)
     for entry in invariants:
         print(f"{'PASS' if entry['passed'] else 'FAIL'} {entry['name']}")
     return 0 if passed else 1
@@ -239,7 +250,7 @@ def cmd_selftest_bridge(args) -> int:
 # train-toy
 # ---------------------------------------------------------------------------
 
-def _write_loss_csv(path: Path, rows) -> None:
+def _loss_csv(path: Path, rows) -> None:
     with open(path, "w") as fh:
         fh.write("step,loss,wall_ms\n")
         for step, loss, wall in rows:
@@ -256,7 +267,7 @@ def cmd_train_toy(args) -> int:
     def callback(step, model, loss, wall_ms):
         rows.append((step, loss, wall_ms))
         if step == 1 or step % CHECKPOINT_EVERY == 0:
-            save_run(ckpt_path, cfg, model, step)
+            _write(ckpt_path, save_run, cfg, model, step)
 
     meta = {
         "command": "train-toy",
@@ -268,20 +279,20 @@ def cmd_train_toy(args) -> int:
     try:
         result = run_toy_training(cfg, step_callback=callback)
     except TrainingError as exc:
-        _write_loss_csv(out / "loss.csv", rows)
+        _write(out / "loss.csv", _loss_csv, rows)
         meta.update({
             "status": "aborted",
             "error": str(exc),
             "completed_steps": len(rows),
             "checkpoint_retained": ckpt_path.exists(),
         })
-        _write_json(out / "train_meta.json", meta)
+        _write(out / "train_meta.json", _json_file, meta)
         print(f"training aborted after {len(rows)} steps: {exc}",
               file=sys.stderr)
         return 1
 
-    save_run(ckpt_path, cfg, result.model, len(rows))
-    _write_loss_csv(out / "loss.csv", rows)
+    _write(ckpt_path, save_run, cfg, result.model, len(rows))
+    _write(out / "loss.csv", _loss_csv, rows)
     meta.update({
         "status": "completed",
         "completed_steps": len(rows),
@@ -296,7 +307,7 @@ def cmd_train_toy(args) -> int:
             "last_50_mean": float(np.mean(result.losses[-50:])),
         },
     })
-    _write_json(out / "train_meta.json", meta)
+    _write(out / "train_meta.json", _json_file, meta)
     print(f"trained {len(rows)} steps; checkpoint at {ckpt_path}")
     return 0
 
@@ -320,6 +331,13 @@ def _check_agrees(given: RunConfig, run: RunConfig) -> None:
             if value != theirs[section][key]:
                 raise ConfigError(f"{section}.{key}", "--config and the "
                                   "checkpoint's run config do not match")
+
+
+def _samples_csv(path: Path, samples: np.ndarray) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(f"c{i}" for i in range(samples.shape[1])) + "\n")
+        for row in samples:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def cmd_sample(args) -> int:
@@ -359,10 +377,7 @@ def cmd_sample(args) -> int:
         return 1
 
     sample_path = out / f"samples_nfe{args.nfe}.csv"
-    with open(sample_path, "w") as fh:
-        fh.write(",".join(f"c{i}" for i in range(samples.shape[1])) + "\n")
-        for row in samples:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write(sample_path, _samples_csv, samples)
     timing = {
         "command": "sample",
         "checkpoint_step": step,
@@ -375,7 +390,7 @@ def cmd_sample(args) -> int:
         "samples_per_second": samples.shape[0] / wall if wall > 0 else None,
         "nondeterministic_fields": ["wall_seconds", "samples_per_second"],
     }
-    _write_json(out / f"timing_nfe{args.nfe}.json", timing)
+    _write(out / f"timing_nfe{args.nfe}.json", _json_file, timing)
     print(f"wrote {samples.shape[0]} samples to {sample_path}")
     return 0
 
@@ -436,9 +451,9 @@ def cmd_eval(args) -> int:
         else:
             entry["report"] = report.to_dict()
             rows.append((Path(syn_path).stem, report))
-        _write_json(out / f"{name}.json", entry)
-    write_aggregate_csv(out / "aggregate.csv", rows)
-    _write_json(out / "eval_summary.json", {
+        _write(out / f"{name}.json", _json_file, entry)
+    _write(out / "aggregate.csv", write_aggregate_csv, rows)
+    _write(out / "eval_summary.json", _json_file, {
         "command": "eval",
         "config_hash": cfg.config_hash(),
         "pairs": len(args.ref),

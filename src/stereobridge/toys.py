@@ -308,6 +308,30 @@ def oracle_ode_sample(
 # Sample-set comparison
 # ---------------------------------------------------------------------------
 
+# Rows per distance block.  A block against m points holds 256·m float64
+# (8 MB at m = 4096).  At 4096×4096 points on 2 vCPUs, blocks of 128 to 512
+# rows ran within noise of each other and 1024 rows ran 1.5-1.7x slower.
+_ED_BLOCK_ROWS = 256
+
+
+def _cross_sum(x: np.ndarray, y: np.ndarray) -> float:
+    """Sum of ‖x_i − y_j‖ over all i, j, one row block of ``x`` at a time."""
+    return sum(float(cdist(x[i:i + _ED_BLOCK_ROWS], y).sum())
+               for i in range(0, x.shape[0], _ED_BLOCK_ROWS))
+
+
+def _within_sum(a: np.ndarray) -> float:
+    """Sum of ‖a_i − a_j‖ over all ordered pairs, each unordered pair
+    computed once: a row block against itself and every later row, with
+    the square diagonal block added in full and the rest twice."""
+    r = _ED_BLOCK_ROWS
+    total = 0.0
+    for i in range(0, a.shape[0], r):
+        d = cdist(a[i:i + r], a[i:])
+        total += float(d[:, :r].sum()) + 2.0 * float(d[:, r:].sum())
+    return total
+
+
 def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Energy distance between two sample sets (U-statistic, clipped at 0).
 
@@ -315,6 +339,13 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     within-sample means taken over distinct pairs, then takes the square
     root; the population quantity is a metric between distributions and is
     zero iff they agree.
+
+    No n×m distance matrix is built.  Each term sums ``cdist`` over blocks
+    of R = ``_ED_BLOCK_ROWS`` (256) rows in a fixed order, so memory is
+    O(R·m) rather than O(n·m), and each within-set term computes every
+    unordered pair once and counts it twice.  Blocking changes only the
+    order of the summation: results agree with the full matrices to about
+    12 digits and are bitwise the same from run to run.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -323,9 +354,9 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     n, m = x.shape[0], y.shape[0]
     if n < 2 or m < 2:
         raise ValueError("need at least two points per sample set")
-    cross = float(cdist(x, y).sum()) / (n * m)
-    within_x = float(cdist(x, x).sum()) / (n * (n - 1))
-    within_y = float(cdist(y, y).sum()) / (m * (m - 1))
+    cross = _cross_sum(x, y) / (n * m)
+    within_x = _within_sum(x) / (n * (n - 1))
+    within_y = _within_sum(y) / (m * (m - 1))
     return float(np.sqrt(max(2.0 * cross - within_x - within_y, 0.0)))
 
 

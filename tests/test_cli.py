@@ -124,6 +124,33 @@ def test_out_path_that_is_a_file_is_usage_error(command, tiny_config, tmp_path, 
     assert taken.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("command, name", [
+    ("selftest-bridge", "bridge_selftest.json"),
+    ("train-toy", "model.ckpt"),
+    ("sample", "samples_nfe1.csv"),
+    ("eval", "pair_000.json"),
+])
+def test_output_file_that_is_a_directory_is_usage_error(
+        command, name, tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    if command == "sample":
+        assert main(["train-toy", "--config", str(tiny_config),
+                     "--out", str(tmp_path / "run")]) == 0
+    if command == "eval":
+        write_decaying_stereo(tmp_path / "ref.wav")
+    extra = {"selftest-bridge": [],
+             "train-toy": ["--config", str(tiny_config)],
+             "sample": ["--checkpoint", str(tmp_path / "run" / "model.ckpt"),
+                        "--count", "8"],
+             "eval": ["--ref", str(tmp_path / "ref.wav"),
+                      "--syn", str(tmp_path / "ref.wav")]}[command]
+    assert main([command, *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(out / name) in err
+    assert (out / name).is_dir()
+
+
 @pytest.mark.parametrize("command", ["train-toy", "sample"])
 def test_negative_seed_is_usage_error(command, tiny_config, tmp_path, capsys):
     extra = ["--checkpoint", str(tmp_path / "absent.ckpt")] if command == "sample" else []

@@ -1,8 +1,10 @@
 """Source hygiene that no installed linter checks: the package under test is
 this checkout's, every import is used, ``src/`` keeps only the defaulted
-parameters listed here, and the README's commands parse."""
+parameters listed here, the README's commands parse, and every committed
+benchmark record carries its machine and both sides' medians."""
 
 import ast
+import json
 import re
 import shlex
 from pathlib import Path
@@ -121,3 +123,26 @@ def test_readme_commands_parse():
         except SystemExit:
             unparsed.append(line)
     assert unparsed == []
+
+
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+END_TO_END = [entry["name"] for entry in
+              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+
+def test_benchmark_records_are_committed():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_benchmark_record_has_machine_and_medians(path):
+    record = json.loads(path.read_text())
+    machine = record["machine"]
+    for key in ("nproc", "blas", "numpy", "python"):
+        assert machine[key], key
+    assert record["workloads"]
+    for workload, entry in record["workloads"].items():
+        for name in END_TO_END:
+            for side in ("parent", "change"):
+                median = entry["end_to_end"][name][side]["median"]
+                assert isinstance(median, (int, float)), (workload, name, side)

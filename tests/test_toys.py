@@ -1,13 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from stereobridge.bridge import Endpoints, analytic_posterior_score
 from stereobridge.config import default_config
 from stereobridge.consistency import ConsistencyModel
 from stereobridge.schedule import NoiseSchedule, bridge_coefficients, make_grid
 from stereobridge.toys import (
+    _ED_BLOCK_ROWS,
     GaussianMixture,
     ToyProblem,
     bridge_marginal_logpdf,
@@ -308,6 +311,50 @@ def test_energy_distance_input_validation():
         energy_distance(np.zeros((3, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         energy_distance(np.zeros((1, 2)), np.zeros((5, 2)))
+
+
+def full_matrix_energy_distance(x, y):
+    """The estimator with every distance matrix built whole."""
+    n, m = len(x), len(y)
+    cross = float(cdist(x, y).sum()) / (n * m)
+    within_x = float(cdist(x, x).sum()) / (n * (n - 1))
+    within_y = float(cdist(y, y).sum()) / (m * (m - 1))
+    return float(np.sqrt(max(2.0 * cross - within_x - within_y, 0.0)))
+
+
+R = _ED_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n, m, dim", [
+    (2, 2, 2), (R - 1, R - 1, 2), (R, R, 2), (R + 1, R + 1, 2),
+    (1000, 4096, 2), (R + 1, 2 * R + 3, 1), (3 * R, R - 1, 3),
+])
+def test_blocked_energy_distance_matches_full_matrices(n, m, dim):
+    rng = np.random.default_rng(n + m + dim)
+    x = rng.normal(size=(n, dim))
+    y = rng.normal(loc=1.0, size=(m, dim))
+    blocked = energy_distance(x, y)
+    assert blocked > 0.0
+    assert blocked == pytest.approx(full_matrix_energy_distance(x, y), rel=1e-12, abs=0)
+
+
+def test_energy_distance_identical_sets_above_the_block_size_is_zero():
+    x = np.random.default_rng(2).normal(size=(4096, 2))
+    assert energy_distance(x, x.copy()) == 0.0
+
+
+def test_energy_distance_memory_is_bounded_by_the_row_block():
+    # A full 4096 x 4096 distance matrix alone is 128 MB.
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4096, 2))
+    y = rng.normal(size=(4096, 2))
+    tracemalloc.start()
+    try:
+        energy_distance(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
