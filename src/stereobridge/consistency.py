@@ -14,9 +14,11 @@ A batch is an ``(x0, x1, cond)`` triple of (batch, dim) arrays throughout.
 Training, sampling and the spread probe address grid nodes by integer index
 and read every coefficient from the model's per-node table, so they build
 bridge states through one formula, :func:`stereobridge.bridge.bridge_state`,
-and boundary outputs through another.  Sampling has one path,
-:func:`sample_multistep`: one-step generation is its single-node case, so
-every evaluation budget draws its noise the same way.
+and boundary outputs through another.  The network runs through one of two
+entry points: :func:`_estimate` (sampling and the EMA target) and
+:func:`stereobridge.net.loss_and_grads` (the online pass).  Sampling has one
+path, :func:`sample_multistep`, which takes an evaluation budget: one-step
+generation is its budget-1 case, so every budget draws its noise the same way.
 """
 
 from __future__ import annotations
@@ -102,17 +104,23 @@ def _boundary(m: ConsistencyModel, i, x, raw) -> np.ndarray:
     return m.table.c_skip[i] * x + m.table.c_out[i] * raw
 
 
+def _estimate(m: ConsistencyModel, params: DenoiserParams, x_t, i, cond) -> np.ndarray:
+    """Data estimates of the network ``params`` for states at grid node(s) ``i``."""
+    raw, _ = net.forward_with_cache(params, x_t, m.grid.nodes[i], cond)
+    return _boundary(m, i, x_t, raw)
+
+
 def denoise(m: ConsistencyModel, x_t: np.ndarray, i: int, cond: np.ndarray) -> np.ndarray:
     """Map (batch, dim) bridge states at grid node ``i`` to the online
     network's data estimates, one row per state.
 
     One call counts as one function evaluation regardless of batch size.
     """
-    raw, _ = net.forward_with_cache(m.online, x_t, m.grid.nodes[i], cond)
-    if not np.all(np.isfinite(raw)):
-        raise TrainingError("network produced a non-finite output; parameters may be corrupt")
+    x0_hat = _estimate(m, m.online, x_t, i, cond)
+    if not np.all(np.isfinite(x0_hat)):
+        raise TrainingError("network produced a non-finite estimate; parameters may be corrupt")
     m.eval_count += 1
-    return _boundary(m, i, x_t, raw)
+    return x0_hat
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +143,8 @@ def consistency_loss_and_grads(
     target map at the lower node, unweighted across grid times.
     The bridge and boundary coefficients are read by grid index from the
     model's table.  Returns ``(loss, grads)`` with the loss averaged over
-    the batch.
+    the batch; :func:`stereobridge.net.loss_and_grads` runs the online pass
+    and raises :class:`TrainingError` on a non-finite loss.
     """
     if np.any(n < 0) or np.any(n >= m.grid.n_steps):
         raise IndexError("grid index out of range")
@@ -144,26 +153,15 @@ def consistency_loss_and_grads(
     # Shared-noise pair: both states sit on the trajectory of one draw z.
     x_lo = _state(m, lo, x0, x1, z)
     x_hi = _state(m, hi, x0, x1, z)
-
-    raw_tgt, _ = net.forward_with_cache(m.target, x_lo, m.grid.nodes[lo], cond)
-    f_tgt = _boundary(m, lo, x_lo, raw_tgt)
-
-    raw_on, cache = net.forward_with_cache(m.online, x_hi, m.grid.nodes[hi], cond)
-    f_on = _boundary(m, hi, x_hi, raw_on)
-
+    f_tgt = _estimate(m, m.target, x_lo, lo, cond)
     batch = x0.shape[0]
-    diff = f_on - f_tgt
-    per_item = np.sum(diff * diff, axis=1)
-    loss = float(np.mean(per_item))
-    if not np.isfinite(loss):
-        raise TrainingError(
-            f"non-finite consistency loss on batch of {batch} "
-            f"(indices {np.unique(n)[:8]!r})"
-        )
 
-    d_raw = (2.0 / batch) * m.table.c_out[hi] * diff
-    grads = net.backward(m.online, cache, d_raw)
-    return loss, grads
+    def loss_fn(raw_on):
+        diff = _boundary(m, hi, x_hi, raw_on) - f_tgt
+        return (float(np.mean(np.sum(diff * diff, axis=1))),
+                (2.0 / batch) * m.table.c_out[hi] * diff)
+
+    return net.loss_and_grads(m.online, (x_hi, m.grid.nodes[hi], cond), loss_fn)
 
 
 def train_step(m: ConsistencyModel, batch, opt: net.AdamState, rng: np.random.Generator):
@@ -194,9 +192,8 @@ def nfe_times(grid: TimeGrid, nfe: int):
 
     The j-th of ``nfe`` calls lands on grid node ``round(N * (1 - j/nfe))``,
     spreading the budget evenly from the top of the grid downward.  Returns
-    a strictly descending list of node indices suitable for
-    :func:`sample_multistep`; budgets too large for the grid collide on a
-    node and are rejected.
+    the strictly descending node list that :func:`sample_multistep` walks;
+    budgets too large for the grid collide on a node and are rejected.
     """
     if nfe < 1:
         raise ValueError("nfe must be at least 1")
@@ -211,32 +208,23 @@ def sample_multistep(
     m: ConsistencyModel,
     x1: np.ndarray,
     cond: np.ndarray,
-    indices,
+    nfe: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Alternate bridge re-noising and denoising down a descending node list.
+    """Alternate bridge re-noising and denoising under a budget of ``nfe``
+    network evaluations, on the grid nodes :func:`nfe_times` picks.
 
-    ``indices`` must be a strictly descending list of grid-node indices.
-    The number of network evaluations equals ``len(indices)``; a single top
-    node is one-step generation.  Each node draws one standard-normal array
-    shaped like ``x1`` and denoises the state
+    ``nfe = 1`` is one-step generation from the top node.  Each node draws
+    one standard-normal array shaped like ``x1`` and denoises the state
     ``a * x0_hat + b * x1 + sqrt(cap_sigma2) * z`` built around the previous
     estimate.  The estimate starts at ``x0_hat = 0``, so the first state is
     bitwise ``b * x1 + sqrt(cap_sigma2) * z``: the data-endpoint term of the
     bridge mean is dropped (its weight is a few 1e-3 at the default maximum
     time and the data point is unknown at inference).
     """
-    indices = list(indices)
-    if len(indices) == 0:
-        raise ValueError("indices must be nonempty")
-    if any(i2 >= i1 for i1, i2 in zip(indices, indices[1:])):
-        raise ValueError(f"indices must be strictly descending, got {indices}")
-    if indices[-1] < 0 or indices[0] > m.grid.n_steps:
-        raise ValueError(f"indices {indices} leave the grid's {m.grid.n_steps + 1} nodes")
-
     x1 = np.asarray(x1, dtype=np.float64)
     x0_hat = 0.0
-    for i in indices:
+    for i in nfe_times(m.grid, nfe):
         z = rng.standard_normal(x1.shape)
         x0_hat = denoise(m, _state(m, i, x0_hat, x1, z), i, cond)
     return x0_hat

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -54,14 +54,7 @@ class MetricReport:
             raise ValueError(f"nfe must be >= 1, got {self.nfe}")
 
     def to_dict(self) -> dict:
-        return {
-            "mcd_db": self.mcd_db,
-            "lre_db": self.lre_db,
-            "rte_s": self.rte_s,
-            "rtf": self.rtf,
-            "nfe": self.nfe,
-            "metadata": dict(self.metadata),
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

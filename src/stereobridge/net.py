@@ -239,12 +239,14 @@ def backward(p: DenoiserParams, cache, d_out: np.ndarray) -> DenoiserParams:
 
 
 def loss_and_grads(p: DenoiserParams, batch, loss_fn):
-    """Scalar loss and parameter gradients for a batch.
+    """Scalar loss and parameter gradients for a batch: training's gradient
+    driver, the one forward-then-backward pass.
 
     ``batch`` is a ``(x_t, t, cond)`` triple of arrays and ``loss_fn`` maps
     the network outputs (batch, data_dim) to ``(loss, dL/d_outputs)``.  The
-    split keeps the differentiation generic: any smooth output-space loss
-    can be checked against finite differences.
+    split keeps the differentiation generic: any smooth output-space loss,
+    the consistency loss among them, can be checked against finite
+    differences.  A non-finite loss raises :class:`TrainingError`.
     """
     x_t, t, cond = batch
     out, cache = forward_with_cache(p, x_t, t, cond)

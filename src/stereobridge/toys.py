@@ -32,7 +32,6 @@ from . import net
 from .bridge import VARIANCE_FLOOR, heun_integrate
 from .consistency import (
     ConsistencyModel,
-    nfe_times,
     sample_multistep,
     self_consistency_spread,
     train_step,
@@ -454,9 +453,8 @@ def toy_sample(model: ConsistencyModel, problem: ToyProblem, n: int,
     """Generate ``n`` points from fresh far endpoints.
 
     Draws the far endpoints from ``rng`` and hands the same generator to
-    :func:`sample_multistep` over the ``nfe`` grid-node indices that
-    :func:`nfe_times` picks; ``nfe = 1`` is the single top node.  The far
-    endpoint is passed as conditioning, matching training.
+    :func:`sample_multistep` with the budget ``nfe``.  The far endpoint is
+    passed as conditioning, matching training.
     """
     x1 = problem.draw_prior(n, rng)
-    return sample_multistep(model, x1, x1, nfe_times(model.grid, nfe), rng)
+    return sample_multistep(model, x1, x1, nfe, rng)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import stereobridge
-from stereobridge.cli import main
+from stereobridge import bridge
+from stereobridge.cli import _samples_csv, main
 from stereobridge.config import load_config, load_run, save_run
 from stereobridge.dsp import StereoWaveform, write_wav
 from stereobridge.metrics import exponential_ir
@@ -188,6 +189,21 @@ def test_selftest_bridge_passes_default_config(tmp_path, capsys):
     assert stdout.count("PASS") == 4
 
 
+def test_selftest_bridge_fails_a_wrong_bridge_state(tmp_path, monkeypatch, capsys):
+    # An error that vanishes at both ends leaves endpoint pinning intact;
+    # the moments check draws through sample_posterior, so it must see it.
+    def skewed(a, b, sqrt_cap_sigma2, x0, x1, z):
+        return a * x0 + b * x1 + sqrt_cap_sigma2 * z + 0.5 * a * b * (x1 - x0)
+
+    monkeypatch.setattr(bridge, "bridge_state", skewed)
+    out = tmp_path / "st"
+    assert main(["selftest-bridge", "--out", str(out)]) == 1
+    report = json.loads((out / "bridge_selftest.json").read_text())
+    entries = {entry["name"]: entry for entry in report["invariants"]}
+    assert entries["posterior-moments"]["passed"] is False
+    assert "FAIL posterior-moments" in capsys.readouterr().out
+
+
 def run_selftest_on_schedule(beta, tmp_path):
     """``(exit code, {name: entry})`` for selftest-bridge at a constant rate."""
     cfg = tmp_path / "sched.json"
@@ -363,6 +379,25 @@ def test_sample_budget_counts_evaluations(tiny_config, trained, tmp_path, capsys
         timing = json.loads((out / f"timing_nfe{nfe}.json").read_text())
         assert timing["network_evaluations"] == int(nfe)
     capsys.readouterr()
+
+
+def old_samples_csv(samples):
+    """The sample CSV as a per-value f-string loop writes it."""
+    lines = [",".join(f"c{i}" for i in range(samples.shape[1]))]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in samples]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("samples", [
+    np.random.default_rng(0).standard_normal((4096, 2)),
+    np.random.default_rng(1).standard_normal((3, 5)),
+    np.array([[0.25]]),
+    np.array([[-0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0]]),
+], ids=["4096x2", "3x5", "1x1", "edge-values"])
+def test_samples_csv_bytes(samples, tmp_path):
+    path = tmp_path / "s.csv"
+    _samples_csv(path, samples)
+    assert path.read_bytes() == old_samples_csv(samples).encode()
 
 
 @pytest.mark.parametrize("nfe", [1, 8])

@@ -318,61 +318,58 @@ def test_train_step_rejects_empty_batch():
 
 def test_one_step_uses_exactly_one_evaluation():
     m = make_model(seed=23)
-    top = [m.grid.n_steps]
     assert m.eval_count == 0
-    sample_multistep(m, np.zeros((1, DIM)), np.zeros((1, COND)), top, np.random.default_rng(0))
+    sample_multistep(m, np.zeros((1, DIM)), np.zeros((1, COND)), 1, np.random.default_rng(0))
     assert m.eval_count == 1
-    sample_multistep(m, np.zeros((5, DIM)), np.zeros((5, COND)), top, np.random.default_rng(0))
+    sample_multistep(m, np.zeros((5, DIM)), np.zeros((5, COND)), 1, np.random.default_rng(0))
     assert m.eval_count == 2
 
 
 def test_multistep_single_time_reduces_to_one_step():
-    # One node, at the top or below it: denoise the start state
-    # b * x1 + sqrt(cap_sigma2) * z built from the generator's first draw.
+    # Budget 1 denoises the top-node start state b * x1 + sqrt(cap_sigma2) * z
+    # built from the generator's first draw.
     m = make_model(seed=25)
     x1 = np.array([[0.3, -0.7, 1.1]])
     cond = np.ones((1, COND))
-    for i in (m.grid.n_steps, 3):
-        t = float(m.grid.nodes[i])
-        z = np.random.default_rng(26).standard_normal((1, DIM))
-        _, b, cap_sigma2 = bridge_coefficients(m.sched, t)
-        c_skip, c_out = _scalings(cap_sigma2, m.sigma_data)
-        start = b * x1 + np.sqrt(cap_sigma2) * z
-        raw, _ = net.forward_with_cache(m.online, start, t, cond)
-        expected = c_skip * start + c_out * raw
-        out = sample_multistep(m, x1, cond, [i], np.random.default_rng(26))
-        assert np.array_equal(out, expected)
+    t = float(m.grid.t_max)
+    z = np.random.default_rng(26).standard_normal((1, DIM))
+    _, b, cap_sigma2 = bridge_coefficients(m.sched, t)
+    c_skip, c_out = _scalings(cap_sigma2, m.sigma_data)
+    start = b * x1 + np.sqrt(cap_sigma2) * z
+    raw, _ = net.forward_with_cache(m.online, start, t, cond)
+    expected = c_skip * start + c_out * raw
+    out = sample_multistep(m, x1, cond, 1, np.random.default_rng(26))
+    assert np.array_equal(out, expected)
 
 
 def test_multistep_counts_evaluations():
     m = make_model(seed=27)
-    before = m.eval_count
-    sample_multistep(m, np.zeros((1, DIM)), np.zeros((1, COND)), [8, 6, 4, 2],
-                     np.random.default_rng(28))
-    assert m.eval_count - before == 4
+    for nfe in (1, 2, 4, 8):
+        before = m.eval_count
+        sample_multistep(m, np.zeros((1, DIM)), np.zeros((1, COND)), nfe,
+                         np.random.default_rng(28))
+        assert m.eval_count - before == nfe
 
 
 def test_multistep_validates_times():
+    # A budget of 0, or one too large for the grid's 8 steps, is refused
+    # before any evaluation.
     m = make_model()
     x1 = np.zeros((1, DIM))
     cond = np.zeros((1, COND))
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_multistep(m, x1, cond, [], rng)
-    with pytest.raises(ValueError):
-        sample_multistep(m, x1, cond, [2, 5], rng)
-    with pytest.raises(ValueError):
-        sample_multistep(m, x1, cond, [m.grid.n_steps + 1], rng)
-    with pytest.raises(ValueError):
-        sample_multistep(m, x1, cond, [3, -1], rng)
+    for nfe in (0, 9):
+        with pytest.raises(ValueError):
+            sample_multistep(m, x1, cond, nfe, rng)
+    assert m.eval_count == 0
 
 
 def test_sampling_deterministic_given_seed():
     m = make_model(seed=29)
     x1 = np.array([[0.5, 0.5, -0.5]])
     cond = np.ones((1, COND))
-    a = sample_multistep(m, x1, cond, [8, 4], np.random.default_rng(30))
-    b = sample_multistep(m, x1, cond, [8, 4], np.random.default_rng(30))
+    a = sample_multistep(m, x1, cond, 2, np.random.default_rng(30))
+    b = sample_multistep(m, x1, cond, 2, np.random.default_rng(30))
     assert np.array_equal(a, b)
 
 
@@ -474,9 +471,14 @@ def test_nfe_times_rejects_bad_budgets():
 
 
 def test_nfe_times_feed_multistep_sampler():
+    # The sampler walks nfe_times' nodes: re-noise, then denoise, at each.
     m = make_model()
     x1 = np.random.default_rng(0).normal(size=(5, DIM))
     cond = np.zeros((5, COND))
-    out = sample_multistep(m, x1, cond, nfe_times(m.grid, 4),
-                           np.random.default_rng(1))
+    out = sample_multistep(m, x1, cond, 4, np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    x0_hat = 0.0
+    for i in nfe_times(m.grid, 4):
+        x0_hat = denoise(m, _state(m, i, x0_hat, x1, rng.standard_normal(x1.shape)), i, cond)
     assert out.shape == (5, DIM)
+    assert np.array_equal(out, x0_hat)

@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: the package under test is
 this checkout's, every import is used, ``src/`` keeps only the defaulted
-parameters listed here, the README's commands parse, and every committed
-benchmark record carries its machine and both sides' medians."""
+parameters listed here, the network's forward pass has one caller per entry
+point, the README's commands parse, and every committed benchmark record
+carries its machine and both sides' medians."""
 
 import ast
 import json
@@ -102,6 +103,42 @@ def test_defaulted_parameters_are_the_listed_ten():
     found = [name for path in sorted(PACKAGE.glob("*.py"))
              for name in defaulted_parameters(path)]
     assert sorted(found) == sorted(DEFAULTED)
+
+
+def call_sites(path: Path, callee: str) -> list[str]:
+    """``module.function`` for each call of ``callee``, bare or as an
+    attribute, named by the innermost function that makes it."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (isinstance(f, ast.Name) and f.id == callee) or \
+                        (isinstance(f, ast.Attribute) and f.attr == callee):
+                    found.append(where)
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{path.stem}.{child.name}"
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
+    return found
+
+
+def test_call_site_scan_names_the_calling_function(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import net\nnet.f(1)\n"
+                    "def g():\n    f()\n    def h():\n        net.f(2)\n")
+    assert call_sites(path, "f") == ["mod.<module>", "mod.g", "mod.h"]
+
+
+def test_forward_pass_has_one_caller_per_entry_point():
+    # Sampling and the EMA-target pass share consistency._estimate; the
+    # online pass goes through net.loss_and_grads, training's gradient driver.
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in call_sites(path, "forward_with_cache")]
+    assert sorted(found) == ["consistency._estimate", "net.loss_and_grads"]
 
 
 def readme_commands() -> list[str]:

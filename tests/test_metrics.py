@@ -343,8 +343,12 @@ def test_fft_reverb_leaves_scipy_signal_unimported():
 # ---------------------------------------------------------------------------
 
 def test_metric_report_validation():
-    report = MetricReport(mcd_db=7.7, lre_db=1.0, rte_s=0.065, rtf=0.02, nfe=1)
-    assert report.to_dict()["nfe"] == 1
+    report = MetricReport(mcd_db=7.7, lre_db=1.0, rte_s=0.065, rtf=0.02, nfe=1,
+                          metadata={"seed": 3})
+    d = report.to_dict()
+    assert d == {"mcd_db": 7.7, "lre_db": 1.0, "rte_s": 0.065, "rtf": 0.02,
+                 "nfe": 1, "metadata": {"seed": 3}}
+    assert d["metadata"] is not report.metadata
     with pytest.raises(ValueError):
         MetricReport(mcd_db=-1.0, lre_db=0.0, rte_s=0.0, rtf=0.0, nfe=1)
     with pytest.raises(ValueError):
