@@ -360,7 +360,11 @@ def write_grid(path, grid: SceneFeatureGrid) -> None:
 
 
 def read_grid(path) -> SceneFeatureGrid:
-    """Read a grid written by :func:`write_grid` (or any external encoder)."""
+    """Read a grid written by :func:`write_grid` (or any external encoder).
+
+    The header's extents are checked against the bytes the file holds
+    before any array is built; bytes past the payload are ignored.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_GRID_HEADER.size)
         if len(head) != _GRID_HEADER.size:
@@ -368,11 +372,11 @@ def read_grid(path) -> SceneFeatureGrid:
         h, w, c = _GRID_HEADER.unpack(head)
         if h < 4 or w < 4 or c < 1:
             raise ValueError(f"grid file {path!s} has bad extents {(h, w, c)}")
-        payload = fh.read(4 * h * w * c)
-    if len(payload) != 4 * h * w * c:
+        payload = fh.read()
+    if len(payload) < 4 * h * w * c:
         raise ValueError(
             f"grid file {path!s} truncated: expected {4 * h * w * c} payload "
             f"bytes, found {len(payload)}"
         )
-    feats = np.frombuffer(payload, dtype="<f4").reshape(h, w, c)
+    feats = np.frombuffer(payload, dtype="<f4", count=h * w * c).reshape(h, w, c)
     return SceneFeatureGrid(feats.astype(np.float64))

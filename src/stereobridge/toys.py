@@ -14,8 +14,8 @@ The training entry point takes every setting from one run configuration
 (the command line's ``RunConfig``; the reference recipe is its default),
 feeds the consistency trainer ``(x0, x1, cond)`` array batches, and reports
 the bookkeeping the command line and the acceptance checks need: per-step
-losses, wall-clock stamps, and self-consistency spread snapshots taken early
-and at the end of the run.
+losses, a per-step wall-clock stamp for the step callback, and
+self-consistency spread snapshots taken early and at the end of the run.
 """
 
 from __future__ import annotations
@@ -207,33 +207,35 @@ def _component_logpdfs(x, t, post: Posterior, sched):
     return log_comp, diff, variances
 
 
-def _score(x, t, post: Posterior, sched):
+def bridge_marginal_logpdf(x, t, post: Posterior, sched: NoiseSchedule):
+    """Log density of the bridge state with the clean endpoint integrated out.
+
+    The clean point is mixed over its posterior ``post``, so component j of
+    the state mixture has mean a·mean_j(x1) + b·x1 and isotropic variance
+    a²·var_j + Σ²; at t = 0 this is the posterior log density itself.  ``x``
+    is an (n, dim) batch and ``post.x1`` is (n, dim) too, or (1, dim) for
+    one endpoint that every point shares.
+    """
+    log_comp, _, _ = _component_logpdfs(x, t, post, sched)
+    return logsumexp(log_comp, axis=0)
+
+
+def bridge_marginal_score(x, t, post: Posterior, sched: NoiseSchedule):
+    """Gradient of :func:`bridge_marginal_logpdf` in the state argument.
+
+    Computed through component responsibilities rather than by
+    differentiating the log density numerically, so tests can play the two
+    routes against each other.
+    """
     log_comp, diff, variances = _component_logpdfs(x, t, post, sched)
     log_resp = log_comp - logsumexp(log_comp, axis=0, keepdims=True)
     resp = np.exp(log_resp)
     return -np.sum(resp[:, None, :] * diff / variances[:, None, None], axis=0).T
 
 
-def _drift(x, t, post: Posterior, sched):
-    """Velocity field whose flow preserves the bridge marginals over time.
-
-    The bridge toward x1 follows dx = β(t)(x1 − x)/σ̄² dt + √β(t) dW
-    regardless of which clean point it started from; only the initial
-    distribution differs.  The deterministic flow with the same time
-    marginals therefore subtracts half the squared diffusion times the
-    marginal score:
-
-        v(x, t) = β(t)(x1 − x)/σ̄²(t) − β(t)/2 · ∇log q_t(x | x1).
-    """
-    beta = float(beta_at(sched, float(t)))
-    _, sigma_bar2 = accumulated_variances(sched, float(t))
-    sigma_bar2 = max(float(sigma_bar2), VARIANCE_FLOOR)
-    score = _score(x, t, post, sched)
-    return beta * (post.x1 - x) / sigma_bar2 - 0.5 * beta * score
-
-
-def _draw(post: Posterior, t, sched, rng: np.random.Generator) -> np.ndarray:
-    """Exact bridge states at time t, one per row of ``post.x1``."""
+def sample_bridge_marginal(t, post: Posterior, sched: NoiseSchedule,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Draw exact bridge states at time t, one per row of ``post.x1``."""
     log_w, means, variances = _state_mixture(post, t, sched)
     n = post.x1.shape[0]
     cum = np.cumsum(np.exp(log_w), axis=0)
@@ -242,34 +244,6 @@ def _draw(post: Posterior, t, sched, rng: np.random.Generator) -> np.ndarray:
     centers = means[comp, :, np.arange(n)]
     scales = np.sqrt(variances[comp])
     return centers + scales[:, None] * rng.standard_normal(post.x1.shape)
-
-
-def bridge_marginal_logpdf(x, t, x1, problem: ToyProblem, sched: NoiseSchedule):
-    """Log density of the bridge state with the clean endpoint integrated out.
-
-    The clean point is mixed over its posterior given ``x1``, so component j
-    of the state mixture has mean a·mean_j(x1) + b·x1 and isotropic variance
-    a²·var_j + Σ².  ``x`` is an (n, dim) batch and ``x1`` is (n, dim) too,
-    or (1, dim) for one endpoint that every point shares.
-    """
-    log_comp, _, _ = _component_logpdfs(x, t, posterior_mixing(problem, x1), sched)
-    return logsumexp(log_comp, axis=0)
-
-
-def bridge_marginal_score(x, t, x1, problem: ToyProblem, sched: NoiseSchedule):
-    """Gradient of :func:`bridge_marginal_logpdf` in the state argument.
-
-    Computed through component responsibilities rather than by
-    differentiating the log density numerically, so tests can play the two
-    routes against each other.
-    """
-    return _score(x, t, posterior_mixing(problem, x1), sched)
-
-
-def sample_bridge_marginal(t, x1, problem: ToyProblem, sched: NoiseSchedule,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Draw exact bridge states at time t, one per row of ``x1``."""
-    return _draw(posterior_mixing(problem, x1), t, sched, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +261,32 @@ def oracle_ode_sample(
 ) -> np.ndarray:
     """Reference sampler: exact start marginal plus marginal-score flow.
 
-    Draws the bridge state at ``t_start`` in closed form and integrates the
-    velocity field of :func:`_drift` down to ``t_end`` with the shared
-    second-order integrator.  Only analytic quantities enter, making this a
-    gold-standard baseline for learned samplers.  The posterior over the
-    clean point depends on ``x1`` alone, so one per call serves the start
-    draw and every drift evaluation, which adds only time coefficients.
+    Draws the start with :func:`sample_bridge_marginal` and integrates the
+    flow built on :func:`bridge_marginal_score` down to ``t_end`` with the
+    shared second-order integrator.  Only analytic quantities enter, making
+    this a gold-standard baseline for learned samplers.  The posterior over
+    the clean point depends on ``x1`` alone, so one per call serves the
+    start draw and every score evaluation, which adds only time coefficients.
     """
     post = posterior_mixing(problem, x1)
-    start = _draw(post, t_start, sched, rng)
+    start = sample_bridge_marginal(t_start, post, sched, rng)
 
     def drift(x, t):
-        return _drift(x, t, post, sched)
+        """Velocity field whose flow preserves the bridge marginals over time.
+
+        The bridge toward x1 follows dx = β(t)(x1 − x)/σ̄² dt + √β(t) dW
+        regardless of which clean point it started from; only the initial
+        distribution differs.  The deterministic flow with the same time
+        marginals therefore subtracts half the squared diffusion times the
+        marginal score:
+
+            v(x, t) = β(t)(x1 − x)/σ̄²(t) − β(t)/2 · ∇log q_t(x | x1).
+        """
+        beta = float(beta_at(sched, float(t)))
+        _, sigma_bar2 = accumulated_variances(sched, float(t))
+        sigma_bar2 = max(float(sigma_bar2), VARIANCE_FLOOR)
+        score = bridge_marginal_score(x, t, post, sched)
+        return beta * (post.x1 - x) / sigma_bar2 - 0.5 * beta * score
 
     return heun_integrate(drift, start, float(t_start), float(t_end), int(steps))
 
@@ -369,7 +357,6 @@ class ToyTrainResult:
 
     model: ConsistencyModel
     losses: np.ndarray       # (steps,) pre-update loss per step
-    wall_ms: np.ndarray      # (steps,) cumulative wall clock after each step
     spread_probe: float      # mean self-consistency spread at probe_step
     spread_final: float      # same probes, measured after the last step
     probe_step: int
@@ -393,10 +380,11 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
     batch, the probe's included, comes from :func:`draw_training_items`.
 
     ``step_callback(step, model, loss, wall_ms)`` fires after every
-    optimizer step (steps are 1-based); a trainer failure propagates after
-    the callback has seen the last completed step, so callers can retain
-    their most recent good state.  The model is updated in place, so a
-    callback that keeps it must save or copy it.
+    optimizer step (steps are 1-based; ``wall_ms`` is the time since the
+    first began); a trainer failure propagates after the callback has seen
+    the last completed step, so callers can retain their most recent good
+    state.  The model is updated in place, so a callback that keeps it must
+    save or copy it.
     """
     steps, probe_step, flat_fraction = cfg.steps, cfg.probe_step, cfg.flat_fraction
     lr, final_lr = cfg.lr, cfg.final_lr
@@ -419,7 +407,6 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
     probe_noise = probe_rng.standard_normal(probe_batch[0].shape)
 
     losses = np.zeros(steps)
-    wall_ms = np.zeros(steps)
     spread_probe = np.nan
     t_begin = time.perf_counter()
     for step in range(1, steps + 1):
@@ -431,16 +418,14 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
         batch = draw_training_items(problem, cfg.batch_size, rng)
         model, opt, loss = train_step(model, batch, opt, rng)
         losses[step - 1] = loss
-        wall_ms[step - 1] = 1e3 * (time.perf_counter() - t_begin)
         if step_callback is not None:
-            step_callback(step, model, loss, float(wall_ms[step - 1]))
+            step_callback(step, model, loss, 1e3 * (time.perf_counter() - t_begin))
         if step == probe_step:
             spread_probe = self_consistency_spread(model, probe_batch, probe_noise)
     spread_final = self_consistency_spread(model, probe_batch, probe_noise)
     return ToyTrainResult(
         model=model,
         losses=losses,
-        wall_ms=wall_ms,
         spread_probe=float(spread_probe),
         spread_final=spread_final,
         probe_step=probe_step,

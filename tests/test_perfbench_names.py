@@ -1,6 +1,8 @@
-"""The benchmark tracer wraps functions by name; every name must resolve, and
-its FLOP counter must read the network parameters it is handed."""
+"""The benchmark tracer wraps functions by name; every name must resolve and
+be reached by the code the workloads run, and its FLOP counter must read
+the network parameters it is handed."""
 
+import ast
 import importlib.util
 import json
 import sys
@@ -12,7 +14,8 @@ from stereobridge.consistency import ConsistencyModel, denoise
 from stereobridge.net import init_denoiser
 from stereobridge.schedule import NoiseSchedule, make_grid
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.json"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "perfbench" / "layers.json"
 
 
 def test_traced_layers_resolve_to_callables():
@@ -24,6 +27,23 @@ def test_traced_layers_resolve_to_callables():
         if not callable(found):
             missing.append(name)
     assert len(names) > 0 and missing == []
+
+
+def test_traced_layers_are_referenced_by_running_code():
+    # A traced function that no code reads, calls or looks up as an
+    # attribute always reports zero calls.  Imports and docstrings do not
+    # count as references.
+    referenced = set()
+    for path in [*sorted((ROOT / "src" / "stereobridge").glob("*.py")),
+                 ROOT / "perfbench" / "workloads.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    names = [entry["function"] for entry in json.loads(LAYERS.read_text())["layers"]]
+    unreached = [name for name in names if name.split(".")[1] not in referenced]
+    assert unreached == []
 
 
 def load_harness(monkeypatch):

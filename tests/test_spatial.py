@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +384,22 @@ def test_grid_file_truncation_detected(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         read_grid(path)
+
+
+@pytest.mark.parametrize("extents", [(2**31 - 1,) * 3, (40000, 40000, 16)])
+def test_grid_file_oversized_header_is_truncation(tmp_path, extents):
+    # 4·h·w·c overflows an allocation at the first header and asks for
+    # about 102 GB at the second; the file holds 64 payload bytes.
+    path = tmp_path / "scene.grid"
+    path.write_bytes(np.array(extents, dtype="<i4").tobytes() + b"\x00" * 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated"):
+            read_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_grid_file_bad_header(tmp_path):

@@ -141,12 +141,13 @@ def test_oracle_is_bitwise_the_reference(name):
 def test_marginal_functions_are_bitwise_the_reference(name, t):
     problem = PROBLEMS[name]
     x1, x = endpoints(problem)
-    assert np.array_equal(bridge_marginal_score(x, t, x1, problem, SCHED),
+    post = posterior_mixing(problem, x1)
+    assert np.array_equal(bridge_marginal_score(x, t, post, SCHED),
                           ref_score(x, t, x1, problem, SCHED))
-    assert np.array_equal(bridge_marginal_logpdf(x, t, x1, problem, SCHED),
+    assert np.array_equal(bridge_marginal_logpdf(x, t, post, SCHED),
                           ref_logpdf(x, t, x1, problem, SCHED))
     assert np.array_equal(
-        sample_bridge_marginal(t, x1, problem, SCHED, np.random.default_rng(8)),
+        sample_bridge_marginal(t, post, SCHED, np.random.default_rng(8)),
         ref_sample(t, x1, problem, SCHED, np.random.default_rng(8)))
 
 
@@ -165,3 +166,25 @@ def test_oracle_computes_the_posterior_once_per_call(steps, monkeypatch):
                       t_start=GRID.t_max, t_end=GRID.t_min, steps=steps)
     # One for the start draw and the flow together, however many steps.
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("steps", [8, 64])
+def test_oracle_runs_the_public_marginal_functions(steps, monkeypatch):
+    calls = {"draw": 0, "score": 0}
+
+    def counting_draw(t, post, sched, rng):
+        calls["draw"] += 1
+        return sample_bridge_marginal(t, post, sched, rng)
+
+    def counting_score(x, t, post, sched):
+        calls["score"] += 1
+        return bridge_marginal_score(x, t, post, sched)
+
+    monkeypatch.setattr(toys, "sample_bridge_marginal", counting_draw)
+    monkeypatch.setattr(toys, "bridge_marginal_score", counting_score)
+    problem = PROBLEMS["default"]
+    x1, _ = endpoints(problem, n=64)
+    oracle_ode_sample(problem, x1, SCHED, np.random.default_rng(0),
+                      t_start=GRID.t_max, t_end=GRID.t_min, steps=steps)
+    # One start draw, then two score evaluations per Heun step.
+    assert calls == {"draw": 1, "score": 2 * steps}
