@@ -393,11 +393,16 @@ def old_samples_csv(samples):
     np.random.default_rng(1).standard_normal((3, 5)),
     np.array([[0.25]]),
     np.array([[-0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0]]),
-], ids=["4096x2", "3x5", "1x1", "edge-values"])
+    np.array([[-0.0], [5e-324], [1e-300], [1e300], [3.0], [-2.0 ** 60]]),
+    np.array([[-0.0, 5e-324, -1e-300], [1e300, 7.0, 0.0], [-12.0, 2.0 ** 53, 0.1]]),
+], ids=["4096x2", "3x5", "1x1", "edge-values", "edge-1-column", "edge-3-columns"])
 def test_samples_csv_bytes(samples, tmp_path):
     path = tmp_path / "s.csv"
     _samples_csv(path, samples)
     assert path.read_bytes() == old_samples_csv(samples).encode()
+    np.savetxt(tmp_path / "ref.csv", samples, fmt="%.17g", delimiter=",", comments="",
+               header=",".join(f"c{i}" for i in range(samples.shape[1])))
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("nfe", [1, 8])

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stereobridge import net
 from stereobridge.bridge import Endpoints, sample_posterior
+from stereobridge.config import default_config
 from stereobridge.consistency import (
     ConsistencyModel,
     NodeTable,
@@ -482,3 +485,25 @@ def test_nfe_times_feed_multistep_sampler():
         x0_hat = denoise(m, _state(m, i, x0_hat, x1, rng.standard_normal(x1.shape)), i, cond)
     assert out.shape == (5, DIM)
     assert np.array_equal(out, x0_hat)
+
+
+def test_denoise_memory_per_row_at_the_recipe_width():
+    # The forward keeps one pre-activation per hidden layer and one shared
+    # activation buffer: 5 x 192 float64 values, about 7.7 KB per row.
+    cfg = default_config()
+    rng = np.random.default_rng(0)
+    online = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=cfg.hidden,
+                           depth=cfg.depth, time_embed_dim=cfg.time_embed_dim)
+    m = cfg.model(online.flat, online.flat.copy())
+    rows = 4096
+    x_t = rng.standard_normal((rows, 2))
+    cond = rng.standard_normal((rows, 2))
+    i = m.grid.n_steps
+    denoise(m, x_t, i, cond)
+    tracemalloc.start()
+    try:
+        denoise(m, x_t, i, cond)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / rows <= 9e3
