@@ -11,13 +11,14 @@ Four subcommands cover the artifact's operational surface:
 * ``sample`` — load a checkpoint and generate with a fixed evaluation
   budget under the run config the checkpoint carries; writes a sample CSV
   and a timing record with explicit function-evaluation accounting.
-* ``eval`` — score aligned reference/synthesis audio pairs; writes per-pair
-  JSON plus an aggregate CSV, flagging failed pairs while keeping partial
-  results.
+* ``eval`` — score aligned reference/synthesis audio pairs by MCD, LRE and
+  RTE; needs no config, and writes per-pair JSON plus an aggregate CSV,
+  flagging failed pairs while keeping partial results.
 
-Every command is deterministic for a fixed seed and config; wall-clock
-fields are the only exception and are marked as such in the reports.  Exit
-codes: 0 success, 1 check or metric failure, 2 usage/config error.
+Every command writes into ``--out``, ``runs`` when it is not given.  Every
+command is deterministic for a fixed seed and config; wall-clock fields are
+the only exception and are marked as such in the reports.  Exit codes: 0
+success, 1 check or metric failure, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 
 from .bridge import (
     BridgeSample,
+    DivergenceError,
     Endpoints,
     analytic_posterior_score,
     integrate_pf_ode,
@@ -44,6 +46,7 @@ from .config import ConfigError, RunConfig, default_config, load_config, load_ru
 from .consistency import nfe_times
 from .dsp import log_mel, mel_cepstra, read_wav
 from .metrics import (
+    MCD_ORDER,
     MetricReport,
     lre,
     mcd,
@@ -86,13 +89,12 @@ def _load_run_config(args) -> RunConfig:
     return _with_seed(args, load_config(args.config) if args.config else default_config())
 
 
-def _out_dir(args, cfg: RunConfig) -> Path:
-    out = Path(args.out) if args.out else Path(cfg.out_dir)
+def _out_dir(args) -> Path:
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError("--out" if args.out else "io.out_dir",
-                          f"cannot create output directory {str(out)!r}: {exc}") from exc
+        raise ConfigError("--out", f"cannot create output directory {str(out)!r}: {exc}") from exc
     return out
 
 
@@ -223,16 +225,17 @@ INVARIANTS = (
 
 
 def cmd_selftest_bridge(args) -> int:
-    """Run every invariant and report each; one that raises ``ValueError``
-    or ``ArithmeticError`` (a schedule too extreme for it, say) fails with
-    the message as its detail, and the others still run."""
+    """Run every invariant and report each; one that raises ``ValueError``,
+    ``ArithmeticError`` or :class:`~stereobridge.bridge.DivergenceError` (a
+    schedule too extreme for it, say) fails with the message as its
+    detail, and the others still run."""
     cfg = _load_run_config(args)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     invariants = []
     for name, check in INVARIANTS:
         try:
             passed, detail = check(cfg)
-        except (ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError, DivergenceError) as exc:
             passed, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
         invariants.append({"name": name, "passed": passed, "detail": detail})
     passed = all(entry["passed"] for entry in invariants)
@@ -261,7 +264,7 @@ def _loss_csv(path: Path, rows) -> None:
 
 def cmd_train_toy(args) -> int:
     cfg = _load_run_config(args)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     ckpt_path = out / "model.ckpt"
 
     rows = []
@@ -349,14 +352,14 @@ def _samples_csv(path: Path, samples: np.ndarray) -> None:
 def cmd_sample(args) -> int:
     """Sample under the run config the checkpoint carries.  A ``--config``
     must agree with it on every model-defining section, so in effect it
-    supplies only the seed and output directory."""
+    supplies only the seed."""
     if not 1 <= args.count <= MAX_SAMPLE_COUNT:
         raise ConfigError("--count", f"must lie in [1, {MAX_SAMPLE_COUNT:,}], got {args.count}")
     given = _load_run_config(args) if args.config else None
     if given is not None:
         # Its usage errors end the call before the checkpoint is opened.
         _check_budget(given.time_grid(), args.nfe)
-        _out_dir(args, given)
+        _out_dir(args)
     try:
         run, model, step = load_run(args.checkpoint)
     except (OSError, ValueError) as exc:
@@ -366,7 +369,7 @@ def cmd_sample(args) -> int:
         _check_agrees(given, run)
     cfg = _with_seed(args, run) if given is None else given
     _check_budget(model.grid, args.nfe)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
 
     t_begin = time.perf_counter()
     try:
@@ -405,8 +408,7 @@ def cmd_sample(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _evaluate_pair(cfg: RunConfig, ref_path: str, syn_path: str,
-                   nfe: int) -> MetricReport:
+def _evaluate_pair(ref_path: str, syn_path: str) -> MetricReport:
     ref = read_wav(ref_path)
     syn = read_wav(syn_path)
     mel_ref = log_mel(ref)
@@ -416,41 +418,33 @@ def _evaluate_pair(cfg: RunConfig, ref_path: str, syn_path: str,
             f"channel counts differ: {mel_ref.shape[0]} vs {mel_syn.shape[0]}"
         )
     mcd_db = float(np.mean([
-        mcd(mel_cepstra(mel_ref[ch], cfg.cepstral_k),
-            mel_cepstra(mel_syn[ch], cfg.cepstral_k))
+        mcd(mel_cepstra(mel_ref[ch], MCD_ORDER), mel_cepstra(mel_syn[ch], MCD_ORDER))
         for ch in range(mel_ref.shape[0])
     ]))
-    lre_db = lre(ref, syn, linear=cfg.lre_linear)
+    lre_db = lre(ref, syn)
     rt_ref = rt60_schroeder(ref.samples.mean(axis=1), ref.rate)
     rt_syn = rt60_schroeder(syn.samples.mean(axis=1), syn.rate)
     return MetricReport(
         mcd_db=mcd_db,
         lre_db=lre_db,
         rte_s=rte(rt_ref, rt_syn),
-        rtf=0.0,
-        nfe=nfe,
-        metadata={
-            "config_hash": cfg.config_hash(),
-            "substitutions": SUBSTITUTIONS,
-            "rtf_note": "not measured during offline evaluation",
-        },
+        metadata={"substitutions": SUBSTITUTIONS},
     )
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_run_config(args)
     if len(args.ref) != len(args.syn):
         print(f"--ref and --syn must align: {len(args.ref)} vs "
               f"{len(args.syn)} paths", file=sys.stderr)
         return 2
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     rows = []
     failures = []
     for i, (ref_path, syn_path) in enumerate(zip(args.ref, args.syn)):
         name = f"pair_{i:03d}"
         entry = {"ref": str(ref_path), "syn": str(syn_path)}
         try:
-            report = _evaluate_pair(cfg, ref_path, syn_path, args.nfe)
+            report = _evaluate_pair(ref_path, syn_path)
         except (OSError, ValueError) as exc:
             entry["error"] = str(exc)
             failures.append(entry)
@@ -461,7 +455,6 @@ def cmd_eval(args) -> int:
     _write(out / "aggregate.csv", write_aggregate_csv, rows)
     _write(out / "eval_summary.json", _json_file, {
         "command": "eval",
-        "config_hash": cfg.config_hash(),
         "pairs": len(args.ref),
         "evaluated": len(rows),
         "failures": failures,
@@ -486,13 +479,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest-bridge",
                        help="run the analytic invariant suite")
     p.add_argument("--config", help="path to a JSON config file")
-    p.add_argument("--out", help="output directory (default from config)")
+    p.add_argument("--out", default="runs", help="output directory (default: runs)")
     p.set_defaults(func=cmd_selftest_bridge)
 
     p = sub.add_parser("train-toy", help="train the toy consistency model")
     p.add_argument("--config", help="path to a JSON config file")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--out", help="output directory (default from config)")
+    p.add_argument("--out", default="runs", help="output directory (default: runs)")
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("sample", help="generate from a trained checkpoint")
@@ -504,18 +497,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--count", type=int, default=4096,
                    help="number of samples to draw")
-    p.add_argument("--out", help="output directory (default from config)")
+    p.add_argument("--out", default="runs", help="output directory (default: runs)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("eval", help="score reference/synthesis audio pairs")
-    p.add_argument("--config", help="path to a JSON config file")
     p.add_argument("--ref", nargs="+", required=True,
                    help="reference WAV paths")
     p.add_argument("--syn", nargs="+", required=True,
                    help="synthesized WAV paths, aligned with --ref")
-    p.add_argument("--nfe", type=int, choices=(1, 2, 4, 8), default=1,
-                   help="evaluation-budget label recorded in reports")
-    p.add_argument("--out", help="output directory (default from config)")
+    p.add_argument("--out", default="runs", help="output directory (default: runs)")
     p.set_defaults(func=cmd_eval)
 
     return parser

@@ -26,11 +26,14 @@ import numpy as np
 
 from . import net
 from .consistency import ConsistencyModel
-from .dsp import N_MELS
 from .schedule import NoiseSchedule, TimeGrid, make_grid
 from .toys import GaussianMixture, ToyProblem
 
 SCHEMA_VERSION = 1
+
+# make_grid's ends.  RunConfig reads these and NoiseSchedule's rates as its
+# defaults, so the recipe cannot drift from the library's defaults.
+_GRID_T_MIN, _GRID_T_MAX = make_grid.__defaults__
 
 # The most parameters a denoiser may hold (the recipe's holds 118,658).
 MAX_DENOISER_PARAMETERS = 1_000_000
@@ -68,7 +71,7 @@ def _count(low: int, high: int):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated settings for training, sampling, and evaluation.
+    """Validated settings for a training run and the sampling it supports.
 
     The field defaults are the reference recipe, and its only copy: the toy
     trainer reads every setting from a ``RunConfig``.  The recipe was tuned
@@ -81,12 +84,12 @@ class RunConfig:
     :class:`ConfigError` naming its key.
     """
 
-    beta0: float = _setting(0.1, "schedule", _POSITIVE)
-    beta1: float = _setting(20.0, "schedule", _POSITIVE)
+    beta0: float = _setting(NoiseSchedule.beta0, "schedule", _POSITIVE)
+    beta1: float = _setting(NoiseSchedule.beta1, "schedule", _POSITIVE)
     n_steps: int = _setting(12, "grid", _count(1, 1000))
-    t_min: float = _setting(0.001, "grid", (lambda v: v > 0.0,
-                                            "must be strictly positive"))
-    t_max: float = _setting(0.999, "grid", (
+    t_min: float = _setting(_GRID_T_MIN, "grid", (lambda v: v > 0.0,
+                                                  "must be strictly positive"))
+    t_max: float = _setting(_GRID_T_MAX, "grid", (
         lambda v: v < 1.0,
         "must be strictly below 1 (the bridge variance vanishes there)"))
     hidden: int = _setting(192, "model", _count(1, 4096))
@@ -112,12 +115,6 @@ class RunConfig:
     batch_size: int = _setting(16, "run", _count(1, 1024))
     seed: int = _setting(21, "run", (lambda v: v >= 0, "must be nonnegative"))
     probe_step: int = _setting(100, "run")
-    lre_linear: bool = _setting(False, "metrics")
-    cepstral_k: int = _setting(13, "metrics", (
-        lambda v: 2 <= v <= N_MELS,
-        f"must lie in [2, {N_MELS}], the mel band count"))
-    out_dir: str = _setting("runs", "io", (lambda v: v != "",
-                                           "must be a nonempty string"))
 
     def __post_init__(self):
         for section, keyed in _LAYOUT.items():
@@ -206,9 +203,6 @@ def default_config() -> RunConfig:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
-
-
 def _require_mapping(raw, location):
     if not isinstance(raw, dict):
         raise ConfigError(location, f"expected an object, got {type(raw).__name__}")
@@ -225,8 +219,9 @@ def _reject_unknown(raw: dict, allowed, location: str):
 def _typed(value, default, location: str):
     """``value`` checked to have the JSON type of ``default``.
 
-    Numbers become finite floats; a tuple default takes a list whose
-    elements are checked against the default's first element.
+    Numbers become finite floats, an integer default takes an integer
+    that is not a boolean, and a tuple default takes a list whose elements
+    are checked against the default's first element.
     """
     if isinstance(default, tuple):
         if not isinstance(value, list):
@@ -242,9 +237,8 @@ def _typed(value, default, location: str):
         if not math.isfinite(number):
             raise ConfigError(location, "must be finite")
         return number
-    kind = type(default)
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise ConfigError(location, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(location, f"expected an integer, got {value!r}")
     return value
 
 

@@ -1,11 +1,12 @@
 """Objective evaluation metrics and the synthetic signals that verify them.
 
-Four quantities are computed for a synthesized/reference pair: mel-cepstral
-distortion (dB), left-right channel-energy-ratio error (dB by default),
-reverberation-time error (seconds, via Schroeder backward integration) and
-the real-time factor.  Each has a closed-form oracle on synthetic input —
-single-coefficient cepstra, gain-scaled stereo pairs, exponential-envelope
-impulse responses — so every implementation detail is pinned by a test.
+Three quantities are computed for a synthesized/reference pair, as the
+paper scores visual acoustic matching: mel-cepstral distortion (dB),
+left-right channel-energy-ratio error (dB) and reverberation-time error
+(seconds, via Schroeder backward integration).  Each has a closed-form
+oracle on synthetic input — single-coefficient cepstra, gain-scaled stereo
+pairs, exponential-envelope impulse responses — so every implementation
+detail is pinned by a test.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .dsp import StereoWaveform
+from .dsp import MelCepstra, StereoWaveform
 
 LRE_ENERGY_GUARD = 1e-12
+# Cepstral order for MCD: coefficients c0..c12 per frame; the metric skips c0.
+MCD_ORDER = 13
 # Longest IR convolved directly; longer ones go through the FFT.  Near
 # this length both methods cost the same on seconds of audio.
 _DIRECT_MAX_TAPS = 256
@@ -34,24 +37,20 @@ class UnreliableDecayError(ValueError):
 class MetricReport:
     """One evaluated pair: the Table-style metric tuple plus provenance.
 
-    ``metadata`` records the configuration hash and any documented
-    substitutions in effect when the numbers were produced.
+    ``metadata`` records any documented substitutions in effect when the
+    numbers were produced.
     """
 
     mcd_db: float
     lre_db: float
     rte_s: float
-    rtf: float
-    nfe: int
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("mcd_db", "lre_db", "rte_s", "rtf"):
+        for name in ("mcd_db", "lre_db", "rte_s"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if self.nfe < 1:
-            raise ValueError(f"nfe must be >= 1, got {self.nfe}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -61,17 +60,13 @@ class MetricReport:
 # Mel-cepstral distortion
 # ---------------------------------------------------------------------------
 
-def mcd(ref, syn) -> float:
+def mcd(ref: MelCepstra, syn: MelCepstra) -> float:
     """Frame-aligned mel-cepstral distortion in dB, excluding c0.
 
     ``(10*sqrt(2)/ln 10) * mean_t sqrt(sum_{k>=1} (c_ref - c_syn)^2)``.
-    Both inputs are cepstra matrices (frames, K) or objects exposing
-    ``.coeffs``; frames must already be aligned — no time warping here.
+    Frames must already be aligned — no time warping here.
     """
-    a = np.asarray(getattr(ref, "coeffs", ref), dtype=np.float64)
-    b = np.asarray(getattr(syn, "coeffs", syn), dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("cepstra must be 2-D (frames, coefficients)")
+    a, b = ref.coeffs, syn.coeffs
     if a.shape != b.shape:
         raise ValueError(
             f"cepstra are not frame-aligned: {a.shape} vs {b.shape}"
@@ -95,16 +90,11 @@ def _channel_energies(w: StereoWaveform, label: str):
     return e[0] + LRE_ENERGY_GUARD, e[1] + LRE_ENERGY_GUARD
 
 
-def lre(ref: StereoWaveform, syn: StereoWaveform, linear: bool = False) -> float:
-    """Absolute error between the stereo energy ratios of two signals.
-
-    In dB by default: ``|10 log10(EL/ER)_syn - 10 log10(EL/ER)_ref|``.
-    Pass ``linear=True`` for the plain ratio difference instead.
-    """
+def lre(ref: StereoWaveform, syn: StereoWaveform) -> float:
+    """Absolute error between the stereo energy ratios of two signals, in
+    dB: ``|10 log10(EL/ER)_syn - 10 log10(EL/ER)_ref|``."""
     ref_l, ref_r = _channel_energies(ref, "reference")
     syn_l, syn_r = _channel_energies(syn, "synthesized")
-    if linear:
-        return abs(syn_l / syn_r - ref_l / ref_r)
     return abs(10.0 * math.log10(syn_l / syn_r)
                - 10.0 * math.log10(ref_l / ref_r))
 
@@ -181,15 +171,6 @@ def rte(rt60_ref: float, rt60_syn: float) -> float:
     return abs(rt60_ref - rt60_syn)
 
 
-def rtf(wall_seconds: float, audio_seconds: float) -> float:
-    """Real-time factor: compute seconds per second of audio produced."""
-    if audio_seconds <= 0.0:
-        raise ValueError(f"audio duration must be positive, got {audio_seconds}")
-    if wall_seconds < 0.0:
-        raise ValueError(f"wall time must be >= 0, got {wall_seconds}")
-    return wall_seconds / audio_seconds
-
-
 # ---------------------------------------------------------------------------
 # Reverberant stereo synthesis
 # ---------------------------------------------------------------------------
@@ -247,10 +228,7 @@ def write_aggregate_csv(path, rows) -> None:
     """Write (system_name, MetricReport) pairs in the standard column order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["System", "NFE", "MCD", "LRE", "RTE", "RTF"])
+        writer.writerow(["System", "MCD", "LRE", "RTE"])
         for system, report in rows:
-            writer.writerow([
-                system, report.nfe,
-                f"{report.mcd_db:.6g}", f"{report.lre_db:.6g}",
-                f"{report.rte_s:.6g}", f"{report.rtf:.6g}",
-            ])
+            writer.writerow([system, f"{report.mcd_db:.6g}",
+                             f"{report.lre_db:.6g}", f"{report.rte_s:.6g}"])

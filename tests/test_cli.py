@@ -13,6 +13,7 @@ from stereobridge.cli import _samples_csv, main
 from stereobridge.config import load_config, load_run, save_run
 from stereobridge.dsp import StereoWaveform, write_wav
 from stereobridge.metrics import exponential_ir
+from stereobridge.net import load_checkpoint, save_checkpoint
 from stereobridge.toys import toy_sample
 
 RATE = 22050
@@ -25,7 +26,6 @@ def tiny_config(tmp_path):
         "schema_version": 1,
         "run": {"steps": 50, "batch_size": 4, "probe_step": 10, "seed": 3},
         "model": {"hidden": 16, "depth": 2, "time_embed_dim": 8},
-        "io": {"out_dir": str(tmp_path / "out")},
     }
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(raw))
@@ -98,6 +98,28 @@ def test_unusable_number_exits_two(command, section, key, tmp_path, capsys):
     assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["selftest-bridge", "train-toy", "sample"])
+@pytest.mark.parametrize("section", ["io", "metrics"])
+def test_config_with_a_removed_section_exits_two(command, section, tmp_path, capsys):
+    # Output paths come from --out and the metric settings are constants; a
+    # config that still carries either section is rejected, not read.
+    bad = tmp_path / "old.json"
+    bad.write_text(json.dumps({"schema_version": 1, section: {}}))
+    extra = ["--checkpoint", str(tmp_path / "absent.ckpt")] if command == "sample" else []
+    assert main([command, "--config", str(bad), *extra,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{section}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--nfe"])
+def test_eval_takes_no_config_or_budget(flag, tmp_path, capsys):
+    assert main(["eval", "--ref", "a.wav", "--syn", "b.wav", flag, "1",
+                 "--out", str(tmp_path / "ev")]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
 
 
 def test_config_error_exits_two(tmp_path, capsys):
@@ -204,11 +226,11 @@ def test_selftest_bridge_fails_a_wrong_bridge_state(tmp_path, monkeypatch, capsy
     assert "FAIL posterior-moments" in capsys.readouterr().out
 
 
-def run_selftest_on_schedule(beta, tmp_path):
-    """``(exit code, {name: entry})`` for selftest-bridge at a constant rate."""
+def run_selftest_on_schedule(schedule, tmp_path):
+    """``(exit code, {name: entry})`` for selftest-bridge on a schedule
+    section."""
     cfg = tmp_path / "sched.json"
-    cfg.write_text(json.dumps({"schema_version": 1,
-                               "schedule": {"beta0": beta, "beta1": beta}}))
+    cfg.write_text(json.dumps({"schema_version": 1, "schedule": schedule}))
     out = tmp_path / "st"
     rc = main(["selftest-bridge", "--config", str(cfg), "--out", str(out)])
     report = json.loads((out / "bridge_selftest.json").read_text())
@@ -219,7 +241,7 @@ def run_selftest_on_schedule(beta, tmp_path):
 def test_selftest_bridge_reports_a_raising_check(tmp_path, capsys):
     # At beta = 1e-20 the bridge variance is ~1e-21, under the floor the
     # score refuses to divide by: that check fails, the rest still run.
-    rc, entries = run_selftest_on_schedule(1e-20, tmp_path)
+    rc, entries = run_selftest_on_schedule({"beta0": 1e-20, "beta1": 1e-20}, tmp_path)
     assert rc == 1
     assert list(entries) == ["endpoint-pinning", "posterior-moments",
                              "score-oracle", "ode-convergence"]
@@ -234,7 +256,7 @@ def test_selftest_bridge_reports_a_raising_check(tmp_path, capsys):
 # raises; the test is about the report, so only that warning is let through.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_selftest_bridge_reports_an_overflowing_schedule(tmp_path, capsys):
-    rc, entries = run_selftest_on_schedule(1e300, tmp_path)
+    rc, entries = run_selftest_on_schedule({"beta0": 1e300, "beta1": 1e300}, tmp_path)
     assert rc == 1
     failed = entries["endpoint-pinning"]
     assert failed["passed"] is False
@@ -244,6 +266,20 @@ def test_selftest_bridge_reports_an_overflowing_schedule(tmp_path, capsys):
     assert entries["posterior-moments"]["passed"] is False
     assert entries["score-oracle"]["passed"] is False
     capsys.readouterr()
+
+
+# The largest finite rate at one end of an otherwise default schedule is a
+# valid config; the ODE check's integration then diverges.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("end", ["beta0", "beta1"])
+def test_selftest_bridge_reports_a_diverging_integration(end, tmp_path, capsys):
+    rc, entries = run_selftest_on_schedule({end: 1.7e308}, tmp_path)
+    assert rc == 1
+    assert len(entries) == 4
+    failed = entries["ode-convergence"]
+    assert failed["passed"] is False
+    assert failed["detail"]["error"].startswith("DivergenceError: non-finite state")
+    assert "FAIL ode-convergence" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +310,23 @@ def test_train_toy_outputs(tiny_config, tmp_path, capsys):
     assert step == 50
     assert model.online.data_dim == 2
     assert model.ema_decay == meta["config"]["optimizer"]["ema_decay"]
+
+
+def test_out_is_not_part_of_the_run(tiny_config, tmp_path, monkeypatch, capsys):
+    # The checkpoint stores no output path, so a sample call without --out
+    # writes under ./runs, not into the training run's directory.
+    out = tmp_path / "elsewhere"
+    assert main(["train-toy", "--config", str(tiny_config), "--out", str(out)]) == 0
+    blob = load_checkpoint(out / "model.ckpt")[1]
+    assert str(out).encode() not in blob
+    assert set(json.loads(blob)) == {"schema_version", "schedule", "grid", "model",
+                                     "optimizer", "toy", "run"}
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--checkpoint", str(out / "model.ckpt"), "--count", "8"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "runs" / "samples_nfe1.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "loss.csv", "model.ckpt", "train_meta.json"]
 
 
 def test_train_toy_checkpoints_are_reproducible(tiny_config, tmp_path, capsys):
@@ -501,6 +554,25 @@ def test_sample_corrupt_run_config_in_checkpoint_fails_cleanly(
     assert "cannot load checkpoint" in err and message in err
 
 
+@pytest.mark.parametrize("section, body", [
+    ("io", b'{"out_dir": "runs"}'),
+    ("metrics", b'{"cepstral_k": 13, "lre_linear": false}'),
+])
+def test_sample_checkpoint_whose_run_config_has_a_removed_section_fails(
+        section, body, trained, tmp_path, capsys):
+    # A checkpoint's config is read as a config file is: no section is
+    # dropped silently, so an older checkpoint is a load failure (exit 1).
+    _, blob, online, target = load_checkpoint(trained)
+    old = blob.replace(b'"model"', f'"{section}": '.encode() + body + b', "model"', 1)
+    assert old != blob
+    bad = tmp_path / "old.ckpt"
+    save_checkpoint(bad, 50, old, online, target)
+    rc = main(["sample", "--checkpoint", str(bad), "--out", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot load checkpoint" in err and f"{section}: unknown key" in err
+
+
 def test_sample_missing_checkpoint_fails(tiny_config, tmp_path, capsys):
     rc = main(["sample", "--config", str(tiny_config),
                "--checkpoint", str(tmp_path / "absent.ckpt"),
@@ -583,7 +655,7 @@ def test_eval_identical_and_gain_pairs(tmp_path, capsys):
     assert identical["mcd_db"] == 0.0
     assert identical["lre_db"] == 0.0
     assert identical["rte_s"] == 0.0
-    assert identical["nfe"] == 1
+    assert set(identical) == {"mcd_db", "lre_db", "rte_s", "metadata"}
 
     doubled = json.loads((out / "pair_001.json").read_text())["report"]
     # doubling one channel quadruples its energy: 10*log10(4) dB
@@ -591,9 +663,9 @@ def test_eval_identical_and_gain_pairs(tmp_path, capsys):
     assert doubled["metadata"]["substitutions"]["distance"]
 
     csv_lines = (out / "aggregate.csv").read_text().splitlines()
-    assert csv_lines[0] == "System,NFE,MCD,LRE,RTE,RTF"
+    assert csv_lines[0] == "System,MCD,LRE,RTE"
     assert len(csv_lines) == 3
-    assert csv_lines[1].startswith("same,1,0,0,0")
+    assert csv_lines[1] == "same,0,0,0"
 
 
 def test_eval_flags_failures_but_keeps_partial_results(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Source hygiene that no installed linter checks: the package under test is
 this checkout's, every import is used, ``src/`` keeps only the defaulted
-parameters listed here, the network's forward pass has one caller per entry
-point, the README's commands parse, and every committed benchmark record
-carries its machine and both sides' medians."""
+parameters and the command line only the flags listed here, the network's
+forward pass has one caller per entry point, the README's commands parse,
+and every committed benchmark record carries its machine and both sides'
+medians."""
 
+import argparse
 import ast
 import json
 import re
@@ -68,9 +70,10 @@ DEFAULTED = {
     "config.parse_config(source)": "load_config sets it to the file path",
     "consistency.stereo_enhancement_loss(repulsion_weight)":
         "acceptance criterion 09 sets it and relies on its default",
-    "metrics.lre(linear)": "eval passes cfg.lre_linear; criterion 07 relies on the default",
-    "schedule.make_grid(t_min)": "RunConfig.time_grid sets it; the acceptance GRID does not",
-    "schedule.make_grid(t_max)": "RunConfig.time_grid sets it; the acceptance GRID does not",
+    "schedule.make_grid(t_min)":
+        "RunConfig reads it as its default and sets it; the acceptance GRID does not",
+    "schedule.make_grid(t_max)":
+        "RunConfig reads it as its default and sets it; the acceptance GRID does not",
     "toys.oracle_ode_sample(steps)": "criteria 05 and 06 and perfbench use its 256 steps",
     "toys.run_toy_training(step_callback)":
         "train-toy passes a callback; criterion 05 trains without one",
@@ -99,10 +102,28 @@ def defaulted_parameters(path: Path) -> list[str]:
     return found
 
 
-def test_defaulted_parameters_are_the_listed_ten():
+def test_defaulted_parameters_are_the_listed_ones():
     found = [name for path in sorted(PACKAGE.glob("*.py"))
              for name in defaulted_parameters(path)]
     assert sorted(found) == sorted(DEFAULTED)
+
+
+# Every subcommand's flags, in declaration order; a new flag needs an entry.
+FLAGS = {
+    "selftest-bridge": ["--config", "--out"],
+    "train-toy": ["--config", "--seed", "--out"],
+    "sample": ["--config", "--checkpoint", "--nfe", "--seed", "--count", "--out"],
+    "eval": ["--ref", "--syn", "--out"],
+}
+
+
+def test_cli_flags_are_the_listed_ones():
+    [commands] = [action for action in _build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    found = {name: [flag for action in sub._actions for flag in action.option_strings
+                    if flag not in ("-h", "--help")]
+             for name, sub in commands.choices.items()}
+    assert found == FLAGS
 
 
 def call_sites(path: Path, callee: str) -> list[str]:

@@ -459,7 +459,7 @@ def test_checkpoint_v2_bytes_are_pinned(tmp_path):
     assert blob[32:32 + len(config)] == config
     assert len(blob) == 32 + len(config) + 2 * 8 * 41
     assert hashlib.sha256(blob).hexdigest() == (
-        "0147c8b0eea8433fbd970559df0784dc3bd03f911a7c3490920a77c96622727d")
+        "65cc2f3100484e659bbdbc59e0412956fd99728abc4730e0f75de5155a134997")
 
     cfg, loaded, step = load_run(path)
     again = tmp_path / "again.ckpt"
