@@ -58,8 +58,9 @@ from .net import TrainingError
 from .schedule import accumulated_variances, bridge_coefficients
 from .toys import run_toy_training, toy_sample
 
-# Documented stand-ins relative to the full-scale system; recorded in every
-# training metadata file and metric report so results are interpretable.
+# Documented stand-ins of the toy training run relative to the full-scale
+# system; recorded in every training metadata file so results are
+# interpretable.  Scoring audio with ``eval`` uses none of them.
 SUBSTITUTIONS = {
     "distance": "squared L2 in place of a learned perceptual distance",
     "loss_weighting": "uniform weighting (lambda == 1) across grid times",
@@ -303,7 +304,7 @@ def cmd_train_toy(args) -> int:
         "completed_steps": len(rows),
         "wall_seconds": result.wall_s,
         "spread": {
-            "probe_step": result.probe_step,
+            "probe_step": cfg.probe_step,
             "at_probe_step": result.spread_probe,
             "final": result.spread_final,
         },
@@ -428,7 +429,6 @@ def _evaluate_pair(ref_path: str, syn_path: str) -> MetricReport:
         mcd_db=mcd_db,
         lre_db=lre_db,
         rte_s=rte(rt_ref, rt_syn),
-        metadata={"substitutions": SUBSTITUTIONS},
     )
 
 

@@ -128,11 +128,9 @@ class RunConfig:
         if not 1 <= self.probe_step <= self.steps:
             raise ConfigError("run.probe_step", "must fall inside the run")
         try:
-            dim = self.toy_problem().dim
+            size = net.parameter_count(self.layer_widths())
         except (ValueError, TypeError) as exc:
             raise ConfigError(_TOY, str(exc)) from exc
-        widths = net.layer_widths(dim, dim, self.hidden, self.depth, self.time_embed_dim)
-        size = sum(a * b + b for a, b in zip(widths, widths[1:]))
         if size > MAX_DENOISER_PARAMETERS:
             raise ConfigError("model.hidden", (
                 f"gives a denoiser of {size:,} parameters at depth {self.depth}; "
@@ -152,15 +150,19 @@ class RunConfig:
         )
         return ToyProblem(mixture=mixture, prior_sigma=self.prior_sigma)
 
+    def layer_widths(self) -> tuple:
+        """The denoiser's widths: the toy's state, conditioned on a state of
+        the same dimension."""
+        dim = self.toy_problem().dim
+        return net.layer_widths(dim, dim, self.hidden, self.depth, self.time_embed_dim)
+
     def model(self, online: np.ndarray, target: np.ndarray) -> ConsistencyModel:
         """This run's consistency model, its online and EMA nets laid over
         the given flat vectors without a copy; training and the checkpoint
         reader both build theirs here.  A vector that does not fit the
         layers raises ``ValueError``."""
-        dim = self.toy_problem().dim
-        layout = net.denoiser_layout(online, dim, dim, self.hidden, self.depth,
-                                     self.time_embed_dim)
-        return ConsistencyModel(layout, replace(layout, flat=target),
+        params = net.DenoiserParams(online, self.layer_widths(), self.time_embed_dim)
+        return ConsistencyModel(params, replace(params, flat=target),
                                 sched=self.schedule(), grid=self.time_grid(),
                                 sigma_data=self.sigma_data, ema_decay=self.ema_decay)
 

@@ -273,14 +273,6 @@ class MelCepstra:
             raise ValueError("cepstra contain non-finite values")
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def n_frames(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[1]
-
 
 def mel_cepstra(log_mel_frames: np.ndarray, k: int) -> MelCepstra:
     """Orthonormal DCT-II over each frame, keeping coefficients 0..k-1."""

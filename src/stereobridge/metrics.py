@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -35,16 +35,12 @@ class UnreliableDecayError(ValueError):
 
 @dataclass(frozen=True)
 class MetricReport:
-    """One evaluated pair: the Table-style metric tuple plus provenance.
-
-    ``metadata`` records any documented substitutions in effect when the
-    numbers were produced.
-    """
+    """One evaluated pair: the Table-style metric tuple, MCD and LRE in dB
+    and RTE in seconds, and nothing else."""
 
     mcd_db: float
     lre_db: float
     rte_s: float
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("mcd_db", "lre_db", "rte_s"):

@@ -20,10 +20,13 @@ A checkpoint holds the optimizer step, the run config's bytes (parsed by
 decay) and the online and EMA flat vectors as little-endian float64.
 
 One parameter type: online parameters, the EMA target, gradients and the
-Adam moments are all :class:`DenoiserParams`, each one contiguous float64
-vector ``flat`` holding layer 0's weight matrix, layer 0's bias, layer 1's
-weight matrix and so on, in C order.  ``weights[i]`` and ``biases[i]`` are
-reshaped views into it, so writing either writes the other.
+Adam moments are all :class:`DenoiserParams`: one contiguous float64 vector
+``flat``, the layer widths and the time-embedding width, and nothing else.
+``flat`` holds layer 0's weight matrix, layer 0's bias, layer 1's weight
+matrix and so on, in C order; ``weights[i]`` and ``biases[i]`` are views
+laid over it from the widths, so writing either writes the other.  The data
+and conditioning dimensions follow from the widths, and
+:func:`parameter_count` is the one count of a layout's values.
 :func:`adam_step` and :func:`ema_update` work on the whole vector and update
 their arguments in place: they return the objects they were given, and a
 caller that needs the old values must copy them first.  The EMA decay
@@ -33,7 +36,6 @@ of :func:`ema_update`.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -57,41 +59,48 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class DenoiserParams:
-    """MLP weights and biases as views into one flat vector, plus the fixed
-    embedding/conditioning dimensions.
+    """The denoiser's parameters: one flat float64 vector, the layer widths
+    that lay it out and the time-embedding width.
 
-    ``weights[i]`` has shape (fan_in, fan_out); activations multiply on the
-    left.  The input layer accepts ``data_dim + time_embed_dim + cond_dim``
-    features and the output layer emits ``data_dim`` features.  Built from
-    per-layer arrays alone, the arrays are packed into a fresh vector; built
-    with ``flat`` as well, views of the given arrays' shapes are laid over
-    ``flat`` and the arrays' own values are ignored.
+    ``widths`` runs from the input width through the hidden widths to the
+    output width, so layer ``i`` maps ``widths[i]`` features to
+    ``widths[i + 1]``.  ``weights[i]``, of shape (fan_in, fan_out), and
+    ``biases[i]`` are views laid over ``flat`` in that order; activations
+    multiply on the left.  The input layer takes ``data_dim +
+    time_embed_dim + cond_dim`` features and the output layer emits
+    ``data_dim``.  A ``flat`` whose size is not :func:`parameter_count` of
+    the widths raises ``ValueError``.
     """
 
-    weights: list
-    biases: list
-    data_dim: int
+    flat: np.ndarray = field(repr=False, compare=False)
+    widths: tuple
     time_embed_dim: int
-    cond_dim: int
-    flat: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
+    weights: list = field(init=False)
+    biases: list = field(init=False)
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ValueError("need one bias per weight matrix")
-        arrays = [a for pair in zip(self.weights, self.biases) for a in pair]
-        if self.flat is None:
-            self.flat = np.concatenate([np.ravel(a) for a in arrays],
-                                       dtype=np.float64)
-        ends = np.cumsum([math.prod(np.shape(a)) for a in arrays])
-        if ends[-1] != self.flat.size:
-            raise ValueError(f"layers hold {ends[-1]} values, flat vector {self.flat.size}")
-        views = [self.flat[end - np.size(a):end].reshape(np.shape(a))
-                 for a, end in zip(arrays, ends)]
-        self.weights, self.biases = views[0::2], views[1::2]
+        size = parameter_count(self.widths)
+        if size != self.flat.size:
+            raise ValueError(f"layers hold {size} values, flat vector {self.flat.size}")
+        self.weights, self.biases = [], []
+        end = 0
+        for fan_in, fan_out in zip(self.widths, self.widths[1:]):
+            start, end = end, end + fan_in * fan_out
+            self.weights.append(self.flat[start:end].reshape(fan_in, fan_out))
+            start, end = end, end + fan_out
+            self.biases.append(self.flat[start:end])
+
+    @property
+    def data_dim(self) -> int:
+        return self.widths[-1]
+
+    @property
+    def cond_dim(self) -> int:
+        return self.widths[0] - self.widths[-1] - self.time_embed_dim
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.widths) - 1
 
     def copy(self) -> "DenoiserParams":
         """Deep copy with a fresh flat vector."""
@@ -124,25 +133,14 @@ class AdamState:
 
 
 def layer_widths(data_dim: int, cond_dim: int, hidden: int, depth: int,
-                 time_embed_dim: int) -> list:
+                 time_embed_dim: int) -> tuple:
     """Input width, ``depth`` hidden widths and the output width."""
-    return [data_dim + time_embed_dim + cond_dim] + [hidden] * depth + [data_dim]
+    return (data_dim + time_embed_dim + cond_dim,) + (hidden,) * depth + (data_dim,)
 
 
-def denoiser_layout(flat: np.ndarray | None, data_dim: int, cond_dim: int, hidden: int,
-                    depth: int, time_embed_dim: int) -> DenoiserParams:
-    """Parameters of the given widths laid over ``flat`` without a copy, or
-    over a fresh zero vector if ``flat`` is None.
-
-    ``depth`` counts hidden layers, so the network has ``depth + 1`` weight
-    matrices in total; ``time_embed_dim`` must be even.
-    """
-    widths = layer_widths(data_dim, cond_dim, hidden, depth, time_embed_dim)
-    # Zero views that allocate nothing: their shapes lay out ``flat``, or
-    # their values fill the fresh vector.
-    return DenoiserParams([np.broadcast_to(0.0, fans) for fans in zip(widths, widths[1:])],
-                          [np.broadcast_to(0.0, width) for width in widths[1:]],
-                          data_dim, time_embed_dim, cond_dim, flat=flat)
+def parameter_count(widths) -> int:
+    """Weights and biases of the layers between consecutive widths."""
+    return sum(a * b + b for a, b in zip(widths, widths[1:]))
 
 
 def init_denoiser(
@@ -153,8 +151,13 @@ def init_denoiser(
     depth: int,
     time_embed_dim: int,
 ) -> DenoiserParams:
-    """He-normal hidden layers and a zero final layer, drawn layer by layer."""
-    p = denoiser_layout(None, data_dim, cond_dim, hidden, depth, time_embed_dim)
+    """He-normal hidden layers and a zero final layer, drawn layer by layer.
+
+    ``depth`` counts hidden layers, so the network has ``depth + 1`` weight
+    matrices in total; ``time_embed_dim`` must be even.
+    """
+    widths = layer_widths(data_dim, cond_dim, hidden, depth, time_embed_dim)
+    p = DenoiserParams(np.zeros(parameter_count(widths)), widths, time_embed_dim)
     for w in p.weights[:-1]:
         w[:] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
     return p
@@ -283,12 +286,9 @@ def init_adam(p: DenoiserParams, lr: float, beta2: float) -> AdamState:
 
 
 def _check_layout(p: DenoiserParams, other: DenoiserParams, what: str) -> None:
-    if other.n_layers != p.n_layers:
-        raise ValueError(f"{what} layer count does not match parameters")
-    for i in range(p.n_layers):
-        if (other.weights[i].shape != p.weights[i].shape
-                or other.biases[i].shape != p.biases[i].shape):
-            raise ValueError(f"{what} shape mismatch at layer {i}")
+    if other.widths != p.widths:
+        raise ValueError(f"{what} widths {other.widths} do not match the "
+                         f"parameters' widths {p.widths}")
 
 
 def adam_step(state: AdamState, p: DenoiserParams, grads: DenoiserParams):

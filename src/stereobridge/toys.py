@@ -357,9 +357,8 @@ class ToyTrainResult:
 
     model: ConsistencyModel
     losses: np.ndarray       # (steps,) pre-update loss per step
-    spread_probe: float      # mean self-consistency spread at probe_step
+    spread_probe: float      # mean self-consistency spread at cfg.probe_step
     spread_final: float      # same probes, measured after the last step
-    probe_step: int
     wall_s: float
 
 
@@ -386,7 +385,7 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
     state.  The model is updated in place, so a callback that keeps it must
     save or copy it.
     """
-    steps, probe_step, flat_fraction = cfg.steps, cfg.probe_step, cfg.flat_fraction
+    steps, flat_fraction = cfg.steps, cfg.flat_fraction
     lr, final_lr = cfg.lr, cfg.final_lr
 
     problem = cfg.toy_problem()
@@ -420,7 +419,7 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
         losses[step - 1] = loss
         if step_callback is not None:
             step_callback(step, model, loss, 1e3 * (time.perf_counter() - t_begin))
-        if step == probe_step:
+        if step == cfg.probe_step:
             spread_probe = self_consistency_spread(model, probe_batch, probe_noise)
     spread_final = self_consistency_spread(model, probe_batch, probe_noise)
     return ToyTrainResult(
@@ -428,7 +427,6 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
         losses=losses,
         spread_probe=float(spread_probe),
         spread_final=spread_final,
-        probe_step=probe_step,
         wall_s=time.perf_counter() - t_begin,
     )
 

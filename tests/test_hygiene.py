@@ -162,6 +162,15 @@ def test_forward_pass_has_one_caller_per_entry_point():
     assert sorted(found) == ["consistency._estimate", "net.loss_and_grads"]
 
 
+def test_denoiser_params_have_one_construction_path():
+    # A fresh network is drawn by net.init_denoiser; a run's online and EMA
+    # nets are laid over their flat vectors by config.model.  Copies,
+    # zeroed moments and gradients are ``replace(p, flat=...)`` of these.
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in call_sites(path, "DenoiserParams")]
+    assert sorted(found) == ["config.model", "net.init_denoiser"]
+
+
 def readme_commands() -> list[str]:
     """Every ``stereobridge ...`` line in the README's shell blocks."""
     blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)

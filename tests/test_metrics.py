@@ -324,10 +324,8 @@ def test_fft_reverb_leaves_scipy_signal_unimported():
 # ---------------------------------------------------------------------------
 
 def test_metric_report_validation():
-    report = MetricReport(mcd_db=7.7, lre_db=1.0, rte_s=0.065, metadata={"seed": 3})
-    d = report.to_dict()
-    assert d == {"mcd_db": 7.7, "lre_db": 1.0, "rte_s": 0.065, "metadata": {"seed": 3}}
-    assert d["metadata"] is not report.metadata
+    report = MetricReport(mcd_db=7.7, lre_db=1.0, rte_s=0.065)
+    assert report.to_dict() == {"mcd_db": 7.7, "lre_db": 1.0, "rte_s": 0.065}
     with pytest.raises(ValueError):
         MetricReport(mcd_db=-1.0, lre_db=0.0, rte_s=0.0)
     with pytest.raises(ValueError):

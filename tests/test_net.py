@@ -19,6 +19,7 @@ from stereobridge.net import (
     init_denoiser,
     load_checkpoint,
     loss_and_grads,
+    parameter_count,
     time_embedding,
 )
 
@@ -196,9 +197,7 @@ def test_non_finite_loss_raises_training_error():
 # ---------------------------------------------------------------------------
 
 def scalar_params(value=2.0, bias=0.5):
-    return DenoiserParams(weights=[np.array([[value]])],
-                          biases=[np.array([bias])],
-                          data_dim=1, time_embed_dim=0, cond_dim=0)
+    return DenoiserParams(np.array([value, bias]), widths=(1, 1), time_embed_dim=0)
 
 
 def unit_grads():
@@ -243,13 +242,26 @@ def test_adam_moments_decay_after_gradients_stop():
     assert state.step == 4
 
 
+def equal_count_layouts():
+    """Two layouts of 16 values each, laid out by different widths."""
+    a = DenoiserParams(np.zeros(16), widths=(3, 3, 1), time_embed_dim=0)
+    b = DenoiserParams(np.ones(16), widths=(4, 2, 2), time_embed_dim=0)
+    return a, b
+
+
 def test_adam_shape_mismatch_rejected():
-    p = probe_net()
+    p, grads = equal_count_layouts()
     state = init_adam(p, lr=1e-4, beta2=0.999)
-    bad = DenoiserParams([np.zeros((2, 2)) for _ in p.weights], p.biases,
-                         p.data_dim, p.time_embed_dim, p.cond_dim)
-    with pytest.raises(ValueError):
-        adam_step(state, p, bad)
+    with pytest.raises(ValueError, match=r"\(4, 2, 2\).*\(3, 3, 1\)"):
+        adam_step(state, p, grads)
+    assert not p.flat.any() and state.step == 0
+
+
+def test_ema_rejects_a_layout_of_other_widths():
+    target, online = equal_count_layouts()
+    with pytest.raises(ValueError, match=r"\(3, 3, 1\).*\(4, 2, 2\)"):
+        ema_update(target, online, 0.5)
+    assert not target.flat.any()
 
 
 def test_training_loop_bitwise_deterministic():
@@ -328,7 +340,6 @@ def test_flat_adam_and_ema_match_per_tensor_reference_bitwise():
     p = probe_net(seed=30)
     target = probe_net(seed=31)
     state = init_adam(p, lr=3e-3, beta2=0.99)
-    n = p.n_layers
     ref_p = [a.copy() for a in p.weights + p.biases]
     ref_ema = [a.copy() for a in target.weights + target.biases]
     ref_m = [np.zeros_like(a) for a in ref_p]
@@ -337,7 +348,9 @@ def test_flat_adam_and_ema_match_per_tensor_reference_bitwise():
     for t in range(1, 7):
         state.lr = 3e-3 / t
         g = [rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-4, 1) for a in ref_p]
-        grads = DenoiserParams(g[:n], g[n:], p.data_dim, p.time_embed_dim, p.cond_dim)
+        grads = p.zeros_like()
+        for view, values in zip(grads.weights + grads.biases, g):
+            view[:] = values
         assert adam_step(state, p, grads) == (p, state)
         assert ema_update(target, p, 0.8) is target
         for k in range(len(ref_p)):
@@ -395,6 +408,12 @@ def test_forward_and_backward_match_per_layer_reference_bitwise(batch):
 
 def test_layer_arrays_are_views_of_the_flat_vector():
     p = probe_net()
+    # Widths 9, 8, 8, 3: the data, time-embedding and conditioning widths
+    # in, two hidden layers, the data width out.
+    assert p.widths == (9, 8, 8, 3) and p.n_layers == 3
+    assert (p.data_dim, p.cond_dim, p.time_embed_dim) == (3, 2, 4)
+    assert [w.shape for w in p.weights] == [(9, 8), (8, 8), (8, 3)]
+    assert p.flat.size == parameter_count(p.widths) == 80 + 72 + 27
     p.flat[:] = np.arange(p.flat.size)
     assert np.array_equal(np.concatenate([a.ravel() for pair in zip(p.weights, p.biases)
                                           for a in pair]), p.flat)

@@ -381,7 +381,6 @@ def test_toy_training_smoke():
     assert np.all(np.isfinite(res.losses))
     assert np.all(res.losses > 0)
     assert np.all(np.diff([w for _, _, w in seen]) >= 0)
-    assert res.probe_step == 5
     assert np.isfinite(res.spread_probe) and res.spread_probe > 0
     assert np.isfinite(res.spread_final) and res.spread_final > 0
     assert isinstance(res.model, ConsistencyModel)
