@@ -111,8 +111,10 @@ def _write(path: Path, writer, *args) -> None:
 
 
 def _json_file(path: Path, payload: dict) -> None:
+    # JSON has no NaN or Infinity, so such a figure is written as null.
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -195,7 +197,7 @@ def _check_score_oracle(cfg: RunConfig) -> tuple:
 
 
 def _check_ode_convergence(cfg: RunConfig) -> tuple:
-    """Second-order self-convergence and agreement at 256 steps with the
+    """Second-order convergence to, and agreement at 256 steps with, the
     closed form of :func:`stereobridge.bridge.pf_ode_drift`'s flow, at the
     configured schedule."""
     sched = cfg.schedule()
@@ -205,12 +207,12 @@ def _check_ode_convergence(cfg: RunConfig) -> tuple:
     start = BridgeSample(xs, t0)
     (s0, sb0), (s1, sb1) = (accumulated_variances(sched, t) for t in (t0, t1))
     exact = x1 + (xs - x1) * math.sqrt(sb1 * s0 / (s1 * sb0))
-    out = integrate_pf_ode(start, t1, 256, x1, sched).x
-    rel_err = float(np.abs(out - exact)[0] / np.abs(exact)[0])
 
-    ref = integrate_pf_ode(start, t1, 10_000, x1, sched).x
-    errs = [float(np.abs(integrate_pf_ode(start, t1, steps, x1, sched).x - ref)[0])
-            for steps in (32, 64, 128)]
+    def error(steps):
+        return float(np.abs(integrate_pf_ode(start, t1, steps, x1, sched).x - exact)[0])
+
+    rel_err = float(error(256) / np.abs(exact)[0])
+    errs = [error(steps) for steps in (32, 64, 128)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     passed = rel_err <= 1e-4 and min(orders) >= 1.9
     return passed, {"rel_err_256": rel_err, "orders": orders}
@@ -272,7 +274,7 @@ def cmd_train_toy(args) -> int:
 
     def callback(step, model, loss, wall_ms):
         rows.append((step, loss, wall_ms))
-        if step == 1 or step % CHECKPOINT_EVERY == 0:
+        if step == 1 or step % CHECKPOINT_EVERY == 0 or step == cfg.steps:
             _write(ckpt_path, save_run, cfg, model, step)
 
     meta = {
@@ -297,7 +299,6 @@ def cmd_train_toy(args) -> int:
               file=sys.stderr)
         return 1
 
-    _write(ckpt_path, save_run, cfg, result.model, len(rows))
     _write(out / "loss.csv", _loss_csv, rows)
     meta.update({
         "status": "completed",

@@ -26,14 +26,10 @@ import numpy as np
 
 from . import net
 from .consistency import ConsistencyModel
-from .schedule import NoiseSchedule, TimeGrid, make_grid
+from .schedule import NoiseSchedule, TimeGrid
 from .toys import GaussianMixture, ToyProblem
 
 SCHEMA_VERSION = 1
-
-# make_grid's ends.  RunConfig reads these and NoiseSchedule's rates as its
-# defaults, so the recipe cannot drift from the library's defaults.
-_GRID_T_MIN, _GRID_T_MAX = make_grid.__defaults__
 
 # The most parameters a denoiser may hold (the recipe's holds 118,658).
 MAX_DENOISER_PARAMETERS = 1_000_000
@@ -87,9 +83,9 @@ class RunConfig:
     beta0: float = _setting(NoiseSchedule.beta0, "schedule", _POSITIVE)
     beta1: float = _setting(NoiseSchedule.beta1, "schedule", _POSITIVE)
     n_steps: int = _setting(12, "grid", _count(1, 1000))
-    t_min: float = _setting(_GRID_T_MIN, "grid", (lambda v: v > 0.0,
-                                                  "must be strictly positive"))
-    t_max: float = _setting(_GRID_T_MAX, "grid", (
+    t_min: float = _setting(TimeGrid.t_min, "grid", (lambda v: v > 0.0,
+                                                     "must be strictly positive"))
+    t_max: float = _setting(TimeGrid.t_max, "grid", (
         lambda v: v < 1.0,
         "must be strictly below 1 (the bridge variance vanishes there)"))
     hidden: int = _setting(192, "model", _count(1, 4096))
@@ -140,7 +136,7 @@ class RunConfig:
         return NoiseSchedule(beta0=self.beta0, beta1=self.beta1)
 
     def time_grid(self) -> TimeGrid:
-        return make_grid(self.n_steps, self.t_min, self.t_max)
+        return TimeGrid(self.n_steps, self.t_min, self.t_max)
 
     def toy_problem(self) -> ToyProblem:
         mixture = GaussianMixture(

@@ -76,8 +76,6 @@ class ConsistencyModel:
     table: NodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.grid.t_min > 0.0:
-            raise ValueError("grid must start strictly above 0")
         a, b, cap_sigma2 = bridge_coefficients(self.sched, self.grid.nodes)
         cols = (a, b, np.sqrt(cap_sigma2), *_scalings(cap_sigma2, self.sigma_data))
         cols = tuple(c[:, None] for c in cols)

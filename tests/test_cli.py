@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import stereobridge
-from stereobridge import bridge
+from stereobridge import bridge, cli
 from stereobridge.cli import _samples_csv, main
 from stereobridge.config import load_config, load_run, save_run
 from stereobridge.dsp import StereoWaveform, write_wav
@@ -30,6 +30,15 @@ def tiny_config(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+def read_report(path):
+    """A JSON file the CLI wrote, parsed as strict JSON: NaN, Infinity and
+    -Infinity are not JSON and fail the parse."""
+    def reject(token):
+        raise ValueError(f"{path} holds {token}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def write_decaying_stereo(path, gain_left=1.0, tau=0.3, seed=0):
@@ -201,7 +210,7 @@ def test_console_module_entry():
 def test_selftest_bridge_passes_default_config(tmp_path, capsys):
     out = tmp_path / "st"
     assert main(["selftest-bridge", "--out", str(out)]) == 0
-    report = json.loads((out / "bridge_selftest.json").read_text())
+    report = read_report(out / "bridge_selftest.json")
     assert report["passed"] is True
     names = [entry["name"] for entry in report["invariants"]]
     assert names == ["endpoint-pinning", "posterior-moments",
@@ -220,7 +229,7 @@ def test_selftest_bridge_fails_a_wrong_bridge_state(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(bridge, "bridge_state", skewed)
     out = tmp_path / "st"
     assert main(["selftest-bridge", "--out", str(out)]) == 1
-    report = json.loads((out / "bridge_selftest.json").read_text())
+    report = read_report(out / "bridge_selftest.json")
     entries = {entry["name"]: entry for entry in report["invariants"]}
     assert entries["posterior-moments"]["passed"] is False
     assert "FAIL posterior-moments" in capsys.readouterr().out
@@ -233,7 +242,7 @@ def run_selftest_on_schedule(schedule, tmp_path):
     cfg.write_text(json.dumps({"schema_version": 1, "schedule": schedule}))
     out = tmp_path / "st"
     rc = main(["selftest-bridge", "--config", str(cfg), "--out", str(out)])
-    report = json.loads((out / "bridge_selftest.json").read_text())
+    report = read_report(out / "bridge_selftest.json")
     assert report["passed"] is False
     return rc, {entry["name"]: entry for entry in report["invariants"]}
 
@@ -262,9 +271,26 @@ def test_selftest_bridge_reports_an_overflowing_schedule(tmp_path, capsys):
     assert failed["passed"] is False
     assert "must be finite" in failed["detail"]["error"]
     assert len(entries) == 4
-    # Their figures are NaN here, and a NaN figure fails its check.
+    # Their figures are NaN here, and a NaN figure fails its check; the
+    # report writes it as null.
     assert entries["posterior-moments"]["passed"] is False
     assert entries["score-oracle"]["passed"] is False
+    assert entries["score-oracle"]["detail"] == {"worst_rel_err": None}
+    capsys.readouterr()
+
+
+# The smallest subnormal rate at both ends is a valid config; the moments
+# check divides by a standard error that underflows to zero, so NumPy warns
+# and its z-scores are infinite.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_selftest_bridge_reports_a_subnormal_schedule(tmp_path, capsys):
+    rc, entries = run_selftest_on_schedule({"beta0": 5e-324, "beta1": 5e-324}, tmp_path)
+    assert rc == 1
+    assert len(entries) == 4
+    assert entries["endpoint-pinning"]["passed"] is True
+    failed = entries["posterior-moments"]
+    assert failed["passed"] is False
+    assert failed["detail"] == {"worst_mean_z": None, "worst_var_z": None}
     capsys.readouterr()
 
 
@@ -280,6 +306,22 @@ def test_selftest_bridge_reports_a_diverging_integration(end, tmp_path, capsys):
     assert failed["passed"] is False
     assert failed["detail"]["error"].startswith("DivergenceError: non-finite state")
     assert "FAIL ode-convergence" in capsys.readouterr().out
+
+
+def test_selftest_bridge_integrates_at_most_256_steps(tmp_path, monkeypatch, capsys):
+    # The ODE check measures its orders against the closed form it already
+    # computes, so it runs no long reference integration.
+    integrate = cli.integrate_pf_ode
+    steps = []
+
+    def spy(start, t_end, n, x1, sched):
+        steps.append(n)
+        return integrate(start, t_end, n, x1, sched)
+
+    monkeypatch.setattr(cli, "integrate_pf_ode", spy)
+    assert main(["selftest-bridge", "--out", str(tmp_path / "st")]) == 0
+    capsys.readouterr()
+    assert steps and max(steps) <= 256
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +340,7 @@ def test_train_toy_outputs(tiny_config, tmp_path, capsys):
     assert lines[1].startswith("1,")
     assert lines[-1].startswith("50,")
 
-    meta = json.loads((out / "train_meta.json").read_text())
+    meta = read_report(out / "train_meta.json")
     assert meta["status"] == "completed"
     assert meta["completed_steps"] == 50
     assert set(meta["substitutions"]) == {
@@ -349,6 +391,30 @@ def test_train_toy_seed_flag_overrides_config(tiny_config, tmp_path, capsys):
     assert (a / "model.ckpt").read_bytes() != (b / "model.ckpt").read_bytes()
 
 
+def test_train_toy_writes_its_last_checkpoint_once(tmp_path, monkeypatch, capsys):
+    # A checkpoint at step 1, every CHECKPOINT_EVERY steps and the last step,
+    # each written once.
+    saved = []
+
+    def spy(path, cfg, model, step):
+        saved.append(step)
+        save_run(path, cfg, model, step)
+
+    monkeypatch.setattr(cli, "save_run", spy)
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "run": {"steps": 1000, "batch_size": 4, "probe_step": 10, "seed": 3},
+        "model": {"hidden": 16, "depth": 2, "time_embed_dim": 8},
+    }))
+    out = tmp_path / "run"
+    assert main(["train-toy", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.CHECKPOINT_EVERY == 500
+    assert saved == [1, 500, 1000]
+    assert load_run(out / "model.ckpt")[2] == 1000
+
+
 def test_train_toy_aborts_on_nonfinite_loss(tmp_path, capsys):
     raw = {
         "schema_version": 1,
@@ -363,7 +429,7 @@ def test_train_toy_aborts_on_nonfinite_loss(tmp_path, capsys):
         rc = main(["train-toy", "--config", str(cfg), "--out", str(out)])
     capsys.readouterr()
     assert rc == 1
-    meta = json.loads((out / "train_meta.json").read_text())
+    meta = read_report(out / "train_meta.json")
     assert meta["status"] == "aborted"
     assert meta["checkpoint_retained"] is True
     # the retained checkpoint predates the failure and still loads
@@ -394,7 +460,7 @@ def test_sample_writes_samples_and_timing(tiny_config, trained, tmp_path, capsys
     lines = (out / "samples_nfe1.csv").read_text().splitlines()
     assert lines[0] == "c0,c1"
     assert len(lines) - 1 == 64
-    timing = json.loads((out / "timing_nfe1.json").read_text())
+    timing = read_report(out / "timing_nfe1.json")
     assert timing["nfe"] == 1
     assert timing["network_evaluations"] == 1
     assert timing["checkpoint_step"] == 50
@@ -430,7 +496,7 @@ def test_sample_budget_counts_evaluations(tiny_config, trained, tmp_path, capsys
         assert main(["sample", "--config", str(tiny_config),
                      "--checkpoint", str(trained), "--nfe", nfe,
                      "--count", "16", "--out", str(out)]) == 0
-        timing = json.loads((out / f"timing_nfe{nfe}.json").read_text())
+        timing = read_report(out / f"timing_nfe{nfe}.json")
         assert timing["network_evaluations"] == int(nfe)
     capsys.readouterr()
 
@@ -652,13 +718,13 @@ def test_eval_identical_and_gain_pairs(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
 
-    identical = json.loads((out / "pair_000.json").read_text())["report"]
+    identical = read_report(out / "pair_000.json")["report"]
     assert identical["mcd_db"] == 0.0
     assert identical["lre_db"] == 0.0
     assert identical["rte_s"] == 0.0
     assert set(identical) == {"mcd_db", "lre_db", "rte_s"}
 
-    doubled = json.loads((out / "pair_001.json").read_text())["report"]
+    doubled = read_report(out / "pair_001.json")["report"]
     # doubling one channel quadruples its energy: 10*log10(4) dB
     assert doubled["lre_db"] == pytest.approx(10 * np.log10(4.0), abs=1e-3)
 
@@ -678,7 +744,7 @@ def test_eval_pair_reports_hold_only_the_metrics(tmp_path, capsys):
     assert main(["eval", "--ref", str(paths[0]), "--syn", str(paths[1]),
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    entry = json.loads((out / "pair_000.json").read_text())
+    entry = read_report(out / "pair_000.json")
     assert set(entry) == {"ref", "syn", "report"}
     assert set(entry["report"]) == {"mcd_db", "lre_db", "rte_s"}
     assert all(entry["report"][key] > 0.0 for key in ("mcd_db", "lre_db", "rte_s"))
@@ -694,11 +760,11 @@ def test_eval_flags_failures_but_keeps_partial_results(tmp_path, capsys):
                "--syn", str(ref), str(broken), "--out", str(out)])
     capsys.readouterr()
     assert rc == 1
-    summary = json.loads((out / "eval_summary.json").read_text())
+    summary = read_report(out / "eval_summary.json")
     assert summary["pairs"] == 2
     assert summary["evaluated"] == 1
     assert len(summary["failures"]) == 1
-    assert "error" in json.loads((out / "pair_001.json").read_text())
+    assert "error" in read_report(out / "pair_001.json")
     # the good pair still made it into the aggregate
     assert len((out / "aggregate.csv").read_text().splitlines()) == 2
 

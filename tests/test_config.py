@@ -215,6 +215,7 @@ def test_recipe_schedule_and_grid_are_the_library_defaults():
     # default_config(); the two agree because the config reads their defaults.
     cfg = default_config()
     assert cfg.schedule() == NoiseSchedule()
+    assert cfg.time_grid() == make_grid(12)
     assert np.array_equal(cfg.time_grid().nodes, make_grid(12).nodes)
 
 

@@ -21,7 +21,7 @@ from stereobridge.consistency import (
     train_step,
 )
 from stereobridge.net import init_adam, init_denoiser
-from stereobridge.schedule import NoiseSchedule, TimeGrid, bridge_coefficients, make_grid
+from stereobridge.schedule import NoiseSchedule, bridge_coefficients, make_grid
 
 CONST = NoiseSchedule(beta0=1.0, beta1=1.0)
 DEFAULT = NoiseSchedule()
@@ -156,16 +156,6 @@ def test_node_state_matches_sample_posterior_bitwise():
     for r, i in enumerate(n):
         want = sample_posterior(ep, m.grid.nodes[i], m.sched, z).x[r]
         assert np.array_equal(per_row[r], want)
-
-
-def test_model_rejects_grid_touching_zero():
-    rng = np.random.default_rng(0)
-    online = init_denoiser(rng, DIM, COND, hidden=8, depth=1, time_embed_dim=4)
-    bad = TimeGrid(n_steps=2, t_min=0.0, t_max=0.5,
-                   nodes=np.array([0.0, 0.25, 0.5]))
-    with pytest.raises(ValueError):
-        ConsistencyModel(online=online, target=online.copy(),
-                         sched=DEFAULT, grid=bad, sigma_data=1.0, ema_decay=0.999)
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,6 @@ DEFAULTED = {
     "config.parse_config(source)": "load_config sets it to the file path",
     "consistency.stereo_enhancement_loss(repulsion_weight)":
         "acceptance criterion 09 sets it and relies on its default",
-    "schedule.make_grid(t_min)":
-        "RunConfig reads it as its default and sets it; the acceptance GRID does not",
-    "schedule.make_grid(t_max)":
-        "RunConfig reads it as its default and sets it; the acceptance GRID does not",
     "toys.oracle_ode_sample(steps)": "criteria 05 and 06 and perfbench use its 256 steps",
     "toys.run_toy_training(step_callback)":
         "train-toy passes a callback; criterion 05 trains without one",

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from stereobridge.schedule import (
     InvalidScheduleError,
     NoiseSchedule,
+    TimeGrid,
     accumulated_variances,
     beta_at,
     bridge_coefficients,
@@ -117,7 +120,7 @@ def test_cap_sigma2_vanishes_at_ends():
 
 def test_make_grid_default_constants():
     grid = make_grid(120, 0.001, 0.999)
-    assert len(grid) == 121
+    assert len(grid.nodes) == 121
     assert grid.nodes[0] == pytest.approx(0.001)
     assert grid.nodes[-1] == pytest.approx(0.999)
     assert np.all(np.diff(grid.nodes) > 0)
@@ -133,3 +136,70 @@ def test_make_grid_rejects_unit_endpoints():
         make_grid(4, 0.0, 1.0)
     with pytest.raises(ValueError):
         make_grid(0, 0.1, 0.9)
+
+
+def reference_nodes(n_steps, t_min=0.001, t_max=0.999):
+    """The grid formula as a standalone function built it."""
+    i = np.arange(n_steps + 1, dtype=np.float64)
+    nodes = t_min + i * (t_max - t_min) / n_steps
+    nodes[-1] = t_max
+    return nodes
+
+
+@pytest.mark.parametrize("args", [(1, 0.001, 0.999), (12,), (120, 0.001, 0.999),
+                                  (1000,), (8, 0.05, 0.95)])
+def test_grid_nodes_are_the_reference_formula_bitwise(args):
+    nodes = TimeGrid(*args).nodes
+    want = reference_nodes(*args)
+    assert nodes.dtype == np.float64
+    assert nodes.tobytes() == want.tobytes()
+    assert not nodes.flags.writeable
+
+
+BAD_GRIDS = [
+    {"n_steps": 0},
+    {"t_min": 0.0},
+    {"t_min": -0.1},
+    {"t_max": 1.0},
+    {"t_max": 1.5},
+    {"t_min": 0.5, "t_max": 0.5},
+    {"t_min": 0.6, "t_max": 0.4},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_GRIDS, ids=repr)
+def test_grid_rejects_bad_fields_at_construction(bad):
+    with pytest.raises(ValueError):
+        TimeGrid(**{"n_steps": 4, **bad})
+
+
+@pytest.mark.parametrize("bad", BAD_GRIDS, ids=repr)
+def test_grid_rejects_bad_fields_under_replace(bad):
+    with pytest.raises(ValueError):
+        replace(TimeGrid(4), **bad)
+
+
+def test_grid_replace_rebuilds_the_nodes():
+    grid = replace(TimeGrid(4), n_steps=8, t_min=0.05, t_max=0.95)
+    assert grid.nodes.tobytes() == reference_nodes(8, 0.05, 0.95).tobytes()
+
+
+def test_grid_takes_no_nodes():
+    # Nodes at both ends, where the bridge variance vanishes, cannot be
+    # handed in beside fields that disagree with them.
+    with pytest.raises(TypeError):
+        TimeGrid(n_steps=3, t_min=0.2, t_max=0.4, nodes=np.array([0.0, 0.5, 1.0]))
+
+
+def test_grid_rejects_touching_zero():
+    with pytest.raises(ValueError):
+        TimeGrid(n_steps=2, t_min=0.0, t_max=0.5)
+
+
+def test_grids_compare_by_their_fields():
+    assert make_grid is TimeGrid
+    assert make_grid(12) == make_grid(12)
+    assert make_grid(12) == TimeGrid(12, 0.001, 0.999)
+    assert make_grid(12) != make_grid(13)
+    assert make_grid(12) != make_grid(12, 0.002)
+    assert hash(make_grid(12)) == hash(make_grid(12))
