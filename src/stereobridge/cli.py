@@ -206,7 +206,7 @@ def _check_ode_convergence(cfg: RunConfig) -> tuple:
     x1 = np.array([-1.0])
     start = BridgeSample(xs, t0)
     (s0, sb0), (s1, sb1) = (accumulated_variances(sched, t) for t in (t0, t1))
-    exact = x1 + (xs - x1) * math.sqrt(sb1 * s0 / (s1 * sb0))
+    exact = x1 + (xs - x1) * math.sqrt((sb1 / s1) * (s0 / sb0))
 
     def error(steps):
         return float(np.abs(integrate_pf_ode(start, t1, steps, x1, sched).x - exact)[0])
@@ -287,36 +287,34 @@ def cmd_train_toy(args) -> int:
     try:
         result = run_toy_training(cfg, step_callback=callback)
     except TrainingError as exc:
-        _write(out / "loss.csv", _loss_csv, rows)
+        # Step 1 always saves, so this run left a checkpoint exactly when one
+        # of its steps completed; an older file in ``out`` is not this run's.
         meta.update({
             "status": "aborted",
             "error": str(exc),
-            "completed_steps": len(rows),
-            "checkpoint_retained": ckpt_path.exists(),
+            "checkpoint_retained": bool(rows),
         })
-        _write(out / "train_meta.json", _json_file, meta)
-        print(f"training aborted after {len(rows)} steps: {exc}",
-              file=sys.stderr)
-        return 1
-
+        code, message = 1, f"training aborted after {len(rows)} steps: {exc}"
+    else:
+        meta.update({
+            "status": "completed",
+            "wall_seconds": result.wall_s,
+            "spread": {
+                "probe_step": cfg.probe_step,
+                "at_probe_step": result.spread_probe,
+                "final": result.spread_final,
+            },
+            "loss": {
+                "first_50_mean": float(np.mean(result.losses[:50])),
+                "last_50_mean": float(np.mean(result.losses[-50:])),
+            },
+        })
+        code, message = 0, f"trained {len(rows)} steps; checkpoint at {ckpt_path}"
+    meta["completed_steps"] = len(rows)
     _write(out / "loss.csv", _loss_csv, rows)
-    meta.update({
-        "status": "completed",
-        "completed_steps": len(rows),
-        "wall_seconds": result.wall_s,
-        "spread": {
-            "probe_step": cfg.probe_step,
-            "at_probe_step": result.spread_probe,
-            "final": result.spread_final,
-        },
-        "loss": {
-            "first_50_mean": float(np.mean(result.losses[:50])),
-            "last_50_mean": float(np.mean(result.losses[-50:])),
-        },
-    })
     _write(out / "train_meta.json", _json_file, meta)
-    print(f"trained {len(rows)} steps; checkpoint at {ckpt_path}")
-    return 0
+    print(message, file=sys.stderr if code else sys.stdout)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +350,10 @@ def _samples_csv(path: Path, samples: np.ndarray) -> None:
 
 
 def cmd_sample(args) -> int:
-    """Sample under the run config the checkpoint carries.  A ``--config``
-    must agree with it on every model-defining section, so in effect it
-    supplies only the seed."""
+    """Sample under the checkpoint's run at the seed ``--seed``, else a
+    ``--config``, else the run gives.  A ``--config`` must agree with the
+    run on every model-defining section and supplies only the seed, so the
+    timing record hashes the checkpoint's run at the sampling seed."""
     if not 1 <= args.count <= MAX_SAMPLE_COUNT:
         raise ConfigError("--count", f"must lie in [1, {MAX_SAMPLE_COUNT:,}], got {args.count}")
     given = _load_run_config(args) if args.config else None
@@ -369,7 +368,7 @@ def cmd_sample(args) -> int:
         return 1
     if given is not None:
         _check_agrees(given, run)
-    cfg = _with_seed(args, run) if given is None else given
+    cfg = _with_seed(args, run) if given is None else replace(run, seed=given.seed)
     _check_budget(model.grid, args.nfe)
     out = _out_dir(args)
 
@@ -435,9 +434,8 @@ def _evaluate_pair(ref_path: str, syn_path: str) -> MetricReport:
 
 def cmd_eval(args) -> int:
     if len(args.ref) != len(args.syn):
-        print(f"--ref and --syn must align: {len(args.ref)} vs "
-              f"{len(args.syn)} paths", file=sys.stderr)
-        return 2
+        raise ConfigError("--syn", f"must align with --ref ({len(args.syn)} vs "
+                          f"{len(args.ref)} paths)")
     out = _out_dir(args)
     rows = []
     failures = []

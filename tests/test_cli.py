@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -276,6 +277,12 @@ def test_selftest_bridge_reports_an_overflowing_schedule(tmp_path, capsys):
     assert entries["posterior-moments"]["passed"] is False
     assert entries["score-oracle"]["passed"] is False
     assert entries["score-oracle"]["detail"] == {"worst_rel_err": None}
+    # The ODE check's closed form takes its variance ratios before their
+    # product, so its figures stay finite and it fails on them.
+    ode = entries["ode-convergence"]
+    assert ode["passed"] is False
+    figures = [ode["detail"]["rel_err_256"], *ode["detail"]["orders"]]
+    assert all(isinstance(x, float) and math.isfinite(x) for x in figures)
     capsys.readouterr()
 
 
@@ -451,6 +458,33 @@ def trained(tiny_config, tmp_path, capsys):
     return out / "model.ckpt"
 
 
+def test_train_toy_abort_at_step_one_claims_no_older_checkpoint(
+        trained, tmp_path, capsys):
+    # Another run's checkpoint already sits in --out; this run's first step
+    # fails, so it saved nothing and its record must not name that file.
+    out = tmp_path / "reused"
+    out.mkdir()
+    older = trained.read_bytes()
+    (out / "model.ckpt").write_bytes(older)
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "run": {"steps": 5, "batch_size": 4, "probe_step": 1},
+        "model": {"hidden": 16, "depth": 2, "time_embed_dim": 8},
+        "toy": {"means": [[1e300, 0.0], [-1e300, 0.0]]},
+    }))
+    with np.errstate(all="ignore"):
+        rc = main(["train-toy", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert "training aborted after 0 steps" in capsys.readouterr().err
+    meta = read_report(out / "train_meta.json")
+    assert meta["status"] == "aborted"
+    assert meta["completed_steps"] == 0
+    assert meta["checkpoint_retained"] is False
+    assert (out / "model.ckpt").read_bytes() == older
+    assert (out / "loss.csv").read_text() == "step,loss,wall_ms\n"
+
+
 def test_sample_writes_samples_and_timing(tiny_config, trained, tmp_path, capsys):
     out = tmp_path / "s"
     assert main(["sample", "--config", str(tiny_config),
@@ -577,6 +611,26 @@ def test_sample_without_config_reads_the_run_from_the_checkpoint(
     capsys.readouterr()
     name = f"samples_nfe{nfe}.csv"
     assert (bare / name).read_bytes() == (given / name).read_bytes()
+
+
+def test_sample_timing_hashes_the_checkpoints_run(tiny_config, trained, tmp_path, capsys):
+    # A --config that differs from the run only outside the model-defining
+    # sections changes neither the samples nor the recorded run.
+    raw = json.loads(tiny_config.read_text())
+    raw["optimizer"] = {"lr": 1e-4}
+    other = tmp_path / "other_lr.json"
+    other.write_text(json.dumps(raw))
+    given, bare = tmp_path / "given", tmp_path / "bare"
+    assert main(["sample", "--config", str(other), "--checkpoint", str(trained),
+                 "--count", "64", "--out", str(given)]) == 0
+    assert main(["sample", "--checkpoint", str(trained),
+                 "--count", "64", "--out", str(bare)]) == 0
+    capsys.readouterr()
+    trained_hash = read_report(trained.parent / "train_meta.json")["config_hash"]
+    for out in (given, bare):
+        assert read_report(out / "timing_nfe1.json")["config_hash"] == trained_hash
+    assert (given / "samples_nfe1.csv").read_bytes() == \
+        (bare / "samples_nfe1.csv").read_bytes()
 
 
 def test_sample_without_config_keeps_the_trained_grid(tmp_path, capsys):
@@ -795,4 +849,5 @@ def test_eval_misaligned_path_lists(tmp_path, capsys):
     rc = main(["eval", "--ref", str(ref), str(ref), "--syn", str(ref),
                "--out", str(tmp_path / "ev")])
     assert rc == 2
-    capsys.readouterr()
+    assert "--syn: must align with --ref" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()

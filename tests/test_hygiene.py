@@ -1,9 +1,9 @@
 """Source hygiene that no installed linter checks: the package under test is
 this checkout's, every import is used, ``src/`` keeps only the defaulted
-parameters and the command line only the flags listed here, the network's
-forward pass has one caller per entry point, the README's commands parse,
-and every committed benchmark record carries its machine and both sides'
-medians."""
+parameters and the command line only the flags listed here, only ``main``
+returns the usage exit code, the network's forward pass has one caller per
+entry point, the README's commands parse, and every committed benchmark
+record carries its machine and both sides' medians."""
 
 import argparse
 import ast
@@ -156,6 +156,25 @@ def test_forward_pass_has_one_caller_per_entry_point():
     found = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in call_sites(path, "forward_with_cache")]
     assert sorted(found) == ["consistency._estimate", "net.loss_and_grads"]
+
+
+def test_only_main_returns_the_usage_code():
+    # A command raises ConfigError for a usage or config error, and main
+    # alone turns it into exit code 2.
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Return) and isinstance(child.value, ast.Constant) \
+                    and child.value.value == 2:
+                found.append(where)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, where)
+
+    visit(ast.parse((PACKAGE / "cli.py").read_text()), "<module>")
+    assert found == ["main"]
 
 
 def test_denoiser_params_have_one_construction_path():
