@@ -185,7 +185,9 @@ def frame_signal(x: np.ndarray) -> np.ndarray:
 
     Reflection padding centers frame i on sample i*HOP; the right padding
     is extended just enough that the frame count is exactly
-    ``1 + ceil(len(x) / HOP)``.
+    ``1 + ceil(len(x) / HOP)``.  The window multiplies a strided view of
+    the padded signal, so no frame is gathered before it is windowed; the
+    result is a fresh C-contiguous (n_frames, FRAME_SIZE) array.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -198,9 +200,8 @@ def frame_signal(x: np.ndarray) -> np.ndarray:
     pad_left = FRAME_SIZE // 2
     pad_right = (n_frames - 1) * HOP + FRAME_SIZE - pad_left - n
     padded = np.pad(x, (pad_left, max(pad_right, 0)), mode="reflect")
-    window = periodic_hann(FRAME_SIZE)
-    starts = HOP * np.arange(n_frames)
-    return padded[starts[:, None] + np.arange(FRAME_SIZE)] * window
+    frames = np.lib.stride_tricks.sliding_window_view(padded, FRAME_SIZE)[::HOP]
+    return frames * periodic_hann(FRAME_SIZE)
 
 
 def stft(x: np.ndarray) -> Spectrogram:

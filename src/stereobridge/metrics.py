@@ -82,8 +82,10 @@ def _channel_energies(w: StereoWaveform, label: str):
     if w.channels != 2:
         raise ValueError(f"{label} waveform must be stereo, got "
                          f"{w.channels} channel(s)")
-    e = np.sum(w.samples * w.samples, axis=0)
-    return e[0] + LRE_ENERGY_GUARD, e[1] + LRE_ENERGY_GUARD
+    # A pairwise sum per channel: an axis-0 sum adds row by row, several times
+    # slower, and BLAS `dot` may order its sum by the thread count.
+    left, right = (np.sum(c * c) for c in w.samples.T)
+    return left + LRE_ENERGY_GUARD, right + LRE_ENERGY_GUARD
 
 
 def lre(ref: StereoWaveform, syn: StereoWaveform) -> float:
@@ -100,10 +102,14 @@ def lre(ref: StereoWaveform, syn: StereoWaveform) -> float:
 # ---------------------------------------------------------------------------
 
 def schroeder_curve(ir: np.ndarray) -> np.ndarray:
-    """Energy decay curve in dB from backward integration of a squared IR."""
+    """Energy decay curve in dB from backward integration of a squared IR.
+
+    A non-finite sample raises ``ValueError``, as in a waveform."""
     ir = np.asarray(ir, dtype=np.float64)
     if ir.ndim != 1 or len(ir) == 0:
         raise ValueError("impulse response must be a nonempty 1-D array")
+    if not np.all(np.isfinite(ir)):
+        raise ValueError("impulse response contains non-finite samples")
     energy = np.cumsum(ir[::-1] ** 2)[::-1]
     total = energy[0]
     if total <= 0.0:
@@ -115,10 +121,11 @@ def schroeder_curve(ir: np.ndarray) -> np.ndarray:
 def rt60_schroeder(ir: np.ndarray, rate: int) -> float:
     """RT60 from the -5..-35 dB span of the Schroeder decay curve.
 
-    A straight line is least-squares fitted to the curve over that span and
-    extrapolated to a 60 dB decay.  If the curve never reaches 10 dB below
-    the -5 dB point the estimate would be guesswork, so an
-    :class:`UnreliableDecayError` is raised instead.
+    A straight line is least-squares fitted to the curve over that span, in
+    closed form over the centred times and levels, and extrapolated to a
+    60 dB decay.  If the curve never reaches 10 dB below the -5 dB point the
+    estimate would be guesswork, so an :class:`UnreliableDecayError` is
+    raised instead.
     """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
@@ -135,7 +142,9 @@ def rt60_schroeder(ir: np.ndarray, rate: int) -> float:
             "fewer than two samples inside the -5..-35 dB fit span"
         )
     t = np.flatnonzero(mask) / rate
-    slope, _ = np.polyfit(t, db[mask], 1)
+    t -= t.mean()
+    level = db[mask]
+    slope = np.sum(t * (level - level.mean())) / np.sum(t * t)
     if not slope < 0.0:
         raise UnreliableDecayError(f"decay slope is not negative ({slope:.3g})")
     return 60.0 / abs(slope)

@@ -203,9 +203,9 @@ def _assemble_input(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
     if cond.shape[0] != x_t.shape[0]:
         raise ValueError(f"cond has {cond.shape[0]} rows, state {x_t.shape[0]}")
     t = np.asarray(t, dtype=np.float64)
-    if t.ndim == 0:
-        t = np.full(x_t.shape[0], float(t))
     emb = time_embedding(t, p.time_embed_dim)
+    if t.ndim == 0:
+        emb = np.broadcast_to(emb, (x_t.shape[0],) + emb.shape)
     return np.concatenate([x_t, emb, cond], axis=1)
 
 

@@ -12,7 +12,7 @@ import stereobridge
 from stereobridge import bridge, cli
 from stereobridge.cli import _samples_csv, main
 from stereobridge.config import load_config, load_run, save_run
-from stereobridge.dsp import StereoWaveform, write_wav
+from stereobridge.dsp import StereoWaveform, read_wav, write_wav
 from stereobridge.metrics import exponential_ir
 from stereobridge.net import load_checkpoint, save_checkpoint
 from stereobridge.toys import toy_sample
@@ -802,6 +802,26 @@ def test_eval_pair_reports_hold_only_the_metrics(tmp_path, capsys):
     assert set(entry) == {"ref", "syn", "report"}
     assert set(entry["report"]) == {"mcd_db", "lre_db", "rte_s"}
     assert all(entry["report"][key] > 0.0 for key in ("mcd_db", "lre_db", "rte_s"))
+
+
+def test_eval_rt60_input_is_the_channel_mean_bitwise(tmp_path, monkeypatch, capsys):
+    paths = [tmp_path / f"{name}.wav" for name in ("ref", "syn")]
+    write_decaying_stereo(paths[0])
+    write_decaying_stereo(paths[1], gain_left=0.5, tau=0.4, seed=3)
+    seen = []
+    rt60 = cli.rt60_schroeder
+
+    def spy(ir, rate):
+        seen.append(np.array(ir))
+        return rt60(ir, rate)
+
+    monkeypatch.setattr(cli, "rt60_schroeder", spy)
+    assert main(["eval", "--ref", str(paths[0]), "--syn", str(paths[1]),
+                 "--out", str(tmp_path / "ev")]) == 0
+    capsys.readouterr()
+    assert len(seen) == 2
+    for mix, path in zip(seen, paths):
+        assert np.array_equal(mix, read_wav(path).samples.mean(axis=1))
 
 
 def test_eval_flags_failures_but_keeps_partial_results(tmp_path, capsys):

@@ -173,6 +173,25 @@ def test_frame_signal_centering():
     assert frames[i][FRAME_SIZE // 2] == pytest.approx(1.0, rel=1e-12)
 
 
+def gathered_frames(x):
+    """The analysis frames by an explicit (frames, FRAME_SIZE) index gather."""
+    n_frames = 1 + -(-len(x) // HOP)
+    pad_right = (n_frames - 1) * HOP + FRAME_SIZE // 2 - len(x)
+    padded = np.pad(x, (FRAME_SIZE // 2, pad_right), mode="reflect")
+    index = HOP * np.arange(n_frames)[:, None] + np.arange(FRAME_SIZE)
+    return padded[index] * periodic_hann(FRAME_SIZE)
+
+
+@pytest.mark.parametrize("n", [512, 513, 640, 1000, 22050])
+def test_frame_signal_matches_the_index_gather_bitwise(n):
+    x = np.random.default_rng(n).standard_normal(n)
+    frames = frame_signal(x)
+    assert frames.shape == (1 + -(-n // HOP), FRAME_SIZE)
+    assert np.array_equal(frames, gathered_frames(x))
+    assert frames.flags.c_contiguous
+    assert not np.shares_memory(frames, x)
+
+
 def test_spectrogram_bin_invariant():
     with pytest.raises(ValueError):
         Spectrogram(values=np.zeros((3, 100)))

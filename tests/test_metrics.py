@@ -12,6 +12,7 @@ import stereobridge
 from stereobridge.dsp import MelCepstra, StereoWaveform
 from stereobridge.metrics import (
     _DIRECT_MAX_TAPS,
+    LRE_ENERGY_GUARD,
     MetricReport,
     UnreliableDecayError,
     analytic_rt60,
@@ -127,9 +128,58 @@ def test_lre_rejects_mono():
         lre(w, mono)
 
 
+def axis_sum_lre(ref, syn):
+    """LRE from both channel energies at once, ``np.sum(s * s, axis=0)``."""
+    (ref_l, ref_r), (syn_l, syn_r) = (
+        np.sum(w.samples * w.samples, axis=0) + LRE_ENERGY_GUARD for w in (ref, syn))
+    return abs(10.0 * math.log10(syn_l / syn_r) - 10.0 * math.log10(ref_l / ref_r))
+
+
+def test_lre_matches_the_axis_sum_reference():
+    rng = np.random.default_rng(40)
+    rng.standard_normal((12, 13))  # criterion 07 draws its cepstra first
+    left = 0.1 * rng.standard_normal(22050)
+    right = 0.1 * rng.standard_normal(22050)
+    pairs = [(stereo(left, right), stereo(2.0 * left, right))]
+    rng = np.random.default_rng(11)
+    for n in (1000, 22050, 6 * RATE):
+        a, b = rng.uniform(-1.0, 1.0, (2, 2, n)) * [[[1.0], [0.3]], [[0.5], [0.9]]]
+        pairs.append((stereo(*a), stereo(*b)))
+    for ref, syn in pairs:
+        want = axis_sum_lre(ref, syn)
+        assert want > 1.0
+        assert lre(ref, syn) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # RT60
 # ---------------------------------------------------------------------------
+
+def polyfit_rt60(ir, rate):
+    """RT60 over the same fit span with ``np.polyfit`` as the line fit."""
+    db = schroeder_curve(ir)
+    mask = np.isfinite(db) & (db <= -5.0) & (db >= -35.0)
+    slope, _ = np.polyfit(np.flatnonzero(mask) / rate, db[mask], 1)
+    return 60.0 / abs(slope)
+
+
+def two_stage_ir():
+    rng = np.random.default_rng(8)
+    fast = exponential_ir(0.1, RATE, 1.5, rng)
+    return np.concatenate([fast, 1e-4 * rng.standard_normal(int(0.5 * RATE))])
+
+
+def test_rt60_closed_form_fit_matches_polyfit():
+    rng = np.random.default_rng(40)
+    # criterion 07's draws before its impulse responses
+    rng.standard_normal((12, 13))
+    rng.standard_normal((2, 22050))
+    irs = [exponential_ir(tau, RATE, seconds=6.0 * tau, rng=rng)
+           for tau in (0.1, 0.25, 0.5, 0.75, 1.0)]
+    for ir in irs + [two_stage_ir()]:
+        assert rt60_schroeder(ir, RATE) == pytest.approx(
+            polyfit_rt60(ir, RATE), rel=1e-12, abs=0.0)
+
 
 def test_rt60_exponential_sweep_within_five_percent():
     rng = np.random.default_rng(6)
@@ -150,20 +200,32 @@ def test_rt60_amplitude_invariant():
 
 
 def test_rt60_two_stage_decay_tracks_fast_section():
-    rng = np.random.default_rng(8)
-    fast = exponential_ir(0.1, RATE, 1.5, rng)
-    floor = 1e-4 * rng.standard_normal(int(0.5 * RATE))
-    ir = np.concatenate([fast, floor])
-    est = rt60_schroeder(ir, RATE)
+    est = rt60_schroeder(two_stage_ir(), RATE)
     truth = analytic_rt60(0.1)
     assert abs(est - truth) <= 0.10 * truth
 
 
 def test_rt60_insufficient_decay_rejected():
-    with pytest.raises(UnreliableDecayError):
+    with pytest.raises(UnreliableDecayError, match="decay curve only reaches"):
         rt60_schroeder(np.ones(5), RATE)
     with pytest.raises(UnreliableDecayError):
         rt60_schroeder(np.zeros(100), RATE)
+
+
+@pytest.mark.parametrize("fault", ["all-nan", "trailing-nan", "inf"])
+def test_non_finite_impulse_response_is_rejected(fault):
+    ir = exponential_ir(0.2, RATE, 1.0, np.random.default_rng(9))
+    if fault == "all-nan":
+        ir[:] = np.nan
+    elif fault == "trailing-nan":
+        ir[-1] = np.nan
+    else:
+        ir[100] = np.inf
+    for fn in (schroeder_curve, lambda x: rt60_schroeder(x, RATE)):
+        with pytest.raises(ValueError) as exc:
+            fn(ir)
+        assert not isinstance(exc.value, UnreliableDecayError)
+        assert str(exc.value) == "impulse response contains non-finite samples"
 
 
 def test_schroeder_curve_monotone_nonincreasing():

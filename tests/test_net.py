@@ -11,6 +11,7 @@ from stereobridge.net import (
     ADAM_EPS,
     DenoiserParams,
     TrainingError,
+    _assemble_input,
     adam_step,
     backward,
     ema_update,
@@ -78,6 +79,18 @@ def test_time_embedding_batch_shape():
     e = time_embedding(np.linspace(0.1, 0.9, 7), 32)
     assert e.shape == (7, 32)
     assert np.all(np.abs(e) <= 1.0 + 1e-15)
+
+
+def test_scalar_time_input_equals_a_full_time_column_bitwise():
+    p = probe_net()
+    x_t, _, cond = probe_batch(batch=64)
+    for t in (0.0, 0.37, 0.999):
+        a = _assemble_input(p, x_t, t, cond)
+        b = _assemble_input(p, x_t, np.full(64, t), cond)
+        assert a.shape == (64, p.widths[0])
+        assert np.array_equal(a, b)
+        assert np.array_equal(forward_with_cache(p, x_t, t, cond)[0],
+                              forward_with_cache(p, x_t, np.full(64, t), cond)[0])
 
 
 def test_zero_final_layer_outputs_zero():
