@@ -97,7 +97,6 @@ def sample_posterior(ep: Endpoints, t: float, sched: NoiseSchedule, z: np.ndarra
     match the endpoints (a leading batch axis is allowed when the endpoints
     carry one).
     """
-    z = np.asarray(z, dtype=np.float64)
     if z.shape != ep.x0.shape:
         raise ValueError(f"noise shape {z.shape} does not match endpoints {ep.x0.shape}")
     a, b, cap_sigma2 = bridge_coefficients(sched, t)
@@ -107,7 +106,7 @@ def sample_posterior(ep: Endpoints, t: float, sched: NoiseSchedule, z: np.ndarra
 
 def _checked_cap_sigma2(sched: NoiseSchedule, t) -> float:
     _, _, cap_sigma2 = bridge_coefficients(sched, t)
-    if np.any(np.asarray(cap_sigma2) <= VARIANCE_FLOOR):
+    if np.any(cap_sigma2 <= VARIANCE_FLOOR):
         raise NearEndpointError(
             f"bridge variance {cap_sigma2!r} at t={t!r} is at or below the "
             f"{VARIANCE_FLOOR:g} floor"
@@ -120,7 +119,6 @@ def analytic_posterior_score(x_t: np.ndarray, ep: Endpoints, t: float, sched: No
 
     This is the exact Gaussian score ``-(x_t - mu_t) / cap_sigma2``.
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
     cap_sigma2 = _checked_cap_sigma2(sched, t)
     mu, _ = posterior_moments(ep, t, sched)
     return -(x_t - mu) / cap_sigma2
@@ -139,8 +137,6 @@ def pf_ode_drift(
     not the pinned bridge's own flow.  At any schedule it has the closed form
     ``x(t) = x1 + (x(s) - x1) * sqrt(sigma_bar2(t) sigma2(s) / (sigma2(t) sigma_bar2(s)))``.
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
     cap_sigma2 = _checked_cap_sigma2(sched, t)
     return 0.5 * beta_at(sched, t) * (x1 - x_t) / cap_sigma2
 
@@ -154,7 +150,7 @@ def heun_integrate(drift_fn, x0: np.ndarray, t0: float, t1: float, steps: int) -
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    x = np.asarray(x0, dtype=np.float64).copy()
+    x = x0.copy()
     h = (t1 - t0) / steps
     if h == 0.0:
         return x

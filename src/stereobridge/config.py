@@ -139,11 +139,7 @@ class RunConfig:
         return TimeGrid(self.n_steps, self.t_min, self.t_max)
 
     def toy_problem(self) -> ToyProblem:
-        mixture = GaussianMixture(
-            means=np.array(self.toy_means, dtype=np.float64),
-            sigmas=np.array(self.toy_sigmas, dtype=np.float64),
-            weights=np.array(self.toy_weights, dtype=np.float64),
-        )
+        mixture = GaussianMixture(self.toy_means, self.toy_sigmas, self.toy_weights)
         return ToyProblem(mixture=mixture, prior_sigma=self.prior_sigma)
 
     def layer_widths(self) -> tuple:

@@ -220,7 +220,6 @@ def sample_multistep(
     bridge mean is dropped (its weight is a few 1e-3 at the default maximum
     time and the data point is unknown at inference).
     """
-    x1 = np.asarray(x1, dtype=np.float64)
     x0_hat = 0.0
     for i in nfe_times(m.grid, nfe):
         z = rng.standard_normal(x1.shape)
@@ -264,15 +263,11 @@ def stereo_enhancement_loss(
     repulsion term is capped at the reconstruction error, which bounds the
     loss below by zero for weights <= 1.
     """
-    gl = np.asarray(gen_left, dtype=np.float64)
-    gr = np.asarray(gen_right, dtype=np.float64)
-    rl = np.asarray(ref_left, dtype=np.float64)
-    rr = np.asarray(ref_right, dtype=np.float64)
-    if not (gl.shape == gr.shape == rl.shape == rr.shape):
+    if not (gen_left.shape == gen_right.shape == ref_left.shape == ref_right.shape):
         raise ValueError(
-            f"all four frame blocks must share a shape, got "
-            f"{gl.shape}, {gr.shape}, {rl.shape}, {rr.shape}"
+            f"all four frame blocks must share a shape, got {gen_left.shape}, "
+            f"{gen_right.shape}, {ref_left.shape}, {ref_right.shape}"
         )
-    recon = float(np.sum((gl - rl) ** 2) + np.sum((gr - rr) ** 2))
-    repulsion = min(float(np.sum((gl - gr) ** 2)), recon)
+    recon = float(np.sum((gen_left - ref_left) ** 2) + np.sum((gen_right - ref_right) ** 2))
+    repulsion = min(float(np.sum((gen_left - gen_right) ** 2)), recon)
     return recon - repulsion_weight * repulsion

@@ -189,7 +189,6 @@ def frame_signal(x: np.ndarray) -> np.ndarray:
     the padded signal, so no frame is gathered before it is windowed; the
     result is a fresh C-contiguous (n_frames, FRAME_SIZE) array.
     """
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("frame_signal expects a single channel")
     n = len(x)
@@ -199,7 +198,7 @@ def frame_signal(x: np.ndarray) -> np.ndarray:
     n_frames = 1 + int(np.ceil(n / HOP))
     pad_left = FRAME_SIZE // 2
     pad_right = (n_frames - 1) * HOP + FRAME_SIZE - pad_left - n
-    padded = np.pad(x, (pad_left, max(pad_right, 0)), mode="reflect")
+    padded = np.pad(x, (pad_left, pad_right), mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(padded, FRAME_SIZE)[::HOP]
     return frames * periodic_hann(FRAME_SIZE)
 
@@ -277,8 +276,7 @@ class MelCepstra:
 
 def mel_cepstra(log_mel_frames: np.ndarray, k: int) -> MelCepstra:
     """Orthonormal DCT-II over each frame, keeping coefficients 0..k-1."""
-    frames = np.atleast_2d(np.asarray(log_mel_frames, dtype=np.float64))
-    if not 0 < k <= frames.shape[1]:
-        raise ValueError(f"k must be in (0, {frames.shape[1]}], got {k}")
-    coeffs = scipy.fft.dct(frames, type=2, norm="ortho", axis=1)
+    if not 0 < k <= log_mel_frames.shape[1]:
+        raise ValueError(f"k must be in (0, {log_mel_frames.shape[1]}], got {k}")
+    coeffs = scipy.fft.dct(log_mel_frames, type=2, norm="ortho", axis=1)
     return MelCepstra(coeffs=coeffs[:, :k])

@@ -105,7 +105,6 @@ def schroeder_curve(ir: np.ndarray) -> np.ndarray:
     """Energy decay curve in dB from backward integration of a squared IR.
 
     A non-finite sample raises ``ValueError``, as in a waveform."""
-    ir = np.asarray(ir, dtype=np.float64)
     if ir.ndim != 1 or len(ir) == 0:
         raise ValueError("impulse response must be a nonempty 1-D array")
     if not np.all(np.isfinite(ir)):
@@ -199,15 +198,12 @@ def synth_reverb_stereo(dry: np.ndarray, ir_left: np.ndarray,
     zero-padded to the longer.  The result is rescaled only if its peak
     exceeds 1, so quiet material passes through exactly.
     """
-    dry = np.asarray(dry, dtype=np.float64)
     if dry.ndim != 1 or len(dry) == 0:
         raise ValueError("dry signal must be a nonempty 1-D array")
-    irs = []
-    for name, ir in (("left", ir_left), ("right", ir_right)):
-        ir = np.asarray(ir, dtype=np.float64)
+    irs = (ir_left, ir_right)
+    for name, ir in zip(("left", "right"), irs):
         if ir.ndim != 1 or len(ir) == 0:
             raise ValueError(f"{name} impulse response must be nonempty 1-D")
-        irs.append(ir)
     out = np.zeros((len(dry) + max(len(ir) for ir in irs) - 1, 2))
     n_fft = next_fast_len(len(out), real=True)
     dry_spectrum = None

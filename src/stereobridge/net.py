@@ -151,12 +151,18 @@ def init_denoiser(
     depth: int,
     time_embed_dim: int,
 ) -> DenoiserParams:
-    """He-normal hidden layers and a zero final layer, drawn layer by layer.
+    """:func:`draw_denoiser` over the widths of these dimensions.
 
     ``depth`` counts hidden layers, so the network has ``depth + 1`` weight
     matrices in total; ``time_embed_dim`` must be even.
     """
     widths = layer_widths(data_dim, cond_dim, hidden, depth, time_embed_dim)
+    return draw_denoiser(rng, widths, time_embed_dim)
+
+
+def draw_denoiser(rng: np.random.Generator, widths: tuple,
+                  time_embed_dim: int) -> DenoiserParams:
+    """He-normal hidden layers and a zero final layer, drawn layer by layer."""
     p = DenoiserParams(np.zeros(parameter_count(widths)), widths, time_embed_dim)
     for w in p.weights[:-1]:
         w[:] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
@@ -194,8 +200,6 @@ def _silu(z, out):
 
 
 def _assemble_input(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
     if x_t.shape[1] != p.data_dim:
         raise ValueError(f"state dim {x_t.shape[1]} != data_dim {p.data_dim}")
     if cond.shape[1] != p.cond_dim:
@@ -243,7 +247,7 @@ def backward(p: DenoiserParams, cache, d_out: np.ndarray) -> DenoiserParams:
     """
     x, pre_acts = cache
     grads = replace(p, flat=np.empty_like(p.flat))
-    delta = np.asarray(d_out, dtype=np.float64)
+    delta = d_out
     for i in range(p.n_layers - 1, 0, -1):
         z = pre_acts[i - 1]
         e = 1.0 + np.exp(-z)
@@ -272,7 +276,7 @@ def loss_and_grads(p: DenoiserParams, batch, loss_fn):
     if not np.isfinite(loss):
         raise TrainingError(
             f"non-finite loss {loss!r} on batch of {out.shape[0]} "
-            f"(|x| max {np.max(np.abs(np.asarray(x_t))):.3g})"
+            f"(|x| max {np.max(np.abs(x_t)):.3g})"
         )
     return float(loss), backward(p, cache, d_out)
 

@@ -59,6 +59,8 @@ def beta_at(s: NoiseSchedule, t):
     """Evaluate the rate function at time t (scalar or array)."""
     t = _check_unit_time(t)
     out = s.beta0 + (s.beta1 - s.beta0) * t
+    # Scalar t gives Python floats here and below, so comparisons in reports
+    # stay JSON booleans rather than np.bool_.
     return float(out) if out.ndim == 0 else out
 
 

@@ -163,17 +163,15 @@ def energy_vector(spec_left: np.ndarray, spec_right: np.ndarray) -> EnergyVector
     from ``LOG_ENERGY_RANGE`` onto [0, ENERGY_BINS) and floored, then
     clamped into range.  A silent frame lands in bin 0.
     """
-    left = np.asarray(spec_left, dtype=np.float64)
-    right = np.asarray(spec_right, dtype=np.float64)
-    if left.ndim != 2 or right.ndim != 2:
+    if spec_left.ndim != 2 or spec_right.ndim != 2:
         raise ValueError("spectrogram magnitudes must be 2-D (frames, freq)")
-    if left.shape[0] != right.shape[0]:
+    if spec_left.shape[0] != spec_right.shape[0]:
         raise ValueError(
-            f"frame counts differ: {left.shape[0]} vs {right.shape[0]}"
+            f"frame counts differ: {spec_left.shape[0]} vs {spec_right.shape[0]}"
         )
     lo, hi = LOG_ENERGY_RANGE
-    codes = np.empty((left.shape[0], 2), dtype=np.intp)
-    for ch, spec in enumerate((left, right)):
+    codes = np.empty((spec_left.shape[0], 2), dtype=np.intp)
+    for ch, spec in enumerate((spec_left, spec_right)):
         e = np.sqrt(np.sum(spec * spec, axis=1))
         level = (np.log10(e + ENERGY_EPS) - lo) / (hi - lo)
         codes[:, ch] = np.clip(np.floor(ENERGY_BINS * level).astype(np.intp),
@@ -242,7 +240,6 @@ def conv_stack(enc: SpatialEncoder, ve: EnergyVector, vloc: np.ndarray) -> np.nd
     by a factor of two (a trailing odd frame forms its own pool).  Output
     shape is (ceil(F/2), d_model).
     """
-    vloc = np.asarray(vloc, dtype=np.float64)
     if vloc.shape != (3,):
         raise ValueError(f"pose vector must have shape (3,), got {vloc.shape}")
     if ve.n_frames == 0:
@@ -274,15 +271,13 @@ def _pool_pairs(h: np.ndarray) -> np.ndarray:
 def attention_weights(q_states: np.ndarray, kv_states: np.ndarray) -> np.ndarray:
     """Row-stochastic attention matrix softmax(Q K^T / sqrt(d_k)), with d_k
     the query width."""
-    q = np.atleast_2d(np.asarray(q_states, dtype=np.float64))
-    kv = np.atleast_2d(np.asarray(kv_states, dtype=np.float64))
-    if kv.shape[0] == 0:
+    if kv_states.shape[0] == 0:
         raise ValueError("attention needs at least one key/value vector")
-    if q.shape[1] != kv.shape[1]:
+    if q_states.shape[1] != kv_states.shape[1]:
         raise ValueError(
-            f"query dim {q.shape[1]} does not match key dim {kv.shape[1]}"
+            f"query dim {q_states.shape[1]} does not match key dim {kv_states.shape[1]}"
         )
-    logits = q @ kv.T / math.sqrt(q.shape[1])
+    logits = q_states @ kv_states.T / math.sqrt(q_states.shape[1])
     logits -= logits.max(axis=1, keepdims=True)
     weights = np.exp(logits)
     return weights / weights.sum(axis=1, keepdims=True)
@@ -290,8 +285,7 @@ def attention_weights(q_states: np.ndarray, kv_states: np.ndarray) -> np.ndarray
 
 def cross_modal_attention(q_states: np.ndarray, kv_states: np.ndarray) -> np.ndarray:
     """Single-head scaled dot-product attention with K = V = kv_states."""
-    kv = np.atleast_2d(np.asarray(kv_states, dtype=np.float64))
-    return attention_weights(q_states, kv) @ kv
+    return attention_weights(q_states, kv_states) @ kv_states
 
 
 def build_spatial_embedding(
@@ -307,7 +301,6 @@ def build_spatial_embedding(
     views, and the concatenated per-frame summaries are mixed back down to
     d_model.  Output shape (M, d_model) with M the number of frame rows.
     """
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     d = enc.d_model
     if frames.shape[0] == 0:
         raise ValueError("need at least one frame feature")
@@ -337,11 +330,10 @@ def fuse_text(h_txt: np.ndarray, es: np.ndarray, enc: SpatialEncoder) -> np.ndar
     projection this is exactly the identity, so an untrained encoder never
     perturbs the text pathway.
     """
-    h = np.atleast_2d(np.asarray(h_txt, dtype=np.float64))
-    if h.shape[1] != enc.d_model:
-        raise ValueError(f"text dim {h.shape[1]} != d_model {enc.d_model}")
-    attended = cross_modal_attention(h, es)
-    return h + attended @ enc.proj
+    if h_txt.shape[1] != enc.d_model:
+        raise ValueError(f"text dim {h_txt.shape[1]} != d_model {enc.d_model}")
+    attended = cross_modal_attention(h_txt, es)
+    return h_txt + attended @ enc.proj
 
 
 # ---------------------------------------------------------------------------

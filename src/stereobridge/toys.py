@@ -161,7 +161,6 @@ def posterior_mixing(problem: ToyProblem, x1) -> Posterior:
     ``x1`` is an (n, dim) array; the result is a :class:`Posterior`.
     """
     mix = problem.mixture
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
     if x1.shape[1] != mix.dim:
         raise ValueError(f"endpoints have dim {x1.shape[1]}, mixture has {mix.dim}")
     s2 = mix.sigmas ** 2
@@ -184,7 +183,7 @@ def posterior_mixing(problem: ToyProblem, x1) -> Posterior:
 
 def _state_mixture(post: Posterior, t, sched):
     """Log weights (k, n), means (k, dim, n) and variances (k,) at time t."""
-    a, b, cap_sigma2 = bridge_coefficients(sched, float(t))
+    a, b, cap_sigma2 = bridge_coefficients(sched, t)
     means = a * post.means + b * post.x1.T
     variances = np.maximum(a * a * post.variances + cap_sigma2, VARIANCE_FLOOR)
     return post.log_w, means, variances
@@ -192,7 +191,6 @@ def _state_mixture(post: Posterior, t, sched):
 
 def _component_logpdfs(x, t, post: Posterior, sched):
     """Per-component log densities (k, n), offsets x − mean (k, dim, n), variances."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     dim = post.means.shape[1]
     if x.shape[1] != dim:
         raise ValueError(f"points have dim {x.shape[1]}, mixture has {dim}")
@@ -282,13 +280,13 @@ def oracle_ode_sample(
 
             v(x, t) = β(t)(x1 − x)/σ̄²(t) − β(t)/2 · ∇log q_t(x | x1).
         """
-        beta = float(beta_at(sched, float(t)))
-        _, sigma_bar2 = accumulated_variances(sched, float(t))
-        sigma_bar2 = max(float(sigma_bar2), VARIANCE_FLOOR)
+        beta = beta_at(sched, t)
+        _, sigma_bar2 = accumulated_variances(sched, t)
+        sigma_bar2 = max(sigma_bar2, VARIANCE_FLOOR)
         score = bridge_marginal_score(x, t, post, sched)
         return beta * (post.x1 - x) / sigma_bar2 - 0.5 * beta * score
 
-    return heun_integrate(drift, start, float(t_start), float(t_end), int(steps))
+    return heun_integrate(drift, start, t_start, t_end, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +332,6 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     order of the summation: results agree with the full matrices to about
     12 digits and are bitwise the same from run to run.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"sample dims differ: {x.shape[1]} vs {y.shape[1]}")
     n, m = x.shape[0], y.shape[0]
@@ -390,15 +386,8 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
 
     problem = cfg.toy_problem()
     rng = np.random.default_rng(cfg.seed)
-    params = net.init_denoiser(
-        rng,
-        data_dim=problem.dim,
-        cond_dim=problem.dim,
-        hidden=cfg.hidden,
-        depth=cfg.depth,
-        time_embed_dim=cfg.time_embed_dim,
-    )
-    model = cfg.model(params.flat, params.flat.copy())
+    online = net.draw_denoiser(rng, cfg.layer_widths(), cfg.time_embed_dim).flat
+    model = cfg.model(online, online.copy())
     opt = net.init_adam(model.online, lr=lr, beta2=cfg.adam_beta2)
 
     probe_rng = np.random.default_rng((cfg.seed, 0x534E4150))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -99,9 +100,11 @@ HUGE = "1" + "0" * 399   # a valid JSON integer too large for a float
     ('"run": {"batch_size": 1000000000000}', "run.batch_size"),
     ('"grid": {"n_steps": 1000000000000}', "grid.n_steps"),
     ('"model": {"depth": 100000000}', "model.depth"),
+    ('"grid": 5', "grid: expected an object, got int"),
+    ('"toy": {"means": 5}', "toy.means: expected a list, got 5"),
 ], ids=["nan-weights", "huge-integer-mean", "huge-integer-lr", "boolean-means",
         "huge-steps", "huge-hidden", "huge-time-embed-dim", "huge-batch-size",
-        "huge-n-steps", "huge-depth"])
+        "huge-n-steps", "huge-depth", "number-for-section", "number-for-list"])
 def test_unusable_number_exits_two(command, section, key, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 1, ' + section + '}')
@@ -841,6 +844,22 @@ def test_eval_flags_failures_but_keeps_partial_results(tmp_path, capsys):
     assert "error" in read_report(out / "pair_001.json")
     # the good pair still made it into the aggregate
     assert len((out / "aggregate.csv").read_text().splitlines()) == 2
+
+
+def test_eval_reports_a_data_chunk_of_partial_frames(tmp_path, capsys):
+    ref = tmp_path / "ref.wav"
+    write_decaying_stereo(ref)
+    blob = bytearray(ref.read_bytes())
+    at = blob.index(b"data") + 4
+    size = struct.unpack_from("<I", blob, at)[0] - 2
+    struct.pack_into("<I", blob, at, size)
+    syn = tmp_path / "syn.wav"
+    syn.write_bytes(blob[:-2])
+    out = tmp_path / "ev"
+    assert main(["eval", "--ref", str(ref), "--syn", str(syn), "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert (f"data chunk: {size} bytes is not a whole number of 2-channel frames"
+            in read_report(out / "pair_000.json")["error"])
 
 
 def test_eval_survives_every_single_bit_flip_of_the_header(tmp_path, capsys):

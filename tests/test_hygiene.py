@@ -2,8 +2,9 @@
 this checkout's, every import is used, ``src/`` keeps only the defaulted
 parameters and the command line only the flags listed here, only ``main``
 returns the usage exit code, the network's forward pass has one caller per
-entry point, the README's commands parse, and every committed benchmark
-record carries its machine and both sides' medians."""
+entry point, array arguments are not converted again, the README's commands
+parse, and every committed benchmark record carries its machine and both
+sides' medians."""
 
 import argparse
 import ast
@@ -158,6 +159,31 @@ def test_forward_pass_has_one_caller_per_entry_point():
     assert sorted(found) == ["consistency._estimate", "net.loss_and_grads"]
 
 
+# Every function in src/ that calls np.asarray, with why it converts.  Other
+# functions take the float64 arrays their callers already pass, so a new
+# conversion needs a deliberate entry here.
+ASARRAY_SITES = {
+    "bridge.__post_init__": "Endpoints and BridgeSample check what they store",
+    "dsp.__post_init__": "StereoWaveform, Spectrogram and MelCepstra check what they store",
+    "spatial.__post_init__": "SceneFeatureGrid and EnergyVector check what they store",
+    "toys.__post_init__": "GaussianMixture checks the config's lists it is built from",
+    "schedule._check_unit_time": "times arrive as Python floats or grid arrays",
+    "schedule.bridge_coefficients": "the scalar-time fork takes Python floats",
+    "net.time_embedding": "times arrive as Python floats or per-row arrays",
+    "net._assemble_input": "its time arrives as a Python float or per-row array",
+    "dsp._hz_to_mel": "band edges arrive as Python floats",
+}
+
+
+def test_array_arguments_are_not_recoerced():
+    sources = sorted(PACKAGE.glob("*.py"))
+    promoted = [site for path in sources for name in ("atleast_1d", "atleast_2d")
+                for site in call_sites(path, name)]
+    assert promoted == []
+    found = {site for path in sources for site in call_sites(path, "asarray")}
+    assert sorted(found) == sorted(ASARRAY_SITES)
+
+
 def test_only_main_returns_the_usage_code():
     # A command raises ConfigError for a usage or config error, and main
     # alone turns it into exit code 2.
@@ -178,12 +204,12 @@ def test_only_main_returns_the_usage_code():
 
 
 def test_denoiser_params_have_one_construction_path():
-    # A fresh network is drawn by net.init_denoiser; a run's online and EMA
+    # A fresh network is drawn by net.draw_denoiser; a run's online and EMA
     # nets are laid over their flat vectors by config.model.  Copies,
     # zeroed moments and gradients are ``replace(p, flat=...)`` of these.
     found = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in call_sites(path, "DenoiserParams")]
-    assert sorted(found) == ["config.model", "net.init_denoiser"]
+    assert sorted(found) == ["config.model", "net.draw_denoiser"]
 
 
 def readme_commands() -> list[str]:
