@@ -15,6 +15,13 @@ activations share one scratch buffer, and :func:`backward` recomputes them
 from the pre-activations by the forward's own operations.  At the recipe's
 width 192 and depth 4 a forward pass peaks at about 8 KB per row.
 
+The forward runs in its parameters' dtype: the input is assembled in it,
+the biases are views of ``flat`` and the scratch buffer follows the input.
+Training, Adam, the EMA, checkpoints and library sampling hold float64
+parameters.  Only the ``sample`` command runs in float32: it casts the
+loaded online net once, which halves a forward's memory per row, while the
+bridge states and boundary scalings around the network stay float64.
+
 A checkpoint holds the optimizer step, the run config's bytes (parsed by
 :mod:`stereobridge.config`, the one record of the layer layout and EMA
 decay) and the online and EMA flat vectors as little-endian float64.
@@ -210,26 +217,32 @@ def _assemble_input(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
     emb = time_embedding(t, p.time_embed_dim)
     if t.ndim == 0:
         emb = np.broadcast_to(emb, (x_t.shape[0],) + emb.shape)
-    return np.concatenate([x_t, emb, cond], axis=1)
+    return np.concatenate([x_t, emb, cond], axis=1, dtype=p.flat.dtype)
 
 
 def forward_with_cache(p: DenoiserParams, x_t, t, cond):
     """Run the network and keep what backprop needs.
 
     Returns ``(output, cache)`` where output has shape (batch, data_dim) and
-    the cache is ``(network input, [hidden pre-activations])``.  Each layer
-    allocates only its pre-activation.  The hidden activations share one
-    scratch buffer and are not kept: :func:`backward` recomputes them.
+    the cache is ``(network input, [hidden pre-activations])``, all in the
+    parameters' dtype.  Each layer allocates only its pre-activation.  The
+    hidden activations share one scratch buffer and are not kept:
+    :func:`backward` recomputes them.
     """
     a = x = _assemble_input(p, x_t, t, cond)
     pre_acts = []
-    buf = np.empty(len(x) * max((w.shape[1] for w in p.weights[:-1]), default=0))
-    for w, b in zip(p.weights[:-1], p.biases[:-1]):
-        z = np.matmul(a, w)
-        z += b
-        pre_acts.append(z)
-        # A contiguous view, so the next matmul is the call a fresh array gets.
-        a = _silu(z, buf[:z.size].reshape(z.shape))
+    buf = np.empty(len(x) * max((w.shape[1] for w in p.weights[:-1]), default=0), x.dtype)
+    # The SiLU's exp(-z) overflows to inf below z = -88.7 in float32 (-709 in
+    # float64; the recipe's pre-activations reach -87.3), where z / inf is the
+    # SiLU's limit -0.0: not worth a warning.  Any other overflow ends in a
+    # non-finite output, which callers reject.
+    with np.errstate(over="ignore"):
+        for w, b in zip(p.weights[:-1], p.biases[:-1]):
+            z = np.matmul(a, w)
+            z += b
+            pre_acts.append(z)
+            # A contiguous view, so the next matmul is the call a fresh array gets.
+            a = _silu(z, buf[:z.size].reshape(z.shape))
     out = np.matmul(a, p.weights[-1])
     out += p.biases[-1]
     return out, (x, pre_acts)

@@ -277,10 +277,12 @@ def attention_weights(q_states: np.ndarray, kv_states: np.ndarray) -> np.ndarray
         raise ValueError(
             f"query dim {q_states.shape[1]} does not match key dim {kv_states.shape[1]}"
         )
-    logits = q_states @ kv_states.T / math.sqrt(q_states.shape[1])
+    logits = q_states @ kv_states.T
+    logits /= math.sqrt(q_states.shape[1])
     logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def cross_modal_attention(q_states: np.ndarray, kv_states: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from stereobridge.config import load_config, load_run, save_run
 from stereobridge.dsp import StereoWaveform, read_wav, write_wav
 from stereobridge.metrics import exponential_ir
 from stereobridge.net import load_checkpoint, save_checkpoint
-from stereobridge.toys import toy_sample
+from stereobridge.toys import bridge_marginal_logpdf, posterior_mixing, toy_sample
 
 RATE = 22050
 
@@ -572,6 +573,8 @@ def test_sample_writes_toy_sample_rows(nfe, tiny_config, trained, tmp_path, caps
     written = np.loadtxt(out / f"samples_nfe{nfe}.csv", delimiter=",", skiprows=1)
     cfg = load_config(tiny_config)
     _, model, _ = load_run(trained)
+    # sample runs the network in float32: the loaded online net, cast once.
+    model.online = replace(model.online, flat=model.online.flat.astype(np.float32))
     expected = toy_sample(model, cfg.toy_problem(), 32, np.random.default_rng(9), nfe)
     assert np.array_equal(written, expected)
 
@@ -739,6 +742,67 @@ def test_sample_overflowing_network_fails_cleanly(tiny_config, trained, tmp_path
                    "--checkpoint", str(big), "--out", str(tmp_path / "s")])
     assert rc == 1
     assert "sampling failed" in capsys.readouterr().err
+
+
+def test_sample_net_beyond_float32_range_fails_cleanly(tiny_config, trained, tmp_path,
+                                                       capsys):
+    # Finite in float64 but past float32's largest value (3.4e38): sampling
+    # refuses the net by name instead of warning and running on an inf.
+    cfg, model, step = load_run(trained)
+    model.online.weights[0][0, 0] = 1e39
+    big = tmp_path / "big.ckpt"
+    save_run(big, cfg, model, step)
+    rc = main(["sample", "--config", str(tiny_config), "--count", "8",
+               "--checkpoint", str(big), "--out", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"online net of checkpoint {big}" in err and "1e+39" in err
+    assert "float32" in err
+    assert not list((tmp_path / "s").glob("samples_*.csv"))
+
+
+def test_sample_network_overflowing_float32_fails_cleanly(tiny_config, trained, tmp_path,
+                                                          capsys):
+    # Weights float32 holds, whose layers overflow it: the forward yields a
+    # non-finite estimate, and sampling fails as for any corrupt network.
+    cfg, model, step = load_run(trained)
+    model.online.weights[0][:] = 3e38
+    big = tmp_path / "big.ckpt"
+    save_run(big, cfg, model, step)
+    with np.errstate(all="ignore"):
+        rc = main(["sample", "--config", str(tiny_config), "--count", "8",
+                   "--checkpoint", str(big), "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert "sampling failed: network produced a non-finite estimate" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def recipe_500(tmp_path_factory):
+    """The recipe at 500 steps, as the sample benchmark's checkpoint."""
+    d = tmp_path_factory.mktemp("recipe_500")
+    (d / "c.json").write_text(json.dumps({"schema_version": 1, "run": {"steps": 500}}))
+    assert main(["train-toy", "--config", str(d / "c.json"), "--out", str(d)]) == 0
+    return d / "model.ckpt"
+
+
+@pytest.mark.parametrize("nfe", [1, 8])
+def test_float32_samples_stay_within_the_float64_path(nfe, recipe_500, tmp_path, capsys):
+    # sample (float32 network) against toy_sample on the float64 model from
+    # the same checkpoint and seed.  Measured over seeds 7, 8 and 9 at NFE
+    # 1/2/4/8: at most 1.65e-6 pointwise and 2.64e-8 nats apart in the mean
+    # posterior log density; the bounds leave about 3x and 3.8x of margin.
+    assert main(["sample", "--checkpoint", str(recipe_500), "--nfe", str(nfe),
+                 "--count", "4096", "--seed", "9", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = np.loadtxt(tmp_path / f"samples_nfe{nfe}.csv", delimiter=",", skiprows=1)
+    cfg, model, _ = load_run(recipe_500)
+    problem = cfg.toy_problem()
+    want = toy_sample(model, problem, 4096, np.random.default_rng(9), nfe)
+    assert np.max(np.abs(got - want)) <= 5e-6
+    post = posterior_mixing(problem, problem.draw_prior(4096, np.random.default_rng(9)))
+    log_got = np.mean(bridge_marginal_logpdf(got, 0.0, post, model.sched))
+    log_want = np.mean(bridge_marginal_logpdf(want, 0.0, post, model.sched))
+    assert abs(log_got - log_want) <= 1e-7
 
 
 def test_sample_rejects_bad_count(tiny_config, trained, tmp_path, capsys):

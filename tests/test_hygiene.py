@@ -3,8 +3,8 @@ this checkout's, every import is used, ``src/`` keeps only the defaulted
 parameters and the command line only the flags listed here, only ``main``
 returns the usage exit code, the network's forward pass has one caller per
 entry point, array arguments are not converted again, the README's commands
-parse, and every committed benchmark record carries its machine and both
-sides' medians."""
+parse, float32 is cast at one site, and every committed benchmark record
+carries its machine and both sides' medians."""
 
 import argparse
 import ast
@@ -210,6 +210,50 @@ def test_denoiser_params_have_one_construction_path():
     found = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in call_sites(path, "DenoiserParams")]
     assert sorted(found) == ["config.model", "net.draw_denoiser"]
+
+
+# ``np.half``/``np.single`` as attributes only: ``half`` is also a local name.
+NARROW_ATTRS = {"float32", "float16", "single", "half"}
+NARROW_NAMES = {"float32", "float16"}
+NARROW_CODES = re.compile(r"[<>=|]?f[24]|float(16|32)|single|half")
+
+
+def narrow_float_sites(path: Path) -> list[str]:
+    """``module.function`` for each name, attribute or dtype string that
+    spells a float narrower than float64, named by the innermost function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id in NARROW_NAMES) or \
+                    (isinstance(child, ast.Attribute) and child.attr in NARROW_ATTRS) or \
+                    (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                     and NARROW_CODES.fullmatch(child.value)):
+                found.append(where)
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{path.stem}.{child.name}"
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
+    return found
+
+
+def test_narrow_float_scan_names_each_spelling(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy as np\nx = np.half\n"
+                    "def g(a):\n    return a.astype(np.float32), a.view('<f4')\n"
+                    "def h(a, half):\n    return np.float64(a), 'a float32 word', 'f8'\n")
+    assert narrow_float_sites(path) == ["mod.<module>", "mod.g", "mod.g"]
+
+
+def test_float32_is_cast_at_one_site():
+    # sample casts the loaded online net once, and the network follows its
+    # parameters' dtype; every other computation runs in float64.  The grid
+    # file stores float32 features, read back to float64 at once.
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in narrow_float_sites(path)]
+    assert sorted(found) == ["cli.cmd_sample", "spatial.read_grid", "spatial.write_grid"]
 
 
 def readme_commands() -> list[str]:

@@ -419,6 +419,42 @@ def test_forward_and_backward_match_per_layer_reference_bitwise(batch):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_layer_runs_in_the_parameters_dtype(dtype):
+    rng = np.random.default_rng(41)
+    p = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=192, depth=4, time_embed_dim=32)
+    he_final_layer(p, rng)
+    p = replace(p, flat=p.flat.astype(dtype))
+    # The caller's state, times and conditioning stay float64.
+    x_t = rng.standard_normal((64, 2))
+    t = rng.uniform(0.0, 1.0, size=64)
+    cond = rng.standard_normal((64, 2))
+    out, (x, pre_acts) = forward_with_cache(p, x_t, t, cond)
+    assert x.dtype == dtype
+    assert [z.dtype for z in pre_acts] == [dtype] * 4
+    assert out.dtype == dtype
+    # Every operand in the parameters' dtype: a float64 scratch buffer or
+    # bias would round differently from this all-`dtype` reference.
+    a = np.concatenate([x_t, time_embedding(t, 32), cond], axis=1).astype(dtype)
+    for i in range(p.n_layers):
+        z = a @ p.weights[i] + p.biases[i]
+        a = z / (1.0 + np.exp(-z)) if i < p.n_layers - 1 else z
+    assert a.dtype == dtype
+    assert np.array_equal(out, a)
+
+
+@pytest.mark.parametrize("dtype, z", [(np.float32, -100.0), (np.float64, -800.0)])
+def test_silu_past_the_exp_range_is_its_limit_without_a_warning(dtype, z):
+    # Widths (4, 1, 1): the hidden pre-activation is z * x_t, and the output
+    # layer passes the activation through.
+    p = DenoiserParams(np.zeros(parameter_count((4, 1, 1)), dtype), (4, 1, 1), 2)
+    p.weights[0][0, 0] = z
+    p.weights[1][0, 0] = 1.0
+    out, (_, [pre]) = forward_with_cache(p, np.ones((1, 1)), 0.5, np.zeros((1, 1)))
+    assert pre[0, 0] == z
+    assert out[0, 0] == 0.0
+
+
 def test_layer_arrays_are_views_of_the_flat_vector():
     p = probe_net()
     # Widths 9, 8, 8, 3: the data, time-embedding and conditioning widths

@@ -283,6 +283,26 @@ def test_attention_permutation_invariant():
     assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
+def softmax_with_temporaries(q, kv):
+    """The attention weights as computed before the in-place softmax."""
+    logits = q @ kv.T / math.sqrt(q.shape[1])
+    logits -= logits.max(axis=1, keepdims=True)
+    weights = np.exp(logits)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+# Criterion 08's two shapes, then the audio benchmark's conditioning calls:
+# (queries, width, tokens), frames over a 1024-token side.
+@pytest.mark.parametrize("queries, width, tokens",
+                         [(32, 8, 50), (7, D_MODEL, 9), (862, D_MODEL, 1024),
+                          (173, D_MODEL, 1024)])
+def test_in_place_softmax_matches_the_temporaries_bitwise(queries, width, tokens):
+    rng = np.random.default_rng(queries)
+    q = rng.standard_normal((queries, width))
+    kv = 3.0 * rng.standard_normal((tokens, width))
+    assert np.array_equal(attention_weights(q, kv), softmax_with_temporaries(q, kv))
+
+
 def test_attention_errors():
     with pytest.raises(ValueError):
         cross_modal_attention(np.zeros((2, 4)), np.zeros((0, 4)))
