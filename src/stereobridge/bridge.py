@@ -108,7 +108,7 @@ def _checked_cap_sigma2(sched: NoiseSchedule, t) -> float:
     _, _, cap_sigma2 = bridge_coefficients(sched, t)
     if np.any(cap_sigma2 <= VARIANCE_FLOOR):
         raise NearEndpointError(
-            f"bridge variance {cap_sigma2!r} at t={t!r} is at or below the "
+            f"bridge variance {cap_sigma2} at t={t!r} is at or below the "
             f"{VARIANCE_FLOOR:g} floor"
         )
     return cap_sigma2

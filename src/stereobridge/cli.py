@@ -135,7 +135,7 @@ def _check_endpoint_pinning(cfg: RunConfig) -> tuple:
     passed = True
     for t, anchor, budget, label in ((cfg.t_min, x0, 0.2, "bottom"),
                                      (cfg.t_max, x1, 1.0, "top")):
-        a, b, v = bridge_coefficients(sched, t)
+        a, b, v = map(float, bridge_coefficients(sched, t))
         weight = b if label == "bottom" else a
         bound = abs(weight) * float(np.max(np.abs(x1 - x0))) \
             + math.sqrt(v) * float(np.max(np.abs(z)))
@@ -181,6 +181,7 @@ def _check_score_oracle(cfg: RunConfig) -> tuple:
     for _ in range(200):
         t = float(rng.uniform(0.05, 0.95))
         mu, v = posterior_moments(ep, t, sched)
+        v = float(v)
         x = mu + math.sqrt(v) * rng.standard_normal(dim)
         analytic = analytic_posterior_score(x, ep, t, sched)
 
@@ -206,7 +207,7 @@ def _check_ode_convergence(cfg: RunConfig) -> tuple:
     xs = np.array([3.0])
     x1 = np.array([-1.0])
     start = BridgeSample(xs, t0)
-    (s0, sb0), (s1, sb1) = (accumulated_variances(sched, t) for t in (t0, t1))
+    (s0, sb0), (s1, sb1) = (map(float, accumulated_variances(sched, t)) for t in (t0, t1))
     exact = x1 + (xs - x1) * math.sqrt((sb1 / s1) * (s0 / sb0))
 
     def error(steps):
@@ -406,7 +407,7 @@ def cmd_sample(args) -> int:
         "seed": cfg.seed,
         "nfe": args.nfe,
         "network_evaluations": used,
-        "sample_count": int(samples.shape[0]),
+        "sample_count": samples.shape[0],
         "wall_seconds": wall,
         "samples_per_second": samples.shape[0] / wall if wall > 0 else None,
         "nondeterministic_fields": ["wall_seconds", "samples_per_second"],

@@ -146,7 +146,7 @@ def read_wav(path) -> StereoWaveform:
             f"{channels}-channel frames"
         )
     q = np.frombuffer(data, dtype="<i2").reshape(-1, channels)
-    return StereoWaveform(samples=q.astype(np.float64) / _PCM_SCALE, rate=rate)
+    return StereoWaveform(samples=q / _PCM_SCALE, rate=rate)
 
 
 # ---------------------------------------------------------------------------

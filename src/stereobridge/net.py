@@ -213,9 +213,8 @@ def _assemble_input(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
         raise ValueError(f"cond dim {cond.shape[1]} != cond_dim {p.cond_dim}")
     if cond.shape[0] != x_t.shape[0]:
         raise ValueError(f"cond has {cond.shape[0]} rows, state {x_t.shape[0]}")
-    t = np.asarray(t, dtype=np.float64)
     emb = time_embedding(t, p.time_embed_dim)
-    if t.ndim == 0:
+    if emb.ndim == 1:
         emb = np.broadcast_to(emb, (x_t.shape[0],) + emb.shape)
     return np.concatenate([x_t, emb, cond], axis=1, dtype=p.flat.dtype)
 

@@ -10,7 +10,8 @@ accumulated variances
 
 so no quadrature is involved anywhere.  All quantities are computed in
 float64; ``t`` arguments may be scalars or numpy arrays and broadcast
-elementwise.
+elementwise.  A scalar ``t`` gives NumPy float64 scalars, which are
+``float`` instances.
 """
 
 from __future__ import annotations
@@ -58,10 +59,7 @@ def _check_unit_time(t) -> np.ndarray:
 def beta_at(s: NoiseSchedule, t):
     """Evaluate the rate function at time t (scalar or array)."""
     t = _check_unit_time(t)
-    out = s.beta0 + (s.beta1 - s.beta0) * t
-    # Scalar t gives Python floats here and below, so comparisons in reports
-    # stay JSON booleans rather than np.bool_.
-    return float(out) if out.ndim == 0 else out
+    return s.beta0 + (s.beta1 - s.beta0) * t
 
 
 def accumulated_variances(s: NoiseSchedule, t):
@@ -75,10 +73,7 @@ def accumulated_variances(s: NoiseSchedule, t):
     sigma2 = s.beta0 * t + 0.5 * (s.beta1 - s.beta0) * t * t
     sigma_bar2 = s.total_variance - sigma2
     # Guard roundoff at the t=1 endpoint.
-    sigma_bar2 = np.maximum(sigma_bar2, 0.0)
-    if sigma2.ndim == 0:
-        return float(sigma2), float(sigma_bar2)
-    return sigma2, sigma_bar2
+    return sigma2, np.maximum(sigma_bar2, 0.0)
 
 
 def bridge_coefficients(s: NoiseSchedule, t):
@@ -94,16 +89,11 @@ def bridge_coefficients(s: NoiseSchedule, t):
     (the process is pinned there).
     """
     sigma2, sigma_bar2 = accumulated_variances(s, t)
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
-    sigma_bar2 = np.asarray(sigma_bar2, dtype=np.float64)
     total = sigma2 + sigma_bar2
     a = sigma_bar2 / total
     # b = 1 - a rather than sigma2 / total forces exact complementarity.
     b = 1.0 - a
-    cap_sigma2 = sigma_bar2 * sigma2 / total
-    if a.ndim == 0:
-        return float(a), float(b), float(cap_sigma2)
-    return a, b, cap_sigma2
+    return a, b, sigma_bar2 * sigma2 / total
 
 
 @dataclass(frozen=True)

@@ -414,7 +414,7 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
     return ToyTrainResult(
         model=model,
         losses=losses,
-        spread_probe=float(spread_probe),
+        spread_probe=spread_probe,
         spread_final=spread_final,
         wall_s=time.perf_counter() - t_begin,
     )

@@ -2,9 +2,10 @@
 this checkout's, every import is used, ``src/`` keeps only the defaulted
 parameters and the command line only the flags listed here, only ``main``
 returns the usage exit code, the network's forward pass has one caller per
-entry point, array arguments are not converted again, the README's commands
-parse, float32 is cast at one site, and every committed benchmark record
-carries its machine and both sides' medians."""
+entry point, array arguments are not converted again, no result forks on a
+zero-dimensional input, the README's commands parse, float32 is cast at one
+site, and every committed benchmark record carries its machine and both
+sides' medians."""
 
 import argparse
 import ast
@@ -123,18 +124,15 @@ def test_cli_flags_are_the_listed_ones():
     assert found == FLAGS
 
 
-def call_sites(path: Path, callee: str) -> list[str]:
-    """``module.function`` for each call of ``callee``, bare or as an
-    attribute, named by the innermost function that makes it."""
+def matching_sites(path: Path, matches) -> list[str]:
+    """``module.function`` for each AST node that ``matches`` accepts, named
+    by the innermost function that holds it."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                f = child.func
-                if (isinstance(f, ast.Name) and f.id == callee) or \
-                        (isinstance(f, ast.Attribute) and f.attr == callee):
-                    found.append(where)
+            if matches(child):
+                found.append(where)
             inner = where
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = f"{path.stem}.{child.name}"
@@ -142,6 +140,19 @@ def call_sites(path: Path, callee: str) -> list[str]:
 
     visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
     return found
+
+
+def names(node, name: str) -> bool:
+    """Whether ``node`` is ``name``, bare or as an attribute."""
+    return (isinstance(node, ast.Name) and node.id == name) or \
+        (isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def call_sites(path: Path, callee: str) -> list[str]:
+    """``module.function`` for each call of ``callee``, bare or as an
+    attribute, named by the innermost function that makes it."""
+    return matching_sites(path, lambda node: isinstance(node, ast.Call)
+                          and names(node.func, callee))
 
 
 def test_call_site_scan_names_the_calling_function(tmp_path):
@@ -168,9 +179,7 @@ ASARRAY_SITES = {
     "spatial.__post_init__": "SceneFeatureGrid and EnergyVector check what they store",
     "toys.__post_init__": "GaussianMixture checks the config's lists it is built from",
     "schedule._check_unit_time": "times arrive as Python floats or grid arrays",
-    "schedule.bridge_coefficients": "the scalar-time fork takes Python floats",
     "net.time_embedding": "times arrive as Python floats or per-row arrays",
-    "net._assemble_input": "its time arrives as a Python float or per-row array",
     "dsp._hz_to_mel": "band edges arrive as Python floats",
 }
 
@@ -182,6 +191,43 @@ def test_array_arguments_are_not_recoerced():
     assert promoted == []
     found = {site for path in sources for site in call_sites(path, "asarray")}
     assert sorted(found) == sorted(ASARRAY_SITES)
+
+
+def zero_dim_tests(path: Path) -> list[str]:
+    """``module.function`` for each comparison of an ``ndim`` attribute or
+    ``np.ndim`` call with 0, on either side, named by the innermost function."""
+
+    def is_ndim(node):
+        return names(node.func if isinstance(node, ast.Call) else node, "ndim")
+
+    def is_zero(node):
+        return isinstance(node, ast.Constant) and node.value == 0
+
+    def tests_zero_dim(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        operands = [node.left, *node.comparators]
+        return any((is_ndim(a) and is_zero(b)) or (is_zero(a) and is_ndim(b))
+                   for a, b in zip(operands, operands[1:]))
+
+    return matching_sites(path, tests_zero_dim)
+
+
+def test_zero_dim_scan_names_each_comparison(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def f(a):\n    return a.ndim == 0\n"
+                    "def g(a):\n    return 0 != a.ndim, a.ndim == 1, a.size == 0\n"
+                    "def h(a):\n    return a.ndim > 0, np.ndim(a) == 1\n"
+                    "def k(a):\n    return np.ndim(a) == 0\n")
+    assert zero_dim_tests(path) == ["mod.f", "mod.g", "mod.h", "mod.k"]
+
+
+def test_no_result_forks_on_a_zero_dim_input():
+    # A scalar time gives NumPy float64 scalars, which are floats; a caller
+    # that needs Python floats (the selftest's report) converts what it reads.
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in zero_dim_tests(path)]
+    assert found == []
 
 
 def test_only_main_returns_the_usage_code():
@@ -221,22 +267,11 @@ NARROW_CODES = re.compile(r"[<>=|]?f[24]|float(16|32)|single|half")
 def narrow_float_sites(path: Path) -> list[str]:
     """``module.function`` for each name, attribute or dtype string that
     spells a float narrower than float64, named by the innermost function."""
-    found = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Name) and child.id in NARROW_NAMES) or \
-                    (isinstance(child, ast.Attribute) and child.attr in NARROW_ATTRS) or \
-                    (isinstance(child, ast.Constant) and isinstance(child.value, str)
-                     and NARROW_CODES.fullmatch(child.value)):
-                found.append(where)
-            inner = where
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = f"{path.stem}.{child.name}"
-            visit(child, inner)
-
-    visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
-    return found
+    return matching_sites(path, lambda node: (
+        (isinstance(node, ast.Name) and node.id in NARROW_NAMES)
+        or (isinstance(node, ast.Attribute) and node.attr in NARROW_ATTRS)
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and NARROW_CODES.fullmatch(node.value) is not None)))
 
 
 def test_narrow_float_scan_names_each_spelling(tmp_path):

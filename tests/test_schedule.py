@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stereobridge.config import default_config
 from stereobridge.schedule import (
     InvalidScheduleError,
     NoiseSchedule,
@@ -116,6 +117,29 @@ def test_cap_sigma2_vanishes_at_ends():
     for t in (1e-6, 1.0 - 1e-6):
         _, _, v = bridge_coefficients(DEFAULT, t)
         assert v < 1e-5 * total
+
+
+def as_tuple(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+# The ends of the unit interval and every node of the recipe grid.
+SCALAR_TIMES = np.concatenate([[0.0, 1.0], default_config().time_grid().nodes])
+
+
+@pytest.mark.parametrize("fn", [beta_at, accumulated_variances, bridge_coefficients],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("sched", [DEFAULT, CONST], ids=["default", "constant"])
+def test_scalar_time_gives_floats_equal_to_the_array_path(fn, sched):
+    # A scalar time gives NumPy float64 scalars, which are floats, holding
+    # bitwise the values the same times give as one array.
+    columns = as_tuple(fn(sched, SCALAR_TIMES))
+    for i, t in enumerate(SCALAR_TIMES.tolist()):
+        values = as_tuple(fn(sched, t))
+        assert len(values) == len(columns)
+        for value, column in zip(values, columns):
+            assert isinstance(value, float)
+            assert np.float64(value).tobytes() == column[i].tobytes()
 
 
 def test_make_grid_default_constants():
