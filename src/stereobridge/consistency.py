@@ -15,10 +15,11 @@ Training, sampling and the spread probe address grid nodes by integer index
 and read every coefficient from the model's per-node table, so they build
 bridge states through one formula, :func:`stereobridge.bridge.bridge_state`,
 and boundary outputs through another.  The network runs through one of two
-entry points: :func:`_estimate` (sampling and the EMA target) and
-:func:`stereobridge.net.loss_and_grads` (the online pass).  Sampling has one
-path, :func:`sample_multistep`, which takes an evaluation budget: one-step
-generation is its budget-1 case, so every budget draws its noise the same way.
+entry points: :func:`_estimate` (sampling and the EMA target, which keep
+no forward cache) and :func:`stereobridge.net.loss_and_grads` (the online
+pass).  Sampling has one path, :func:`sample_multistep`, which takes an
+evaluation budget: one-step generation is its budget-1 case, so every budget
+draws its noise the same way.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _boundary(m: ConsistencyModel, i, x, raw) -> np.ndarray:
 
 def _estimate(m: ConsistencyModel, params: DenoiserParams, x_t, i, cond) -> np.ndarray:
     """Data estimates of the network ``params`` for states at grid node(s) ``i``."""
-    raw, _ = net.forward_with_cache(params, x_t, m.grid.nodes[i], cond)
+    raw, _ = net.forward_with_cache(params, x_t, m.grid.nodes[i], cond, False)
     return _boundary(m, i, x_t, raw)
 
 
@@ -177,7 +178,7 @@ def train_step(m: ConsistencyModel, batch, opt: net.AdamState, rng: np.random.Ge
     z = rng.standard_normal(x0.shape)
     loss, grads = consistency_loss_and_grads(m, x0, x1, cond, n, z)
     net.adam_step(opt, m.online, grads)
-    net.ema_update(m.target, m.online, m.ema_decay)
+    net.ema_update(m.target, m.online, m.ema_decay, opt.scratch[0])
     return m, opt, loss
 
 

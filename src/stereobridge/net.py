@@ -9,11 +9,15 @@ exactly zero.
 
 Gradients are computed by explicit backpropagation in float64, which keeps
 every parameter checkable against central finite differences and makes
-training bitwise deterministic for a fixed seed.  The forward cache holds
-the network input and one pre-activation array per hidden layer; the
+training bitwise deterministic for a fixed seed.  The forward runs in one
+of two modes with bitwise equal outputs.  The training pass keeps a cache
+of the network input and one pre-activation array per hidden layer; the
 activations share one scratch buffer, and :func:`backward` recomputes them
 from the pre-activations by the forward's own operations.  At the recipe's
-width 192 and depth 4 a forward pass peaks at about 8 KB per row.
+width 192 and depth 4 it peaks at about 8 KB per float64 row.  Sampling and
+the EMA-target pass keep nothing: every layer writes into one block of two
+``rows x max(hidden)`` halves, about 3.4 KB per float64 row at the recipe,
+and depth adds nothing.
 
 The forward runs in its parameters' dtype: the input is assembled in it,
 the biases are views of ``flat`` and the scratch buffer follows the input.
@@ -43,6 +47,7 @@ of :func:`ema_update`.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -125,7 +130,9 @@ class AdamState:
     ``ADAM_EPS``.
 
     ``m`` and ``v`` have the parameters' layout; :func:`adam_step` updates
-    them, ``step`` and two preallocated scratch vectors in place.
+    them, ``step`` and the two preallocated vectors of ``scratch`` in place.
+    Those hold nothing between calls, so the training loop lends one to
+    :func:`ema_update`.
     """
 
     m: DenoiserParams
@@ -133,10 +140,10 @@ class AdamState:
     step: int
     lr: float
     beta2: float
-    _scratch: tuple = field(init=False, repr=False, compare=False)
+    scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._scratch = (np.empty_like(self.m.flat), np.empty_like(self.m.flat))
+        self.scratch = (np.empty_like(self.m.flat), np.empty_like(self.m.flat))
 
 
 def layer_widths(data_dim: int, cond_dim: int, hidden: int, depth: int,
@@ -219,32 +226,45 @@ def _assemble_input(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
     return np.concatenate([x_t, emb, cond], axis=1, dtype=p.flat.dtype)
 
 
-def forward_with_cache(p: DenoiserParams, x_t, t, cond):
-    """Run the network and keep what backprop needs.
+def forward_with_cache(p: DenoiserParams, x_t, t, cond, keep: bool):
+    """Run the network, keeping what backprop needs when ``keep`` is true.
 
-    Returns ``(output, cache)`` where output has shape (batch, data_dim) and
-    the cache is ``(network input, [hidden pre-activations])``, all in the
-    parameters' dtype.  Each layer allocates only its pre-activation.  The
-    hidden activations share one scratch buffer and are not kept:
-    :func:`backward` recomputes them.
+    Returns ``(output, cache)`` where output has shape (batch, data_dim), in
+    the parameters' dtype.  With ``keep`` the cache is ``(network input,
+    [hidden pre-activations])``: each layer allocates its pre-activation,
+    and the hidden activations share one scratch buffer and are not kept
+    (:func:`backward` recomputes them).  Without ``keep`` the cache is
+    ``None`` and the pass allocates one block of two ``batch x
+    max(hidden)`` halves: every layer's matmul writes into the first and
+    its SiLU into the second, so memory does not grow with depth.  Both
+    modes run the same operations on the same values, so their outputs are
+    bitwise equal.
     """
     a = x = _assemble_input(p, x_t, t, cond)
+    size = len(x) * max((w.shape[1] for w in p.weights[:-1]), default=0)
     pre_acts = []
-    buf = np.empty(len(x) * max((w.shape[1] for w in p.weights[:-1]), default=0), x.dtype)
+    if keep:
+        buf = np.empty(size, x.dtype)
+    else:
+        pre, buf = np.empty((2, size), x.dtype)
     # The SiLU's exp(-z) overflows to inf below z = -88.7 in float32 (-709 in
     # float64; the recipe's pre-activations reach -87.3), where z / inf is the
     # SiLU's limit -0.0: not worth a warning.  Any other overflow ends in a
     # non-finite output, which callers reject.
     with np.errstate(over="ignore"):
         for w, b in zip(p.weights[:-1], p.biases[:-1]):
-            z = np.matmul(a, w)
+            # Contiguous views, so each matmul is the call a fresh array gets.
+            n, shape = len(x) * w.shape[1], (len(x), w.shape[1])
+            if keep:
+                z = np.matmul(a, w)
+                pre_acts.append(z)
+            else:
+                z = np.matmul(a, w, out=pre[:n].reshape(shape))
             z += b
-            pre_acts.append(z)
-            # A contiguous view, so the next matmul is the call a fresh array gets.
-            a = _silu(z, buf[:z.size].reshape(z.shape))
+            a = _silu(z, buf[:n].reshape(shape))
     out = np.matmul(a, p.weights[-1])
     out += p.biases[-1]
-    return out, (x, pre_acts)
+    return out, ((x, pre_acts) if keep else None)
 
 
 def backward(p: DenoiserParams, cache, d_out: np.ndarray) -> DenoiserParams:
@@ -283,7 +303,7 @@ def loss_and_grads(p: DenoiserParams, batch, loss_fn):
     differences.  A non-finite loss raises :class:`TrainingError`.
     """
     x_t, t, cond = batch
-    out, cache = forward_with_cache(p, x_t, t, cond)
+    out, cache = forward_with_cache(p, x_t, t, cond, True)
     loss, d_out = loss_fn(out)
     if not np.isfinite(loss):
         raise TrainingError(
@@ -320,7 +340,7 @@ def adam_step(state: AdamState, p: DenoiserParams, grads: DenoiserParams):
     t = state.step + 1
     b1, b2 = ADAM_BETA1, state.beta2
     g, m, v = grads.flat, state.m.flat, state.v.flat
-    s, u = state._scratch
+    s, u = state.scratch
     np.multiply(m, b1, out=m)                 # m = b1*m + (1-b1)*g
     np.multiply(g, 1.0 - b1, out=s)
     np.add(m, s, out=m)
@@ -340,14 +360,17 @@ def adam_step(state: AdamState, p: DenoiserParams, grads: DenoiserParams):
 
 
 def ema_update(target: DenoiserParams, online: DenoiserParams,
-               decay: float) -> DenoiserParams:
+               decay: float, scratch: np.ndarray) -> DenoiserParams:
     """theta_bar <- decay * theta_bar + (1 - decay) * theta, in place.
 
-    Returns ``target``.
+    ``scratch``, a float64 vector of the parameters' size, receives the
+    product ``(1 - decay) * theta``, so a call allocates nothing.  Returns
+    ``target``.
     """
     _check_layout(online, target, "EMA")
     np.multiply(target.flat, decay, out=target.flat)
-    np.add(target.flat, np.multiply(online.flat, 1.0 - decay), out=target.flat)
+    np.multiply(online.flat, 1.0 - decay, out=scratch)
+    np.add(target.flat, scratch, out=target.flat)
     return target
 
 
@@ -361,11 +384,11 @@ _VERSION = 2
 _HEAD = struct.Struct("<8sIQIQ")
 
 
-def _need(buf: bytes, offset: int, size: int, what: str) -> None:
-    if offset + size > len(buf):
+def _need(size: int, offset: int, need: int, what: str) -> None:
+    if offset + need > size:
         raise ValueError(
-            f"checkpoint truncated at byte {offset}: {what} needs {size} "
-            f"bytes, {len(buf) - offset} left"
+            f"checkpoint truncated at byte {offset}: {what} needs {need} "
+            f"bytes, {size - offset} left"
         )
 
 
@@ -382,27 +405,30 @@ def load_checkpoint(path):
     """Read a container written by :func:`save_checkpoint`.
 
     Returns ``(step, config, online, target)``: the config bytes as stored,
-    parsed by the caller, and both flat vectors, copied once from the file
-    buffer into one fresh array; round-trips bitwise with the writer.  A
-    truncated container, one with trailing bytes or one holding a
-    non-finite value raises ``ValueError``.
+    parsed by the caller, and both flat vectors, read from the file straight
+    into one fresh array; round-trips bitwise with the writer.  A truncated
+    container, one with trailing bytes or one holding a non-finite value
+    raises ``ValueError``.
     """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    _need(buf, 0, _HEAD.size, "header")
-    magic, version, step, config_len, count = _HEAD.unpack_from(buf)
-    if magic != _MAGIC:
-        raise ValueError(f"bad checkpoint magic {magic!r}")
-    if version != _VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    _need(buf, _HEAD.size, config_len, "run config")
-    start = _HEAD.size + config_len
-    _need(buf, start, 16 * count, "online and EMA nets")
-    if start + 16 * count != len(buf):
-        raise ValueError(f"checkpoint has {len(buf) - start - 16 * count} "
-                         f"trailing bytes")
-    nets = np.frombuffer(buf, "<f8", 2 * count, start).astype(np.float64).reshape(2, count)
+        size = os.fstat(fh.fileno()).st_size
+        _need(size, 0, _HEAD.size, "header")
+        magic, version, step, config_len, count = _HEAD.unpack(fh.read(_HEAD.size))
+        if magic != _MAGIC:
+            raise ValueError(f"bad checkpoint magic {magic!r}")
+        if version != _VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        _need(size, _HEAD.size, config_len, "run config")
+        start = _HEAD.size + config_len
+        _need(size, start, 16 * count, "online and EMA nets")
+        if start + 16 * count != size:
+            raise ValueError(f"checkpoint has {size - start - 16 * count} "
+                             f"trailing bytes")
+        config = fh.read(config_len)
+        nets = np.empty((2, count), "<f8")
+        # A file cut short after its size was taken reads short.
+        _need(start + fh.readinto(nets), start, 16 * count, "online and EMA nets")
     for name, flat in zip(("online", "EMA"), nets):
         if not np.all(np.isfinite(flat)):
             raise ValueError(f"checkpoint {name} net holds a non-finite value")
-    return step, buf[_HEAD.size:start], nets[0], nets[1]
+    return step, config, nets[0], nets[1]

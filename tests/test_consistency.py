@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_loss_zero_when_networks_and_times_coincide():
     x = rng.standard_normal((1, DIM))
     cond = np.zeros((1, COND))
     on = denoise(m, x, 4, cond)
-    raw, _ = net.forward_with_cache(m.target, x, m.grid.nodes[4], cond)
+    raw, _ = net.forward_with_cache(m.target, x, m.grid.nodes[4], cond, True)
     tg = _boundary(m, 4, x, raw)
     assert np.array_equal(on, tg)
     assert float(np.sum((on - tg) ** 2)) == 0.0
@@ -329,7 +330,7 @@ def test_multistep_single_time_reduces_to_one_step():
     _, b, cap_sigma2 = bridge_coefficients(m.sched, t)
     c_skip, c_out = _scalings(cap_sigma2, m.sigma_data)
     start = b * x1 + np.sqrt(cap_sigma2) * z
-    raw, _ = net.forward_with_cache(m.online, start, t, cond)
+    raw, _ = net.forward_with_cache(m.online, start, t, cond, True)
     expected = c_skip * start + c_out * raw
     out = sample_multistep(m, x1, cond, 1, np.random.default_rng(26))
     assert np.array_equal(out, expected)
@@ -477,15 +478,36 @@ def test_nfe_times_feed_multistep_sampler():
     assert np.array_equal(out, x0_hat)
 
 
-def test_denoise_memory_per_row_at_the_recipe_width():
-    # The forward keeps one pre-activation per hidden layer and one shared
-    # activation buffer: 5 x 192 float64 values, about 7.7 KB per row.
+def test_multistep_equals_the_cached_forward_loop_bitwise():
+    # The sample command's path: a float32 online net at the recipe widths,
+    # 4096 rows, each budget against the loop through the cached forward.
     cfg = default_config()
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(9)
     online = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=cfg.hidden,
                            depth=cfg.depth, time_embed_dim=cfg.time_embed_dim)
+    he_final_layer(online, rng)
     m = cfg.model(online.flat, online.flat.copy())
-    rows = 4096
+    m.online = replace(m.online, flat=m.online.flat.astype(np.float32))
+    x1, cond = rng.standard_normal((4096, 2)), rng.standard_normal((4096, 2))
+    for nfe in (1, 2, 4, 8):
+        out = sample_multistep(m, x1, cond, nfe, np.random.default_rng(nfe))
+        draws = np.random.default_rng(nfe)
+        x0_hat = 0.0
+        for i in nfe_times(m.grid, nfe):
+            x_t = _state(m, i, x0_hat, x1, draws.standard_normal(x1.shape))
+            raw, _ = net.forward_with_cache(m.online, x_t, m.grid.nodes[i], cond, True)
+            x0_hat = _boundary(m, i, x_t, raw)
+        assert np.array_equal(out, x0_hat), nfe
+
+
+def denoise_peak_per_row(hidden, depth, dtype, rows=4096):
+    """Traced peak bytes per row of one warm ``denoise`` call."""
+    cfg = replace(default_config(), hidden=hidden, depth=depth)
+    rng = np.random.default_rng(0)
+    online = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=hidden,
+                           depth=depth, time_embed_dim=cfg.time_embed_dim)
+    m = cfg.model(online.flat, online.flat.copy())
+    m.online = replace(m.online, flat=m.online.flat.astype(dtype))
     x_t = rng.standard_normal((rows, 2))
     cond = rng.standard_normal((rows, 2))
     i = m.grid.n_steps
@@ -496,4 +518,43 @@ def test_denoise_memory_per_row_at_the_recipe_width():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / rows <= 9e3
+    return peak / rows
+
+
+def test_denoise_memory_per_row_at_the_recipe_width():
+    # Sampling keeps no cache: one block of two 192-wide float64 halves,
+    # about 3.4 KB per row with the input and output.
+    cfg = default_config()
+    assert denoise_peak_per_row(cfg.hidden, cfg.depth, np.float64) <= 4e3
+
+
+def test_denoise_memory_does_not_grow_with_depth():
+    # Hidden 120, depth 64 in float32 (the sample command's precision) peaks
+    # at about 1.1 KB per row, as depth 4 does; a cached pass would keep 64
+    # pre-activations, about 31 KB per row.
+    deep = denoise_peak_per_row(120, 64, np.float32)
+    assert deep <= 2e3
+    assert deep <= denoise_peak_per_row(120, 4, np.float32) + 64
+
+
+def test_train_step_allocates_less_than_one_more_parameter_vector():
+    # A steady-state step allocates the gradient vector backward returns and
+    # the batch's activations; the EMA product goes into Adam's scratch, so
+    # the step no longer holds a second parameter-sized vector.
+    cfg = default_config()
+    rng = np.random.default_rng(0)
+    online = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=cfg.hidden,
+                           depth=cfg.depth, time_embed_dim=cfg.time_embed_dim)
+    m = cfg.model(online.flat, online.flat.copy())
+    opt = init_adam(m.online, lr=1e-3, beta2=0.999)
+    batch = tuple(rng.standard_normal((cfg.batch_size, 2)) for _ in range(3))
+    for _ in range(3):
+        train_step(m, batch, opt, rng)
+    tracemalloc.start()
+    try:
+        train_step(m, batch, opt, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vector = m.online.flat.nbytes
+    assert peak - vector < vector / 2

@@ -89,42 +89,61 @@ def test_scalar_time_input_equals_a_full_time_column_bitwise():
         b = _assemble_input(p, x_t, np.full(64, t), cond)
         assert a.shape == (64, p.widths[0])
         assert np.array_equal(a, b)
-        assert np.array_equal(forward_with_cache(p, x_t, t, cond)[0],
-                              forward_with_cache(p, x_t, np.full(64, t), cond)[0])
+        assert np.array_equal(forward_with_cache(p, x_t, t, cond, True)[0],
+                              forward_with_cache(p, x_t, np.full(64, t), cond, True)[0])
 
 
 def test_zero_final_layer_outputs_zero():
     p = fresh_probe_net(np.random.default_rng(0))
     x_t, t, cond = probe_batch()
-    out, _ = forward_with_cache(p, x_t, t, cond)
+    out, _ = forward_with_cache(p, x_t, t, cond, True)
     assert np.array_equal(out, np.zeros_like(out))
 
 
 def test_forward_is_deterministic():
     p = probe_net()
     x_t, t, cond = probe_batch()
-    a, _ = forward_with_cache(p, x_t, t, cond)
-    b, _ = forward_with_cache(p, x_t, t, cond)
+    a, _ = forward_with_cache(p, x_t, t, cond, True)
+    b, _ = forward_with_cache(p, x_t, t, cond, True)
     assert np.array_equal(a, b)
 
 
 def test_forward_sensitive_to_conditioning():
     p = probe_net()
     x_t = np.ones((1, 3))
-    a, _ = forward_with_cache(p, x_t, 0.5, np.array([[0.0, 0.0]]))
-    b, _ = forward_with_cache(p, x_t, 0.5, np.array([[1.0, 0.0]]))
+    a, _ = forward_with_cache(p, x_t, 0.5, np.array([[0.0, 0.0]]), True)
+    b, _ = forward_with_cache(p, x_t, 0.5, np.array([[1.0, 0.0]]), True)
     assert np.max(np.abs(a - b)) > 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows", [16, 64, 4096])
+@pytest.mark.parametrize("hidden", [192, 120])
+def test_forward_without_cache_equals_the_cached_pass_bitwise(hidden, rows, dtype):
+    # Without a cache each layer writes into one of two reused halves; the
+    # operations and their order are the cached pass's.
+    rng = np.random.default_rng(rows + hidden)
+    p = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=hidden, depth=4,
+                      time_embed_dim=16)
+    he_final_layer(p, rng)
+    p = replace(p, flat=p.flat.astype(dtype))
+    x_t, cond = rng.standard_normal((rows, 2)), rng.standard_normal((rows, 2))
+    kept, _ = forward_with_cache(p, x_t, 0.7, cond, True)
+    dropped, cache = forward_with_cache(p, x_t, 0.7, cond, False)
+    assert cache is None
+    assert dropped.dtype == kept.dtype == dtype
+    assert np.array_equal(dropped, kept)
 
 
 def test_forward_shape_errors():
     p = probe_net()
     with pytest.raises(ValueError):
-        forward_with_cache(p, np.zeros((1, 4)), 0.5, np.zeros((1, 2)))
+        forward_with_cache(p, np.zeros((1, 4)), 0.5, np.zeros((1, 2)), True)
     with pytest.raises(ValueError):
-        forward_with_cache(p, np.zeros((1, 3)), 0.5, np.zeros((1, 5)))
+        forward_with_cache(p, np.zeros((1, 3)), 0.5, np.zeros((1, 5)), True)
     # cond needs one row per state; a single row is not broadcast.
     with pytest.raises(ValueError, match="rows"):
-        forward_with_cache(p, np.zeros((4, 3)), 0.5, np.zeros((1, 2)))
+        forward_with_cache(p, np.zeros((4, 3)), 0.5, np.zeros((1, 2)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +292,7 @@ def test_adam_shape_mismatch_rejected():
 def test_ema_rejects_a_layout_of_other_widths():
     target, online = equal_count_layouts()
     with pytest.raises(ValueError, match=r"\(3, 3, 1\).*\(4, 2, 2\)"):
-        ema_update(target, online, 0.5)
+        ema_update(target, online, 0.5, np.empty_like(online.flat))
     assert not target.flat.any()
 
 
@@ -306,7 +325,7 @@ def test_training_loop_bitwise_deterministic():
 def test_ema_decay_zero_copies_online():
     p = probe_net(seed=8)
     target = probe_net(seed=9)
-    new = ema_update(target, p, 0.0)
+    new = ema_update(target, p, 0.0, np.empty_like(p.flat))
     for tw, ow in zip(new.weights, p.weights):
         assert np.array_equal(tw, ow)
 
@@ -315,7 +334,7 @@ def test_ema_decay_one_freezes_target():
     p = probe_net(seed=8)
     target = probe_net(seed=9)
     before = target.copy()
-    new = ema_update(target, p, 1.0)
+    new = ema_update(target, p, 1.0, np.empty_like(p.flat))
     for tw, old in zip(new.weights + new.biases, before.weights + before.biases):
         assert np.array_equal(tw, old)
 
@@ -324,7 +343,7 @@ def test_ema_half_decay_arithmetic():
     online = scalar_params(value=2.0)
     online.biases[0][:] = 2.0
     target = scalar_params(value=0.0, bias=0.0)
-    new = ema_update(target, online, 0.5)
+    new = ema_update(target, online, 0.5, np.empty_like(online.flat))
     assert new.weights[0][0, 0] == 1.0
     assert new.biases[0][0] == 1.0
 
@@ -365,7 +384,7 @@ def test_flat_adam_and_ema_match_per_tensor_reference_bitwise():
         for view, values in zip(grads.weights + grads.biases, g):
             view[:] = values
         assert adam_step(state, p, grads) == (p, state)
-        assert ema_update(target, p, 0.8) is target
+        assert ema_update(target, p, 0.8, state.scratch[0]) is target
         for k in range(len(ref_p)):
             ref_m[k], ref_v[k], delta = reference_adam_tensor(
                 ref_m[k], ref_v[k], g[k], t, state.lr, ADAM_BETA1, state.beta2, ADAM_EPS)
@@ -411,7 +430,7 @@ def test_forward_and_backward_match_per_layer_reference_bitwise(batch):
     t = rng.uniform(0.0, 1.0, size=batch)
     cond = 4.0 * rng.standard_normal((batch, 2))
     d_out = rng.standard_normal((batch, 2))
-    out, cache = forward_with_cache(p, x_t, t, cond)
+    out, cache = forward_with_cache(p, x_t, t, cond, True)
     grads = backward(p, cache, d_out)
     ref_out, ref_w, ref_b = reference_forward_backward(p, x_t, t, cond, d_out)
     assert np.array_equal(out, ref_out)
@@ -429,7 +448,7 @@ def test_every_layer_runs_in_the_parameters_dtype(dtype):
     x_t = rng.standard_normal((64, 2))
     t = rng.uniform(0.0, 1.0, size=64)
     cond = rng.standard_normal((64, 2))
-    out, (x, pre_acts) = forward_with_cache(p, x_t, t, cond)
+    out, (x, pre_acts) = forward_with_cache(p, x_t, t, cond, True)
     assert x.dtype == dtype
     assert [z.dtype for z in pre_acts] == [dtype] * 4
     assert out.dtype == dtype
@@ -450,7 +469,7 @@ def test_silu_past_the_exp_range_is_its_limit_without_a_warning(dtype, z):
     p = DenoiserParams(np.zeros(parameter_count((4, 1, 1)), dtype), (4, 1, 1), 2)
     p.weights[0][0, 0] = z
     p.weights[1][0, 0] = 1.0
-    out, (_, [pre]) = forward_with_cache(p, np.ones((1, 1)), 0.5, np.zeros((1, 1)))
+    out, (_, [pre]) = forward_with_cache(p, np.ones((1, 1)), 0.5, np.zeros((1, 1)), True)
     assert pre[0, 0] == z
     assert out[0, 0] == 0.0
 
@@ -557,8 +576,8 @@ def test_checkpoint_loaded_params_behave_identically(tmp_path):
     online = load_run(path)[1].online
     rng = np.random.default_rng(15)
     x_t, t, cond = rng.standard_normal((5, 2)), rng.uniform(size=5), rng.standard_normal((5, 2))
-    assert np.array_equal(forward_with_cache(model.online, x_t, t, cond)[0],
-                          forward_with_cache(online, x_t, t, cond)[0])
+    assert np.array_equal(forward_with_cache(model.online, x_t, t, cond, True)[0],
+                          forward_with_cache(online, x_t, t, cond, True)[0])
 
 
 def test_checkpoint_truncated_at_any_byte_raises_value_error(tmp_path):
