@@ -10,7 +10,7 @@ The :class:`RunConfig` field list is the one copy of the file layout: each
 field names its section, its key and its range check, and parsing,
 :meth:`RunConfig.to_dict` and validation all derive from it.
 
-A checkpoint carries its run config beside the nets: :func:`load_run`
+A checkpoint carries its run config beside the online net: :func:`load_run`
 validates it as a config file is validated and builds the network layout,
 EMA decay, schedule, grid and toy problem from it alone.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -148,13 +148,13 @@ class RunConfig:
         dim = self.toy_problem().dim
         return net.layer_widths(dim, dim, self.hidden, self.depth, self.time_embed_dim)
 
-    def model(self, online: np.ndarray, target: np.ndarray) -> ConsistencyModel:
-        """This run's consistency model, its online and EMA nets laid over
-        the given flat vectors without a copy; training and the checkpoint
-        reader both build theirs here.  A vector that does not fit the
-        layers raises ``ValueError``."""
+    def model(self, online: np.ndarray) -> ConsistencyModel:
+        """This run's consistency model, its online net laid over the given
+        flat vector without a copy and its EMA target a copy of that net;
+        training and the checkpoint reader both build theirs here.  A vector
+        that does not fit the layers raises ``ValueError``."""
         params = net.DenoiserParams(online, self.layer_widths(), self.time_embed_dim)
-        return ConsistencyModel(params, replace(params, flat=target),
+        return ConsistencyModel(params, params.copy(),
                                 sched=self.schedule(), grid=self.time_grid(),
                                 sigma_data=self.sigma_data, ema_decay=self.ema_decay)
 
@@ -290,15 +290,14 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def save_run(path, cfg: RunConfig, model: ConsistencyModel, step: int) -> None:
-    """Checkpoint the optimizer step, the config as canonical JSON and both
-    nets in the container of :func:`stereobridge.net.save_checkpoint`."""
-    net.save_checkpoint(path, step, cfg.to_json().encode(),
-                        model.online.flat, model.target.flat)
+    """Checkpoint the optimizer step, the config as canonical JSON and the
+    online net in the container of :func:`stereobridge.net.save_checkpoint`."""
+    net.save_checkpoint(path, step, cfg.to_json().encode(), model.online.flat)
 
 
 def load_run(path) -> tuple:
     """``(cfg, model, step)`` from a checkpoint written by :func:`save_run`;
     a fault in the container or the config raises ``ValueError``."""
-    step, blob, online, target = net.load_checkpoint(path)
+    step, blob, online = net.load_checkpoint(path)
     cfg = _decode(blob, f"{path} run config")
-    return cfg, cfg.model(online, target), step
+    return cfg, cfg.model(online), step

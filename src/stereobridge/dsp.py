@@ -81,7 +81,9 @@ _PCM_SCALE = 32768.0
 
 def write_wav(path, w: StereoWaveform) -> None:
     """Write 16-bit PCM; samples are scaled by 32768, rounded and clipped."""
-    q = np.clip(np.round(w.samples * _PCM_SCALE), -32768, 32767)
+    q = w.samples * _PCM_SCALE
+    np.round(q, out=q)
+    np.clip(q, -32768, 32767, out=q)
     payload = q.astype("<i2").tobytes()
     block_align = 2 * w.channels
     fmt = struct.pack("<HHIIHH", 1, w.channels, w.rate,

@@ -28,7 +28,7 @@ bridge states and boundary scalings around the network stay float64.
 
 A checkpoint holds the optimizer step, the run config's bytes (parsed by
 :mod:`stereobridge.config`, the one record of the layer layout and EMA
-decay) and the online and EMA flat vectors as little-endian float64.
+decay) and the online flat vector as little-endian float64.
 
 One parameter type: online parameters, the EMA target, gradients and the
 Adam moments are all :class:`DenoiserParams`: one contiguous float64 vector
@@ -379,8 +379,8 @@ def ema_update(target: DenoiserParams, online: DenoiserParams,
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SBDENOIS"
-_VERSION = 2
-# Magic, version, optimizer step, run-config byte count, values per net.
+_VERSION = 3
+# Magic, version, optimizer step, run-config byte count, online net values.
 _HEAD = struct.Struct("<8sIQIQ")
 
 
@@ -392,21 +392,20 @@ def _need(size: int, offset: int, need: int, what: str) -> None:
         )
 
 
-def save_checkpoint(path, step: int, config: bytes, online: np.ndarray,
-                    target: np.ndarray) -> None:
-    """Write the optimizer step, the run config's bytes and the online and
-    EMA flat vectors, which must have one length, to a versioned container."""
+def save_checkpoint(path, step: int, config: bytes, online: np.ndarray) -> None:
+    """Write the optimizer step, the run config's bytes and the online flat
+    vector to a versioned container."""
     with open(path, "wb") as fh:
-        fh.write(_HEAD.pack(_MAGIC, _VERSION, step, len(config), online.size)
-                 + config + np.concatenate([online, target], dtype="<f8").tobytes())
+        fh.write(_HEAD.pack(_MAGIC, _VERSION, step, len(config), online.size) + config)
+        fh.write(online.astype("<f8", copy=False))
 
 
 def load_checkpoint(path):
     """Read a container written by :func:`save_checkpoint`.
 
-    Returns ``(step, config, online, target)``: the config bytes as stored,
-    parsed by the caller, and both flat vectors, read from the file straight
-    into one fresh array; round-trips bitwise with the writer.  A truncated
+    Returns ``(step, config, online)``: the config bytes as stored, parsed
+    by the caller, and the online flat vector, read from the file straight
+    into a fresh array; round-trips bitwise with the writer.  A truncated
     container, one with trailing bytes or one holding a non-finite value
     raises ``ValueError``.
     """
@@ -420,15 +419,14 @@ def load_checkpoint(path):
             raise ValueError(f"unsupported checkpoint version {version}")
         _need(size, _HEAD.size, config_len, "run config")
         start = _HEAD.size + config_len
-        _need(size, start, 16 * count, "online and EMA nets")
-        if start + 16 * count != size:
-            raise ValueError(f"checkpoint has {size - start - 16 * count} "
+        _need(size, start, 8 * count, "online net")
+        if start + 8 * count != size:
+            raise ValueError(f"checkpoint has {size - start - 8 * count} "
                              f"trailing bytes")
         config = fh.read(config_len)
-        nets = np.empty((2, count), "<f8")
+        online = np.empty(count, "<f8")
         # A file cut short after its size was taken reads short.
-        _need(start + fh.readinto(nets), start, 16 * count, "online and EMA nets")
-    for name, flat in zip(("online", "EMA"), nets):
-        if not np.all(np.isfinite(flat)):
-            raise ValueError(f"checkpoint {name} net holds a non-finite value")
-    return step, config, nets[0], nets[1]
+        _need(start + fh.readinto(online), start, 8 * count, "online net")
+    if not np.all(np.isfinite(online)):
+        raise ValueError("checkpoint online net holds a non-finite value")
+    return step, config, online

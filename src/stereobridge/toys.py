@@ -386,8 +386,7 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
 
     problem = cfg.toy_problem()
     rng = np.random.default_rng(cfg.seed)
-    online = net.draw_denoiser(rng, cfg.layer_widths(), cfg.time_embed_dim).flat
-    model = cfg.model(online, online.copy())
+    model = cfg.model(net.draw_denoiser(rng, cfg.layer_widths(), cfg.time_embed_dim).flat)
     opt = net.init_adam(model.online, lr=lr, beta2=cfg.adam_beta2)
 
     probe_rng = np.random.default_rng((cfg.seed, 0x534E4150))

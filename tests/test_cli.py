@@ -689,11 +689,11 @@ def test_sample_checkpoint_whose_run_config_has_a_removed_section_fails(
         section, body, trained, tmp_path, capsys):
     # A checkpoint's config is read as a config file is: no section is
     # dropped silently, so an older checkpoint is a load failure (exit 1).
-    _, blob, online, target = load_checkpoint(trained)
+    _, blob, online = load_checkpoint(trained)
     old = blob.replace(b'"model"', f'"{section}": '.encode() + body + b', "model"', 1)
     assert old != blob
     bad = tmp_path / "old.ckpt"
-    save_checkpoint(bad, 50, old, online, target)
+    save_checkpoint(bad, 50, old, online)
     rc = main(["sample", "--checkpoint", str(bad), "--out", str(tmp_path / "s")])
     assert rc == 1
     err = capsys.readouterr().err
@@ -716,6 +716,21 @@ def test_sample_truncated_checkpoint_fails_cleanly(tiny_config, trained, tmp_pat
     assert rc == 1
     err = capsys.readouterr().err
     assert "cannot load checkpoint" in err and "truncated at byte" in err
+
+
+def test_v2_checkpoint_is_refused(trained, tmp_path, capsys):
+    # v2 stored the EMA target after the online net; no v2 reader is kept,
+    # so such a file is a load failure (exit 1), not a misread v3 file.
+    step, blob, online = load_checkpoint(trained)
+    old = tmp_path / "v2.ckpt"
+    old.write_bytes(struct.pack("<8sIQIQ", b"SBDENOIS", 2, step, len(blob), online.size)
+                    + blob + np.concatenate([online, online]).astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        load_checkpoint(old)
+    rc = main(["sample", "--checkpoint", str(old), "--out", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot load checkpoint" in err and "version 2" in err
 
 
 def test_sample_non_finite_checkpoint_fails_cleanly(tiny_config, trained, tmp_path, capsys):

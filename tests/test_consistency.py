@@ -486,7 +486,7 @@ def test_multistep_equals_the_cached_forward_loop_bitwise():
     online = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=cfg.hidden,
                            depth=cfg.depth, time_embed_dim=cfg.time_embed_dim)
     he_final_layer(online, rng)
-    m = cfg.model(online.flat, online.flat.copy())
+    m = cfg.model(online.flat)
     m.online = replace(m.online, flat=m.online.flat.astype(np.float32))
     x1, cond = rng.standard_normal((4096, 2)), rng.standard_normal((4096, 2))
     for nfe in (1, 2, 4, 8):
@@ -506,7 +506,7 @@ def denoise_peak_per_row(hidden, depth, dtype, rows=4096):
     rng = np.random.default_rng(0)
     online = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=hidden,
                            depth=depth, time_embed_dim=cfg.time_embed_dim)
-    m = cfg.model(online.flat, online.flat.copy())
+    m = cfg.model(online.flat)
     m.online = replace(m.online, flat=m.online.flat.astype(dtype))
     x_t = rng.standard_normal((rows, 2))
     cond = rng.standard_normal((rows, 2))
@@ -545,7 +545,7 @@ def test_train_step_allocates_less_than_one_more_parameter_vector():
     rng = np.random.default_rng(0)
     online = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=cfg.hidden,
                            depth=cfg.depth, time_embed_dim=cfg.time_embed_dim)
-    m = cfg.model(online.flat, online.flat.copy())
+    m = cfg.model(online.flat)
     opt = init_adam(m.online, lr=1e-3, beta2=0.999)
     batch = tuple(rng.standard_normal((cfg.batch_size, 2)) for _ in range(3))
     for _ in range(3):

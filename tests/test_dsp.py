@@ -56,6 +56,19 @@ def test_wav_full_scale_round_trip(tmp_path):
     assert np.max(np.abs(back.samples - w.samples)) <= 2.0 ** -15
 
 
+def test_wav_quantization_matches_round_then_clip(tmp_path):
+    # Full scale, half-LSB ties (round half to even), values past full scale
+    # and -0.0 give the bytes of the plain round-then-clip expression.
+    ties = (np.arange(-4, 4) + 0.5) / 32768
+    x = np.concatenate([[1.0, -1.0, -0.0, 0.0, 1.5, -1.5, 32767.5 / 32768,
+                         -32768.5 / 32768, np.nextafter(1.0, 2.0)], ties])
+    w = StereoWaveform(np.stack([x, -x], axis=1), TARGET_RATE)
+    path = tmp_path / "edge.wav"
+    write_wav(path, w)
+    expect = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
+    assert path.read_bytes()[-expect.nbytes:] == expect.tobytes()
+
+
 def test_wav_stereo_channels(tmp_path):
     w = sine_wave(500.0, channels=2)
     path = tmp_path / "stereo.wav"

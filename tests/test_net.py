@@ -510,12 +510,12 @@ SMALL = parse_config({
 
 
 def small_model(cfg=SMALL, seed=13):
-    """``cfg``'s consistency model with random online and EMA nets."""
+    """``cfg``'s consistency model with a random online net."""
     rng = np.random.default_rng(seed)
     online = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=cfg.hidden,
                            depth=cfg.depth, time_embed_dim=cfg.time_embed_dim)
     he_final_layer(online, rng)
-    return cfg.model(online.flat, rng.standard_normal(online.flat.size))
+    return cfg.model(online.flat)
 
 
 def test_checkpoint_round_trips_bitwise(tmp_path):
@@ -527,26 +527,27 @@ def test_checkpoint_round_trips_bitwise(tmp_path):
     assert cfg == SMALL
     assert step == 7
     assert np.array_equal(loaded.online.flat, model.online.flat)
-    assert np.array_equal(loaded.target.flat, model.target.flat)
+    # The file holds no EMA target: the loaded one is a copy of the online net.
+    assert np.array_equal(loaded.target.flat, loaded.online.flat)
+    assert not np.shares_memory(loaded.target.flat, loaded.online.flat)
     assert loaded.online.data_dim == loaded.online.cond_dim == 2
     assert (loaded.ema_decay, loaded.sigma_data, loaded.sched) == (0.97, 0.5, SMALL.schedule())
     assert np.array_equal(loaded.grid.nodes, SMALL.time_grid().nodes)
 
 
-def test_checkpoint_v2_bytes_are_pinned(tmp_path):
+def test_checkpoint_v3_bytes_are_pinned(tmp_path):
     # Exactly representable values make the container bytes platform-free;
-    # the digest is that of the v2 format, which every saved checkpoint uses.
+    # the digest is that of the v3 format, which every saved checkpoint uses.
     model = small_model()
     model.online.flat[:] = np.arange(model.online.flat.size) / 8.0
-    model.target.flat[:] = -np.arange(model.target.flat.size) / 4.0
     path = tmp_path / "model.ckpt"
     save_run(path, SMALL, model, 7)
     blob = path.read_bytes()
     config = SMALL.to_json().encode()
     assert blob[32:32 + len(config)] == config
-    assert len(blob) == 32 + len(config) + 2 * 8 * 41
+    assert len(blob) == 32 + len(config) + 8 * 41
     assert hashlib.sha256(blob).hexdigest() == (
-        "65cc2f3100484e659bbdbc59e0412956fd99728abc4730e0f75de5155a134997")
+        "f48708f4e9259aaea05f59372bb1c13add68919895da1a93ab70850152e15d1d")
 
     cfg, loaded, step = load_run(path)
     again = tmp_path / "again.ckpt"
@@ -623,10 +624,11 @@ def test_checkpoint_non_finite_value_raises_value_error(tmp_path):
         load_run(path)
 
 
-@pytest.mark.parametrize("fault", ["dims", "ema"])
+@pytest.mark.parametrize("fault", ["dims", "count"])
 def test_checkpoint_layout_mismatch_raises_value_error(tmp_path, fault):
-    # The stored nets must fit the layers of the stored config, and the EMA
-    # net must be as long as the online net.
+    # The stored net must fit the layers of the stored config, whether the
+    # config's layout is wider than the net or the header counts more values
+    # than the layout holds.
     model = small_model()
     wide = small_model(replace(SMALL, hidden=4))
     path = tmp_path / "model.ckpt"
@@ -634,7 +636,7 @@ def test_checkpoint_layout_mismatch_raises_value_error(tmp_path, fault):
         save_run(path, replace(SMALL, hidden=4), model, 7)
         message = "layers hold 58 values, flat vector 41"
     else:
-        save_run(path, SMALL, replace(model, target=wide.target), 7)
-        message = "136 trailing bytes"
+        save_run(path, SMALL, wide, 7)
+        message = "layers hold 41 values, flat vector 58"
     with pytest.raises(ValueError, match=message):
         load_run(path)
