@@ -20,13 +20,13 @@ self-consistency spread snapshots taken early and at the end of the run.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from . import net
 from .bridge import VARIANCE_FLOOR, heun_integrate
@@ -131,6 +131,28 @@ def draw_training_items(problem: ToyProblem, n: int, rng: np.random.Generator):
 # Closed-form bridge marginal
 # ---------------------------------------------------------------------------
 
+def _logsumexp(a: np.ndarray, axis: int, keepdims: bool) -> np.ndarray:
+    """``log(Σ exp(a))`` along ``axis``, bitwise ``scipy.special.logsumexp``.
+
+    SciPy's arithmetic without its array-API dispatch: the maxima are taken
+    out of the shifted sum and counted, and where that route is not finite
+    (all −inf, any +inf or NaN) the direct ``log(Σ exp(a))`` is taken.  SciPy
+    sets the maxima to −inf before the exponential; here their terms are
+    zeroed after it, the same exp(−inf) = 0, because NumPy's vector ``exp``
+    runs several times slower on infinite inputs.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = is_max.sum(axis=axis, keepdims=True, dtype=a.dtype)
+        s = np.where(is_max, 0.0, np.exp(a - a_max)).sum(axis=axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
 class Posterior(NamedTuple):
     """The clean point's posterior given the far endpoints, component-major.
 
@@ -173,7 +195,7 @@ def posterior_mixing(problem: ToyProblem, x1) -> Posterior:
     log_like = -0.5 * mix.dim * np.log(2.0 * np.pi * total)[:, None] \
         - 0.5 * np.sum(diff * diff, axis=1) / total[:, None]
     log_w = np.log(mix.weights)[:, None] + log_like
-    log_w = log_w - logsumexp(log_w, axis=0, keepdims=True)
+    log_w = log_w - _logsumexp(log_w, axis=0, keepdims=True)
     conjugate = (p2 * centers + s2[:, None, None] * coords) / total[:, None, None]
     # A zero-width component paired with zero prior noise pins the clean
     # point at the component mean; the conjugate ratio would return 0/floor.
@@ -215,7 +237,7 @@ def bridge_marginal_logpdf(x, t, post: Posterior, sched: NoiseSchedule):
     one endpoint that every point shares.
     """
     log_comp, _, _ = _component_logpdfs(x, t, post, sched)
-    return logsumexp(log_comp, axis=0)
+    return _logsumexp(log_comp, axis=0, keepdims=False)
 
 
 def bridge_marginal_score(x, t, post: Posterior, sched: NoiseSchedule):
@@ -226,7 +248,7 @@ def bridge_marginal_score(x, t, post: Posterior, sched: NoiseSchedule):
     routes against each other.
     """
     log_comp, diff, variances = _component_logpdfs(x, t, post, sched)
-    log_resp = log_comp - logsumexp(log_comp, axis=0, keepdims=True)
+    log_resp = log_comp - _logsumexp(log_comp, axis=0, keepdims=True)
     resp = np.exp(log_resp)
     return -np.sum(resp[:, None, :] * diff / variances[:, None, None], axis=0).T
 
@@ -317,6 +339,19 @@ def _within_sum(a: np.ndarray) -> float:
     return total
 
 
+# The last reference set's within-sum, keyed on its shape, dtype and sha256:
+# one entry, which a new or changed set recomputes and replaces.
+_within_memo: dict = {}
+
+
+def _reference_within_sum(y: np.ndarray) -> float:
+    key = (y.shape, y.dtype, hashlib.sha256(y.tobytes()).digest())
+    if key not in _within_memo:
+        _within_memo.clear()
+        _within_memo[key] = _within_sum(y)
+    return _within_memo[key]
+
+
 def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Energy distance between two sample sets (U-statistic, clipped at 0).
 
@@ -331,6 +366,12 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     unordered pair once and counts it twice.  Blocking changes only the
     order of the summation: results agree with the full matrices to about
     12 digits and are bitwise the same from run to run.
+
+    ``y`` is the reference set.  Its within-sum, a third of the work, is
+    kept for the last ``y`` seen and reused, bitwise, while its bytes stay
+    the same.  That serves one reference set scored against many candidates
+    ``x``, as the acceptance criteria and the benchmark's scoring passes do;
+    callers that alternate reference sets recompute it every call.
     """
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"sample dims differ: {x.shape[1]} vs {y.shape[1]}")
@@ -339,7 +380,7 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("need at least two points per sample set")
     cross = _cross_sum(x, y) / (n * m)
     within_x = _within_sum(x) / (n * (n - 1))
-    within_y = _within_sum(y) / (m * (m - 1))
+    within_y = _reference_within_sum(y) / (m * (m - 1))
     return float(np.sqrt(max(2.0 * cross - within_x - within_y, 0.0)))
 
 

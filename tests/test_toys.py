@@ -6,12 +6,15 @@ import pytest
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
+from stereobridge import toys
 from stereobridge.bridge import Endpoints, analytic_posterior_score
 from stereobridge.config import default_config
 from stereobridge.consistency import ConsistencyModel
 from stereobridge.schedule import NoiseSchedule, bridge_coefficients, make_grid
 from stereobridge.toys import (
     _ED_BLOCK_ROWS,
+    _cross_sum,
+    _within_sum,
     GaussianMixture,
     ToyProblem,
     bridge_marginal_logpdf,
@@ -368,6 +371,58 @@ def test_energy_distance_memory_is_bounded_by_the_row_block():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+def memo_free_energy_distance(x, y):
+    """The estimator from the blocked sums, each computed afresh."""
+    n, m = len(x), len(y)
+    total = 2.0 * _cross_sum(x, y) / (n * m) - _within_sum(x) / (n * (n - 1)) \
+        - _within_sum(y) / (m * (m - 1))
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def counting_within_sums(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape[0])
+        return _within_sum(a)
+
+    monkeypatch.setattr(toys, "_within_sum", counting)
+    return calls
+
+
+def test_energy_distance_reuses_the_reference_within_sum_bitwise(monkeypatch):
+    rng = np.random.default_rng(4)
+    y = rng.normal(size=(R + 7, 2))
+    x1, x2 = rng.normal(size=(R - 3, 2)), rng.normal(loc=0.5, size=(R + 1, 2))
+    calls = counting_within_sums(monkeypatch)
+    first = energy_distance(x1, y)
+    second = energy_distance(x2, y)
+    # The reference set's sum runs once; each candidate's runs every call.
+    assert calls == [R - 3, R + 7, R + 1]
+    assert first == memo_free_energy_distance(x1, y)
+    assert second == memo_free_energy_distance(x2, y)
+
+
+def test_energy_distance_sees_a_reference_set_changed_in_place(monkeypatch):
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(64, 2)), rng.normal(size=(80, 2))
+    calls = counting_within_sums(monkeypatch)
+    before = energy_distance(x, y)
+    y[3, 1] += 2.0
+    after = energy_distance(x, y)
+    assert calls == [64, 80, 64, 80]
+    assert after != before
+    assert after == memo_free_energy_distance(x, y)
+
+
+def test_energy_distance_memo_holds_one_reference_set():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(32, 2))
+    for m in (16, 40, 40, 24):
+        energy_distance(x, rng.normal(size=(m, 2)))
+        assert len(toys._within_memo) == 1
 
 
 # ---------------------------------------------------------------------------

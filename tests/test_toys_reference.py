@@ -5,7 +5,8 @@ posterior inside every call, holds it point-major ((n, k) weights and
 (n, k, dim) means), reduces over trailing axes and uses SciPy's
 ``logsumexp``.  The library evaluates the same mixture component-major
 from a posterior computed once per call; its outputs must match the
-reference bit for bit, not merely to a tolerance.
+reference bit for bit, not merely to a tolerance.  The library's own
+``logsumexp`` is held against SciPy's on its edge cases too.
 """
 
 import numpy as np
@@ -188,3 +189,43 @@ def test_oracle_runs_the_public_marginal_functions(steps, monkeypatch):
                       t_start=GRID.t_max, t_end=GRID.t_min, steps=steps)
     # One start draw, then two score evaluations per Heun step.
     assert calls == {"draw": 1, "score": 2 * steps}
+
+
+# ---------------------------------------------------------------------------
+# logsumexp against SciPy's
+# ---------------------------------------------------------------------------
+
+def edge_columns(k):
+    """(k, 265) log weights: 256 ordinary columns, then one edge case each."""
+    rng = np.random.default_rng(k)
+    finite = rng.normal(scale=3.0, size=(k, 256))
+    tied = finite[:, 0].copy()
+    tied[[0, -1]] = tied.max() + 1.0      # the maximum held by two entries
+    cols = [np.full(k, 0.7), tied]
+    for first in (-np.inf, np.inf, np.nan):
+        col = finite[:, 1].copy()
+        col[0] = first
+        cols.append(col)
+    cols.append(np.full(k, -np.inf))
+    cols.append(np.where(np.arange(k) % 2 == 0, np.inf, -np.inf))
+    cols.append(np.array([800.0, -800.0] * k)[:k])   # exp overflows and underflows
+    cols.append(30.0 * finite[:, 2])
+    return np.concatenate([finite, np.stack(cols, axis=1)], axis=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("keepdims", [True, False])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_logsumexp_is_bitwise_scipy_on_edge_cases(k, keepdims, axis):
+    a = edge_columns(k)
+    a = a if axis == 0 else a.T
+    ours = toys._logsumexp(a, axis=axis, keepdims=keepdims)
+    ref = logsumexp(a, axis=axis, keepdims=keepdims)
+    assert ours.shape == ref.shape and ours.dtype == ref.dtype
+    assert np.array_equal(ours, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+
+def test_toys_does_not_bind_scipy_logsumexp():
+    # SciPy's array-API version takes several times the library's per call.
+    assert all(value is not logsumexp for value in vars(toys).values())
