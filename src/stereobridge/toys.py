@@ -131,26 +131,28 @@ def draw_training_items(problem: ToyProblem, n: int, rng: np.random.Generator):
 # Closed-form bridge marginal
 # ---------------------------------------------------------------------------
 
-def _logsumexp(a: np.ndarray, axis: int, keepdims: bool) -> np.ndarray:
-    """``log(Σ exp(a))`` along ``axis``, bitwise ``scipy.special.logsumexp``.
+def _logsumexp(a: np.ndarray, keepdims: bool) -> np.ndarray:
+    """``log(Σ exp(a))`` along axis 0, bitwise ``scipy.special.logsumexp``.
 
-    SciPy's arithmetic without its array-API dispatch: the maxima are taken
-    out of the shifted sum and counted, and where that route is not finite
-    (all −inf, any +inf or NaN) the direct ``log(Σ exp(a))`` is taken.  SciPy
-    sets the maxima to −inf before the exponential; here their terms are
-    zeroed after it, the same exp(−inf) = 0, because NumPy's vector ``exp``
-    runs several times slower on infinite inputs.
+    SciPy's arithmetic as of SciPy 1.15 without its array-API dispatch: the
+    maxima are taken out of the shifted sum and counted, and where that
+    route is not finite (all −inf, any +inf or NaN) the direct
+    ``log(Σ exp(a))`` is taken.  SciPy sets the maxima to −inf before the
+    exponential; here their terms are zeroed after it, the same
+    exp(−inf) = 0, because NumPy's vector ``exp`` runs several times slower
+    on infinite inputs.  SciPy before 1.15 computes
+    ``log(Σ exp(a − a_max)) + a_max``, which can differ in the last bit.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=axis, keepdims=True)
+        a_max = a.max(axis=0, keepdims=True)
         is_max = a == a_max
-        m = is_max.sum(axis=axis, keepdims=True, dtype=a.dtype)
-        s = np.where(is_max, 0.0, np.exp(a - a_max)).sum(axis=axis, keepdims=True)
+        m = is_max.sum(axis=0, keepdims=True, dtype=a.dtype)
+        s = np.where(is_max, 0.0, np.exp(a - a_max)).sum(axis=0, keepdims=True)
         out = np.log1p(s / m) + np.log(m) + a_max
         finite = np.isfinite(out)
         if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
-    return out if keepdims else np.squeeze(out, axis=axis)
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=0, keepdims=True)))
+    return out if keepdims else np.squeeze(out, axis=0)
 
 
 class Posterior(NamedTuple):
@@ -195,7 +197,7 @@ def posterior_mixing(problem: ToyProblem, x1) -> Posterior:
     log_like = -0.5 * mix.dim * np.log(2.0 * np.pi * total)[:, None] \
         - 0.5 * np.sum(diff * diff, axis=1) / total[:, None]
     log_w = np.log(mix.weights)[:, None] + log_like
-    log_w = log_w - _logsumexp(log_w, axis=0, keepdims=True)
+    log_w = log_w - _logsumexp(log_w, keepdims=True)
     conjugate = (p2 * centers + s2[:, None, None] * coords) / total[:, None, None]
     # A zero-width component paired with zero prior noise pins the clean
     # point at the component mean; the conjugate ratio would return 0/floor.
@@ -237,7 +239,7 @@ def bridge_marginal_logpdf(x, t, post: Posterior, sched: NoiseSchedule):
     one endpoint that every point shares.
     """
     log_comp, _, _ = _component_logpdfs(x, t, post, sched)
-    return _logsumexp(log_comp, axis=0, keepdims=False)
+    return _logsumexp(log_comp, keepdims=False)
 
 
 def bridge_marginal_score(x, t, post: Posterior, sched: NoiseSchedule):
@@ -248,7 +250,7 @@ def bridge_marginal_score(x, t, post: Posterior, sched: NoiseSchedule):
     routes against each other.
     """
     log_comp, diff, variances = _component_logpdfs(x, t, post, sched)
-    log_resp = log_comp - _logsumexp(log_comp, axis=0, keepdims=True)
+    log_resp = log_comp - _logsumexp(log_comp, keepdims=True)
     resp = np.exp(log_resp)
     return -np.sum(resp[:, None, :] * diff / variances[:, None, None], axis=0).T
 
@@ -367,9 +369,9 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     order of the summation: results agree with the full matrices to about
     12 digits and are bitwise the same from run to run.
 
-    ``y`` is the reference set.  Its within-sum, a third of the work, is
-    kept for the last ``y`` seen and reused, bitwise, while its bytes stay
-    the same.  That serves one reference set scored against many candidates
+    ``y`` is the reference set.  Its within-sum, about a quarter of the
+    work at n = m, is kept for the last ``y`` seen and reused, bitwise,
+    while its bytes stay the same.  That serves one reference set scored against many candidates
     ``x``, as the acceptance criteria and the benchmark's scoring passes do;
     callers that alternate reference sets recompute it every call.
     """

@@ -382,7 +382,9 @@ def memo_free_energy_distance(x, y):
 
 
 def counting_within_sums(monkeypatch):
+    """Count ``_within_sum`` calls, starting from an empty memo."""
     calls = []
+    monkeypatch.setattr(toys, "_within_memo", {})
 
     def counting(a):
         calls.append(a.shape[0])
@@ -417,7 +419,8 @@ def test_energy_distance_sees_a_reference_set_changed_in_place(monkeypatch):
     assert after == memo_free_energy_distance(x, y)
 
 
-def test_energy_distance_memo_holds_one_reference_set():
+def test_energy_distance_memo_holds_one_reference_set(monkeypatch):
+    monkeypatch.setattr(toys, "_within_memo", {})
     rng = np.random.default_rng(6)
     x = rng.normal(size=(32, 2))
     for m in (16, 40, 40, 24):

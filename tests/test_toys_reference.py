@@ -215,12 +215,10 @@ def edge_columns(k):
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 @pytest.mark.parametrize("keepdims", [True, False])
-@pytest.mark.parametrize("axis", [0, 1])
-def test_logsumexp_is_bitwise_scipy_on_edge_cases(k, keepdims, axis):
+def test_logsumexp_is_bitwise_scipy_on_edge_cases(k, keepdims):
     a = edge_columns(k)
-    a = a if axis == 0 else a.T
-    ours = toys._logsumexp(a, axis=axis, keepdims=keepdims)
-    ref = logsumexp(a, axis=axis, keepdims=keepdims)
+    ours = toys._logsumexp(a, keepdims=keepdims)
+    ref = logsumexp(a, axis=0, keepdims=keepdims)
     assert ours.shape == ref.shape and ours.dtype == ref.dtype
     assert np.array_equal(ours, ref, equal_nan=True)
     assert np.array_equal(np.signbit(ours), np.signbit(ref))
