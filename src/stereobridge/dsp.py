@@ -249,16 +249,20 @@ def log_mel(w: StereoWaveform) -> np.ndarray:
             f"feature pipeline is fixed at {TARGET_RATE} Hz; "
             f"got {w.rate} Hz (resample upstream)"
         )
-    lo, hi = LOG_MEL_BOUNDS
     fb = mel_filterbank()
-    out = []
-    for ch in range(w.channels):
-        mag = stft(w.channel(ch)).magnitude
-        mel = mag @ fb.T
-        feats = np.log(mel + 1e-5)
-        scaled = 2.0 * (feats - lo) / (hi - lo) - 1.0
-        out.append(np.clip(scaled, -1.0, 1.0))
-    return np.stack(out)
+    return np.stack([_channel_log_mel(w.channel(ch), fb)
+                     for ch in range(w.channels)])
+
+
+def _channel_log_mel(x: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    # A function of its own so that one channel's intermediate arrays are
+    # freed before the next channel's STFT runs.
+    lo, hi = LOG_MEL_BOUNDS
+    mag = stft(x).magnitude
+    mel = mag @ fb.T
+    feats = np.log(mel + 1e-5)
+    scaled = 2.0 * (feats - lo) / (hi - lo) - 1.0
+    return np.clip(scaled, -1.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -318,8 +318,9 @@ def oracle_ode_sample(
 # ---------------------------------------------------------------------------
 
 # Rows per distance block.  A block against m points holds 256·m float64
-# (8 MB at m = 4096).  At 4096×4096 points on 2 vCPUs, blocks of 128 to 512
-# rows ran within noise of each other and 1024 rows ran 1.5-1.7x slower.
+# (8 MiB at m = 4096), and only one block is alive at a time.  At 4096×4096
+# points on 2 vCPUs, blocks of 128 to 512 rows ran within noise of each
+# other and 1024 rows ran 1.5-1.7x slower.
 _ED_BLOCK_ROWS = 256
 
 
@@ -338,6 +339,9 @@ def _within_sum(a: np.ndarray) -> float:
     for i in range(0, a.shape[0], r):
         d = cdist(a[i:i + r], a[i:])
         total += float(d[:, :r].sum()) + 2.0 * float(d[:, r:].sum())
+        # Freed here, or the next cdist builds its block while this one is
+        # still bound and two blocks are alive at the peak.
+        del d
     return total
 
 
@@ -363,17 +367,19 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     zero iff they agree.
 
     No n×m distance matrix is built.  Each term sums ``cdist`` over blocks
-    of R = ``_ED_BLOCK_ROWS`` (256) rows in a fixed order, so memory is
-    O(R·m) rather than O(n·m), and each within-set term computes every
+    of R = ``_ED_BLOCK_ROWS`` (256) rows in a fixed order, and only one
+    block is alive at a time: R×m float64, 8 MiB at m = 4096.  Memory is
+    O(R·max(n, m)) rather than O(n·m).  Each within-set term computes every
     unordered pair once and counts it twice.  Blocking changes only the
     order of the summation: results agree with the full matrices to about
     12 digits and are bitwise the same from run to run.
 
     ``y`` is the reference set.  Its within-sum, about a quarter of the
     work at n = m, is kept for the last ``y`` seen and reused, bitwise,
-    while its bytes stay the same.  That serves one reference set scored against many candidates
-    ``x``, as the acceptance criteria and the benchmark's scoring passes do;
-    callers that alternate reference sets recompute it every call.
+    while its bytes stay the same.  That serves one reference set scored
+    against many candidates ``x``, as the acceptance criteria and the
+    benchmark's scoring passes do; callers that alternate reference sets
+    recompute it every call.
     """
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"sample dims differ: {x.shape[1]} vs {y.shape[1]}")

@@ -13,7 +13,6 @@ from stereobridge.consistency import ConsistencyModel
 from stereobridge.schedule import NoiseSchedule, bridge_coefficients, make_grid
 from stereobridge.toys import (
     _ED_BLOCK_ROWS,
-    _cross_sum,
     _within_sum,
     GaussianMixture,
     ToyProblem,
@@ -359,26 +358,53 @@ def test_energy_distance_identical_sets_above_the_block_size_is_zero():
     assert energy_distance(x, x.copy()) == 0.0
 
 
-def test_energy_distance_memory_is_bounded_by_the_row_block():
-    # A full 4096 x 4096 distance matrix alone is 128 MB.
+@pytest.mark.parametrize("m", [4096, 16384])
+def test_energy_distance_memory_is_bounded_by_the_row_block(monkeypatch, m):
+    # A full 4096 x 4096 distance matrix alone is 128 MiB.  One R x m block
+    # of float64 may be alive at a time, plus 1 MiB for everything else.
+    monkeypatch.setattr(toys, "_within_memo", {})
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4096, 2))
-    y = rng.normal(size=(4096, 2))
+    y = rng.normal(size=(m, 2))
     tracemalloc.start()
     try:
         energy_distance(x, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    assert peak <= 8 * R * m + 2**20
 
 
-def memo_free_energy_distance(x, y):
-    """The estimator from the blocked sums, each computed afresh."""
+def block_formula_energy_distance(x, y):
+    """The blocked estimator written out: a fresh ``cdist`` per R-row block,
+    summed in the library's order."""
+    def cross_sum(a, b):
+        return sum(float(cdist(a[i:i + R], b).sum()) for i in range(0, len(a), R))
+
+    def within_sum(a):
+        total = 0.0
+        for i in range(0, len(a), R):
+            d = cdist(a[i:i + R], a[i:])
+            total += float(d[:, :R].sum()) + 2.0 * float(d[:, R:].sum())
+        return total
+
     n, m = len(x), len(y)
-    total = 2.0 * _cross_sum(x, y) / (n * m) - _within_sum(x) / (n * (n - 1)) \
-        - _within_sum(y) / (m * (m - 1))
+    total = 2.0 * (cross_sum(x, y) / (n * m)) - within_sum(x) / (n * (n - 1)) \
+        - within_sum(y) / (m * (m - 1))
     return float(np.sqrt(max(total, 0.0)))
+
+
+EDGE_ROWS = (R - 1, R, R + 1, 2 * R + 3)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in EDGE_ROWS for m in EDGE_ROWS]
+                         + [(4096, 4096)])
+def test_energy_distance_is_bitwise_the_block_formula(monkeypatch, n, m):
+    monkeypatch.setattr(toys, "_within_memo", {})
+    rng = np.random.default_rng(n * m)
+    x = rng.normal(size=(n, 2))
+    y = rng.normal(loc=0.5, size=(m, 2))
+    assert energy_distance(x, y) == block_formula_energy_distance(x, y)
 
 
 def counting_within_sums(monkeypatch):
@@ -403,8 +429,8 @@ def test_energy_distance_reuses_the_reference_within_sum_bitwise(monkeypatch):
     second = energy_distance(x2, y)
     # The reference set's sum runs once; each candidate's runs every call.
     assert calls == [R - 3, R + 7, R + 1]
-    assert first == memo_free_energy_distance(x1, y)
-    assert second == memo_free_energy_distance(x2, y)
+    assert first == block_formula_energy_distance(x1, y)
+    assert second == block_formula_energy_distance(x2, y)
 
 
 def test_energy_distance_sees_a_reference_set_changed_in_place(monkeypatch):
@@ -416,7 +442,7 @@ def test_energy_distance_sees_a_reference_set_changed_in_place(monkeypatch):
     after = energy_distance(x, y)
     assert calls == [64, 80, 64, 80]
     assert after != before
-    assert after == memo_free_energy_distance(x, y)
+    assert after == block_formula_energy_distance(x, y)
 
 
 def test_energy_distance_memo_holds_one_reference_set(monkeypatch):
