@@ -277,9 +277,9 @@ def cmd_train_toy(args) -> int:
     rows = []
 
     def callback(step, model, loss, wall_ms):
-        rows.append((step, loss, wall_ms))
         if step == 1 or step % CHECKPOINT_EVERY == 0 or step == cfg.steps:
             _write(ckpt_path, save_run, cfg, model, step)
+        rows.append((step, loss, wall_ms))
 
     meta = {
         "command": "train-toy",
@@ -291,8 +291,8 @@ def cmd_train_toy(args) -> int:
     try:
         result = run_toy_training(cfg, step_callback=callback)
     except TrainingError as exc:
-        # Step 1 always saves, so this run left a checkpoint exactly when one
-        # of its steps completed; an older file in ``out`` is not this run's.
+        # Step 1 saves before it counts, so this run left a checkpoint exactly
+        # when one of its steps completed; an older file in ``out`` is not ours.
         meta.update({
             "status": "aborted",
             "error": str(exc),
@@ -357,7 +357,8 @@ def cmd_sample(args) -> int:
     """Sample under the checkpoint's run at the seed ``--seed``, else a
     ``--config``, else the run gives.  A ``--config`` must agree with the
     run on every model-defining section and supplies only the seed, so the
-    timing record hashes the checkpoint's run at the sampling seed."""
+    timing record hashes the checkpoint's run at the sampling seed.  The
+    network runs in the checkpoint's float32, the bridge state in float64."""
     if not 1 <= args.count <= MAX_SAMPLE_COUNT:
         raise ConfigError("--count", f"must lie in [1, {MAX_SAMPLE_COUNT:,}], got {args.count}")
     given = _load_run_config(args) if args.config else None
@@ -375,17 +376,6 @@ def cmd_sample(args) -> int:
     cfg = _with_seed(args, run) if given is None else replace(run, seed=given.seed)
     _check_budget(model.grid, args.nfe)
     out = _out_dir(args)
-    # The one precision cast: the network then runs in float32, layer by
-    # layer, while the bridge state and boundary scalings stay float64.
-    with np.errstate(over="ignore"):
-        flat = model.online.flat.astype(np.float32)
-    if not np.all(np.isfinite(flat)):
-        print(f"sampling failed: the online net of checkpoint {args.checkpoint} holds "
-              f"{np.max(np.abs(model.online.flat)):.3g}, beyond the float32 range "
-              f"the sampling network runs in", file=sys.stderr)
-        return 1
-    model.online = replace(model.online, flat=flat)
-
     t_begin = time.perf_counter()
     try:
         samples = toy_sample(model, cfg.toy_problem(), args.count,

@@ -291,13 +291,14 @@ def load_config(path) -> RunConfig:
 
 def save_run(path, cfg: RunConfig, model: ConsistencyModel, step: int) -> None:
     """Checkpoint the optimizer step, the config as canonical JSON and the
-    online net in the container of :func:`stereobridge.net.save_checkpoint`."""
+    float32 online net in :func:`stereobridge.net.save_checkpoint`'s container."""
     net.save_checkpoint(path, step, cfg.to_json().encode(), model.online.flat)
 
 
 def load_run(path) -> tuple:
-    """``(cfg, model, step)`` from a checkpoint written by :func:`save_run`;
-    a fault in the container or the config raises ``ValueError``."""
+    """``(cfg, model, step)`` from a checkpoint written by :func:`save_run`,
+    its online net float32; a fault in the container or the config raises
+    ``ValueError``."""
     step, blob, online = net.load_checkpoint(path)
     cfg = _decode(blob, f"{path} run config")
     return cfg, cfg.model(online), step

@@ -21,17 +21,17 @@ and depth adds nothing.
 
 The forward runs in its parameters' dtype: the input is assembled in it,
 the biases are views of ``flat`` and the scratch buffer follows the input.
-Training, Adam, the EMA, checkpoints and library sampling hold float64
-parameters.  Only the ``sample`` command runs in float32: it casts the
-loaded online net once, which halves a forward's memory per row, while the
-bridge states and boundary scalings around the network stay float64.
+Training, Adam, the EMA and library sampling hold float64 parameters.  The
+``sample`` command runs the checkpoint's float32 net, which halves a
+forward's memory per row; the bridge states around it stay float64.
 
 A checkpoint holds the optimizer step, the run config's bytes (parsed by
 :mod:`stereobridge.config`, the one record of the layer layout and EMA
-decay) and the online flat vector as little-endian float64.
+decay) and the online flat vector as little-endian float32, cast once by
+the writer, which refuses a vector float32 cannot hold.
 
 One parameter type: online parameters, the EMA target, gradients and the
-Adam moments are all :class:`DenoiserParams`: one contiguous float64 vector
+Adam moments are all :class:`DenoiserParams`: one contiguous vector
 ``flat``, the layer widths and the time-embedding width, and nothing else.
 ``flat`` holds layer 0's weight matrix, layer 0's bias, layer 1's weight
 matrix and so on, in C order; ``weights[i]`` and ``biases[i]`` are views
@@ -62,7 +62,7 @@ ADAM_EPS = 1e-8
 
 
 class TrainingError(RuntimeError):
-    """Raised when a training step produces a non-finite loss or gradient."""
+    """A training step's loss is non-finite, or its net exceeds float32."""
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +71,8 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class DenoiserParams:
-    """The denoiser's parameters: one flat float64 vector, the layer widths
-    that lay it out and the time-embedding width.
+    """The denoiser's parameters: one flat vector (float64 in training,
+    float32 when read from a checkpoint), its widths and time-embedding width.
 
     ``widths`` runs from the input width through the hidden widths to the
     output width, so layer ``i`` maps ``widths[i]`` features to
@@ -379,7 +379,7 @@ def ema_update(target: DenoiserParams, online: DenoiserParams,
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SBDENOIS"
-_VERSION = 3
+_VERSION = 4
 # Magic, version, optimizer step, run-config byte count, online net values.
 _HEAD = struct.Struct("<8sIQIQ")
 
@@ -394,10 +394,18 @@ def _need(size: int, offset: int, need: int, what: str) -> None:
 
 def save_checkpoint(path, step: int, config: bytes, online: np.ndarray) -> None:
     """Write the optimizer step, the run config's bytes and the online flat
-    vector to a versioned container."""
+    vector, as little-endian float32, to a versioned container.  A finite
+    value past float32's range raises :class:`TrainingError` before the file
+    is opened; non-finite values are written, and refused when read."""
+    with np.errstate(over="ignore"):
+        values = online.astype("<f4")
+    lost = np.isinf(values) & np.isfinite(online)
+    if lost.any():
+        raise TrainingError(f"the online net holds {np.max(np.abs(online[lost])):.3g}, "
+                            f"beyond the float32 range of the checkpoint")
     with open(path, "wb") as fh:
         fh.write(_HEAD.pack(_MAGIC, _VERSION, step, len(config), online.size) + config)
-        fh.write(online.astype("<f8", copy=False))
+        fh.write(values)
 
 
 def load_checkpoint(path):
@@ -405,9 +413,9 @@ def load_checkpoint(path):
 
     Returns ``(step, config, online)``: the config bytes as stored, parsed
     by the caller, and the online flat vector, read from the file straight
-    into a fresh array; round-trips bitwise with the writer.  A truncated
-    container, one with trailing bytes or one holding a non-finite value
-    raises ``ValueError``.
+    into a fresh float32 array; it equals the saved vector cast to float32.
+    A truncated container, one with trailing bytes or one holding a
+    non-finite value raises ``ValueError``.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -419,14 +427,14 @@ def load_checkpoint(path):
             raise ValueError(f"unsupported checkpoint version {version}")
         _need(size, _HEAD.size, config_len, "run config")
         start = _HEAD.size + config_len
-        _need(size, start, 8 * count, "online net")
-        if start + 8 * count != size:
-            raise ValueError(f"checkpoint has {size - start - 8 * count} "
+        _need(size, start, 4 * count, "online net")
+        if start + 4 * count != size:
+            raise ValueError(f"checkpoint has {size - start - 4 * count} "
                              f"trailing bytes")
         config = fh.read(config_len)
-        online = np.empty(count, "<f8")
+        online = np.empty(count, "<f4")
         # A file cut short after its size was taken reads short.
-        _need(start + fh.readinto(online), start, 8 * count, "online net")
+        _need(start + fh.readinto(online), start, 4 * count, "online net")
     if not np.all(np.isfinite(online)):
         raise ValueError("checkpoint online net holds a non-finite value")
     return step, config, online

@@ -284,12 +284,15 @@ def test_narrow_float_scan_names_each_spelling(tmp_path):
 
 
 def test_float32_is_cast_at_one_site():
-    # sample casts the loaded online net once, and the network follows its
-    # parameters' dtype; every other computation runs in float64.  The grid
-    # file stores float32 features, read back to float64 at once.
+    # The checkpoint writer casts the online net to float32 once and the
+    # reader reads it back as float32, the net sample runs; the network
+    # follows its parameters' dtype, and every other computation runs in
+    # float64.  The grid file stores float32 features, read back to float64
+    # at once.
     found = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in narrow_float_sites(path)]
-    assert sorted(found) == ["cli.cmd_sample", "spatial.read_grid", "spatial.write_grid"]
+    assert sorted(found) == ["net.load_checkpoint", "net.save_checkpoint",
+                             "spatial.read_grid", "spatial.write_grid"]
 
 
 def readme_commands() -> list[str]:

@@ -526,7 +526,9 @@ def test_checkpoint_round_trips_bitwise(tmp_path):
 
     assert cfg == SMALL
     assert step == 7
-    assert np.array_equal(loaded.online.flat, model.online.flat)
+    # The file holds the net sample runs: the saved vector cast to float32.
+    assert loaded.online.flat.dtype == np.float32
+    assert np.array_equal(loaded.online.flat, model.online.flat.astype(np.float32))
     # The file holds no EMA target: the loaded one is a copy of the online net.
     assert np.array_equal(loaded.target.flat, loaded.online.flat)
     assert not np.shares_memory(loaded.target.flat, loaded.online.flat)
@@ -535,9 +537,9 @@ def test_checkpoint_round_trips_bitwise(tmp_path):
     assert np.array_equal(loaded.grid.nodes, SMALL.time_grid().nodes)
 
 
-def test_checkpoint_v3_bytes_are_pinned(tmp_path):
+def test_checkpoint_v4_bytes_are_pinned(tmp_path):
     # Exactly representable values make the container bytes platform-free;
-    # the digest is that of the v3 format, which every saved checkpoint uses.
+    # the digest is that of the v4 format, which every saved checkpoint uses.
     model = small_model()
     model.online.flat[:] = np.arange(model.online.flat.size) / 8.0
     path = tmp_path / "model.ckpt"
@@ -545,14 +547,31 @@ def test_checkpoint_v3_bytes_are_pinned(tmp_path):
     blob = path.read_bytes()
     config = SMALL.to_json().encode()
     assert blob[32:32 + len(config)] == config
-    assert len(blob) == 32 + len(config) + 8 * 41
+    assert len(blob) == 32 + len(config) + 4 * 41
     assert hashlib.sha256(blob).hexdigest() == (
-        "f48708f4e9259aaea05f59372bb1c13add68919895da1a93ab70850152e15d1d")
+        "2dcfdf95c262ab8a5e2aaf49f30534d09f3c2975e75fddc6799c17e98782443f")
 
     cfg, loaded, step = load_run(path)
     again = tmp_path / "again.ckpt"
     save_run(again, cfg, loaded, step)
     assert again.read_bytes() == blob
+
+
+@pytest.mark.parametrize("entries, value, shown", [((0, 0), 1e39, "1e+39"),
+                                                   (..., 1e308, "1e+308")],
+                         ids=["one_1e39", "all_1e308"])
+def test_checkpoint_refuses_a_net_beyond_float32_range(entries, value, shown, tmp_path):
+    # Finite in float64 but past float32's largest value (3.4e38): the writer
+    # names the magnitude and refuses before it opens the file, so the good
+    # checkpoint already at the path stays as it was.
+    path = tmp_path / "model.ckpt"
+    save_run(path, SMALL, small_model(), 7)
+    good = path.read_bytes()
+    model = small_model()
+    model.online.weights[0][entries] = value
+    with pytest.raises(TrainingError, match=rf"{re.escape(shown)}.*float32"):
+        save_run(path, SMALL, model, 8)
+    assert path.read_bytes() == good
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -575,9 +594,10 @@ def test_checkpoint_loaded_params_behave_identically(tmp_path):
     path = tmp_path / "model.ckpt"
     save_run(path, SMALL, model, 7)
     online = load_run(path)[1].online
+    saved = replace(model.online, flat=model.online.flat.astype(np.float32))
     rng = np.random.default_rng(15)
     x_t, t, cond = rng.standard_normal((5, 2)), rng.uniform(size=5), rng.standard_normal((5, 2))
-    assert np.array_equal(forward_with_cache(model.online, x_t, t, cond, True)[0],
+    assert np.array_equal(forward_with_cache(saved, x_t, t, cond, True)[0],
                           forward_with_cache(online, x_t, t, cond, True)[0])
 
 

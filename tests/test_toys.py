@@ -274,6 +274,40 @@ def test_marginal_flow_transports_moments():
     assert np.all(np.abs(end.var(axis=0, ddof=1) - var) <= 5.0 * var * np.sqrt(2.0 / n))
 
 
+def test_oracle_converges_to_the_exact_one_component_flow():
+    """On one component the marginal flow from (x_t, t) to s is affine:
+
+        x_s = a_s·μ + b_s·x1 + √((a_s²v + Σ_s)/(a_t²v + Σ_t))·(x_t − a_t·μ − b_t·x1)
+
+    with μ and v the posterior mean and variance of the clean point and
+    (a, b, Σ) the bridge coefficients.  From t = 0.5 the oracle's error at
+    t_min read 9.1e-3, 2.3e-3, 6.0e-4, 1.5e-4 and 3.8e-5 at 16 to 256 steps
+    (orders 1.95-1.99).  From t_max it converges only at order ≈ 1, with
+    the default 256 steps 0.32 off: not asserted here, as a converged
+    oracle will change it.
+    """
+    mix = GaussianMixture(np.array([[2.0, 0.0]]), np.array([0.5]), np.array([1.0]))
+    prob = ToyProblem(mixture=mix, prior_sigma=1.0)
+    x1 = prob.draw_prior(2048, np.random.default_rng(41))
+    post = posterior_mixing(prob, x1)
+    mu, v = post.means[0].T, post.variances[0]
+
+    def flow(x, t, s):
+        (a_t, b_t, c_t), (a_s, b_s, c_s) = (bridge_coefficients(SCHED, u) for u in (t, s))
+        scale = np.sqrt((a_s * a_s * v + c_s) / (a_t * a_t * v + c_t))
+        return a_s * mu + b_s * x1 + scale * (x - a_t * mu - b_t * x1)
+
+    t0, t_end = 0.5, make_grid(12).t_min
+    # The oracle's own start: its first draw from a generator seeded alike.
+    start = sample_bridge_marginal(t0, post, SCHED, np.random.default_rng(7))
+    assert np.max(np.abs(flow(start, t0, t0) - start)) <= 1e-14
+    exact = flow(start, t0, t_end)
+    errs = [np.max(np.abs(oracle_ode_sample(prob, x1, SCHED, np.random.default_rng(7),
+                                            t0, t_end, steps) - exact))
+            for steps in (32, 64, 128)]
+    assert min(np.log2(np.divide(errs[:-1], errs[1:]))) >= 1.9
+
+
 def test_oracle_matches_data_distribution():
     prob = PROBLEM
     grid = make_grid(12)
