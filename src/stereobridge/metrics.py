@@ -16,7 +16,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .dsp import MelCepstra, StereoWaveform
 
@@ -179,6 +178,23 @@ def rte(rt60_ref: float, rt60_syn: float) -> float:
 # Reverberant stereo synthesis
 # ---------------------------------------------------------------------------
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a·3^b·5^c at or above n, the FFT length
+    ``scipy.fft.next_fast_len(n, real=True)`` gives."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The smallest power of two times p35 that reaches n.
+            candidate = p35 << (-(-n // p35) - 1).bit_length()
+            if candidate < best:
+                best = candidate
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def synth_reverb_stereo(dry: np.ndarray, ir_left: np.ndarray,
                         ir_right: np.ndarray, rate: int) -> StereoWaveform:
     """Convolve a dry mono signal with one impulse response per channel.
@@ -205,7 +221,7 @@ def synth_reverb_stereo(dry: np.ndarray, ir_left: np.ndarray,
         if ir.ndim != 1 or len(ir) == 0:
             raise ValueError(f"{name} impulse response must be nonempty 1-D")
     out = np.zeros((len(dry) + max(len(ir) for ir in irs) - 1, 2))
-    n_fft = next_fast_len(len(out), real=True)
+    n_fft = _fast_len(len(out))
     dry_spectrum = None
     for i, ir in enumerate(irs):
         n = len(dry) + len(ir) - 1

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import net
 from .bridge import VARIANCE_FLOOR, heun_integrate
@@ -317,31 +316,86 @@ def oracle_ode_sample(
 # Sample-set comparison
 # ---------------------------------------------------------------------------
 
-# Rows per distance block.  A block against m points holds 256·m float64
-# (8 MiB at m = 4096), and only one block is alive at a time.  At 4096×4096
-# points on 2 vCPUs, blocks of 128 to 512 rows ran within noise of each
-# other and 1024 rows ran 1.5-1.7x slower.
+# Rows per distance block, the unit of the summation order.  A block is
+# computed in S-row sub-blocks, S the largest power of two from 8 up to R
+# whose S×m distances fit in ``_ED_SUB_BLOCK`` float64 (16 rows at
+# m = 4096), so the scratch stays in L2: two sub-block buffers, about 1 MiB
+# up to m = 8192.  NumPy's pairwise sum halves a block at multiples of 8
+# elements, so sub-blocks of at least 8 rows are exact subtrees of it for
+# every m.  At 4096×4096 points on 2 vCPUs, sub-blocks of 2^15 and 2^17
+# elements ran 5 % and 12 % slower than 2^16 in one interleaved run.
 _ED_BLOCK_ROWS = 256
+_ED_MIN_SUB_ROWS = 8
+_ED_SUB_BLOCK = 2**16
+
+
+def _pairwise(sums: list) -> float:
+    """Sum by recursive halving: NumPy's pairwise order for 2^k parts."""
+    if len(sums) == 1:
+        return sums[0]
+    half = len(sums) // 2
+    return _pairwise(sums[:half]) + _pairwise(sums[half:])
+
+
+def _block_sum(a: np.ndarray, cols: np.ndarray, scratch: np.ndarray) -> float:
+    """Sum of ‖a_i − b_j‖ over all i, j for a block ``a`` of at most R rows
+    and a set ``b`` given by its columns ``cols`` = ``b.T``, contiguous.
+
+    Each S-row sub-block's distances are written into ``scratch`` as
+    ``d = (a0 − b0)²; d += (a1 − b1)²; …; sqrt(d)``, bitwise ``cdist``, and
+    summed with ``np.sum``; the sub-block sums are added pairwise.  For a
+    full R-row block that is exactly ``np.sum`` of its whole distance block,
+    whose pairwise summation halves R·m elements down to the sub-blocks.
+    """
+    m = cols.shape[1]
+    rows = _ED_BLOCK_ROWS
+    while rows > _ED_MIN_SUB_ROWS and rows * m > _ED_SUB_BLOCK:
+        rows //= 2
+    d = scratch[0, :rows * m].reshape(rows, m)
+    sq = scratch[1, :rows * m].reshape(rows, m)
+    sums = []
+    for i in range(0, a.shape[0], rows):
+        sub = a[i:i + rows]
+        di, si = d[:sub.shape[0]], sq[:sub.shape[0]]
+        np.subtract(sub[:, :1], cols[0], out=di)
+        np.square(di, out=di)
+        for k in range(1, a.shape[1]):
+            np.subtract(sub[:, k:k + 1], cols[k], out=si)
+            np.square(si, out=si)
+            di += si
+        np.sqrt(di, out=di)
+        sums.append(float(di.sum()))
+    return _pairwise(sums)
+
+
+def _scratch(m: int) -> np.ndarray:
+    """The two sub-block buffers for distances against up to m points, each
+    on a 64-byte boundary: at NumPy's 16-byte alignment the passes over
+    them ran 7 % slower at 4096×4096."""
+    n = max(_ED_SUB_BLOCK, _ED_MIN_SUB_ROWS * m)
+    raw = np.empty(2 * n + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + 2 * n].reshape(2, n)
 
 
 def _cross_sum(x: np.ndarray, y: np.ndarray) -> float:
     """Sum of ‖x_i − y_j‖ over all i, j, one row block of ``x`` at a time."""
-    return sum(float(cdist(x[i:i + _ED_BLOCK_ROWS], y).sum())
+    cols, scratch = y.T.copy(), _scratch(y.shape[0])
+    return sum(_block_sum(x[i:i + _ED_BLOCK_ROWS], cols, scratch)
                for i in range(0, x.shape[0], _ED_BLOCK_ROWS))
 
 
 def _within_sum(a: np.ndarray) -> float:
     """Sum of ‖a_i − a_j‖ over all ordered pairs, each unordered pair
-    computed once: a row block against itself and every later row, with
-    the square diagonal block added in full and the rest twice."""
+    computed once: a row block's square diagonal block in full and its
+    block against every later row twice."""
     r = _ED_BLOCK_ROWS
+    cols, scratch = a.T.copy(), _scratch(a.shape[0])
     total = 0.0
     for i in range(0, a.shape[0], r):
-        d = cdist(a[i:i + r], a[i:])
-        total += float(d[:, :r].sum()) + 2.0 * float(d[:, r:].sum())
-        # Freed here, or the next cdist builds its block while this one is
-        # still bound and two blocks are alive at the peak.
-        del d
+        block = a[i:i + r]
+        total += (_block_sum(block, cols[:, i:i + r], scratch)
+                  + 2.0 * _block_sum(block, cols[:, i + r:], scratch))
     return total
 
 
@@ -366,13 +420,15 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     root; the population quantity is a metric between distributions and is
     zero iff they agree.
 
-    No n×m distance matrix is built.  Each term sums ``cdist`` over blocks
-    of R = ``_ED_BLOCK_ROWS`` (256) rows in a fixed order, and only one
-    block is alive at a time: R×m float64, 8 MiB at m = 4096.  Memory is
-    O(R·max(n, m)) rather than O(n·m).  Each within-set term computes every
-    unordered pair once and counts it twice.  Blocking changes only the
-    order of the summation: results agree with the full matrices to about
-    12 digits and are bitwise the same from run to run.
+    No n×m distance matrix is built.  Each term sums the distances over
+    blocks of R = ``_ED_BLOCK_ROWS`` (256) rows in a fixed order, and each
+    block is computed a few rows at a time in reused scratch of about
+    1 MiB (two 16×4096 float64 buffers at m = 4096; 16·m float64 beyond
+    m = 8192), so memory is O(max(n, m)) rather than O(n·m).  Each
+    within-set term computes every unordered pair once and counts it twice.
+    Blocking changes only the order of the summation: results agree with
+    the full matrices to about 12 digits and are bitwise the same from run
+    to run.
 
     ``y`` is the reference set.  Its within-sum, about a quarter of the
     work at n = m, is kept for the last ``y`` seen and reused, bitwise,

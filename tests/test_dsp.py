@@ -343,6 +343,17 @@ def test_cepstra_full_order_round_trip():
     assert np.max(np.abs(back - frames)) <= 1e-9
 
 
+@pytest.mark.parametrize("n_frames", [1, 2, 7, 1723])
+@pytest.mark.parametrize("k", [1, 13, N_MELS])
+def test_cepstra_match_scipy_dct(n_frames, k):
+    rng = np.random.default_rng(n_frames * k)
+    frames = rng.uniform(-1.0, 1.0, (n_frames, N_MELS))
+    ref = scipy.fft.dct(frames, type=2, norm="ortho", axis=1)[:, :k]
+    cep = mel_cepstra(frames, k=k).coeffs
+    assert cep.shape == (n_frames, k)
+    assert np.max(np.abs(cep - ref)) <= 1e-12
+
+
 def test_cepstra_validation():
     with pytest.raises(ValueError):
         mel_cepstra(np.zeros((2, 80)), k=0)

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import stereobridge
 from stereobridge.dsp import MelCepstra, StereoWaveform
 from stereobridge.metrics import (
     _DIRECT_MAX_TAPS,
+    _fast_len,
     LRE_ENERGY_GUARD,
     MetricReport,
     UnreliableDecayError,
@@ -367,16 +369,50 @@ def test_reverb_peak_normalization_on_fft_path():
     assert np.max(np.abs(out.channel(1) - 0.5 * out.channel(0))) <= 1e-12
 
 
-def test_fft_reverb_leaves_scipy_signal_unimported():
-    # scipy.signal costs tens of MB of resident memory on import.
-    code = ("import sys\n"
-            "import numpy as np\n"
-            "import stereobridge.cli\n"
-            "from stereobridge.metrics import synth_reverb_stereo\n"
-            "synth_reverb_stereo(np.ones(1000), np.ones(3000), np.ones(300), 22050)\n"
-            "sys.exit('scipy.signal' in sys.modules)\n")
+def test_fft_length_is_scipy_next_fast_len():
+    # Every length up to 2^17, and the full-convolution lengths of the
+    # 2-10 s takes rendered with 0.01-0.8 s IRs that the benchmark scores.
+    renders = {int(dry * RATE) + int(ir * RATE) - 1
+               for dry in (2, 4, 6, 8, 10)
+               for ir in (0.01, 0.02, 0.03, 0.04, 0.05, 0.2, 0.3, 0.425, 0.55, 0.675, 0.8)}
+    lengths = [*range(1, 2**17 + 1), *sorted(renders)]
+    assert [_fast_len(n) for n in lengths] == \
+        [scipy.fft.next_fast_len(n, real=True) for n in lengths]
+
+
+def test_library_runs_without_importing_scipy(tmp_path):
+    # SciPy is the tests' reference only: importing scipy.fft or
+    # scipy.spatial costs tens of MB of resident memory.
+    code = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from stereobridge import cli, dsp, toys
+from stereobridge.metrics import exponential_ir, synth_reverb_stereo
+
+out = Path(sys.argv[1])
+cfg = out / "tiny.json"
+cfg.write_text(json.dumps({"schema_version": 1,
+                           "run": {"steps": 5, "batch_size": 4, "probe_step": 2, "seed": 3},
+                           "model": {"hidden": 16, "depth": 2, "time_embed_dim": 8}}))
+assert cli.main(["train-toy", "--config", str(cfg), "--out", str(out / "train")]) == 0
+assert cli.main(["sample", "--checkpoint", str(out / "train" / "model.ckpt"),
+                 "--count", "8", "--out", str(out / "sample")]) == 0
+rng = np.random.default_rng(0)
+ir = exponential_ir(0.3, 22050, 1.0, rng)
+take = synth_reverb_stereo(np.ones(1), ir, 0.5 * ir, 22050)
+dsp.write_wav(out / "ref.wav", dsp.StereoWaveform(0.1 * take.samples, 22050))
+dsp.write_wav(out / "syn.wav", dsp.StereoWaveform(0.08 * take.samples, 22050))
+assert cli.main(["eval", "--ref", str(out / "ref.wav"), "--syn", str(out / "syn.wav"),
+                 "--out", str(out / "eval")]) == 0
+synth_reverb_stereo(rng.standard_normal(1000), np.ones(3), np.ones(300), 22050)
+toys.energy_distance(rng.normal(size=(300, 2)), rng.normal(size=(40, 2)))
+dsp.mel_cepstra(rng.standard_normal((4, dsp.N_MELS)), 13)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded == [], loaded
+"""
     src = Path(stereobridge.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
 

@@ -13,6 +13,8 @@ from stereobridge.consistency import ConsistencyModel
 from stereobridge.schedule import NoiseSchedule, bridge_coefficients, make_grid
 from stereobridge.toys import (
     _ED_BLOCK_ROWS,
+    _ED_MIN_SUB_ROWS,
+    _ED_SUB_BLOCK,
     _within_sum,
     GaussianMixture,
     ToyProblem,
@@ -372,6 +374,8 @@ def full_matrix_energy_distance(x, y):
 
 
 R = _ED_BLOCK_ROWS
+SUB = _ED_SUB_BLOCK
+MIN_SUB = _ED_MIN_SUB_ROWS
 
 
 @pytest.mark.parametrize("n, m, dim", [
@@ -394,8 +398,9 @@ def test_energy_distance_identical_sets_above_the_block_size_is_zero():
 
 @pytest.mark.parametrize("m", [4096, 16384])
 def test_energy_distance_memory_is_bounded_by_the_row_block(monkeypatch, m):
-    # A full 4096 x 4096 distance matrix alone is 128 MiB.  One R x m block
-    # of float64 may be alive at a time, plus 1 MiB for everything else.
+    # A full 4096 x 4096 distance matrix alone is 128 MiB.  The two float64
+    # sub-block buffers may be alive, plus 1 MiB for everything else.
+    scratch = 2 * 8 * max(SUB, MIN_SUB * m)
     monkeypatch.setattr(toys, "_within_memo", {})
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4096, 2))
@@ -406,26 +411,50 @@ def test_energy_distance_memory_is_bounded_by_the_row_block(monkeypatch, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * R * m + 2**20
+    assert peak <= scratch + 2**20
 
 
 def block_formula_energy_distance(x, y):
-    """The blocked estimator written out: a fresh ``cdist`` per R-row block,
-    summed in the library's order."""
+    """The blocked estimator written out: each R-row block's ``cdist``
+    taken S rows at a time, S the largest power of two from 8 up to R with
+    S·m at most ``_ED_SUB_BLOCK``, the sub-block sums added by recursive halving,
+    and the block sums added in the library's order."""
+    def pairwise(sums):
+        if len(sums) == 1:
+            return sums[0]
+        half = len(sums) // 2
+        return pairwise(sums[:half]) + pairwise(sums[half:])
+
+    def block_sum(a, b):
+        s = R
+        while s > MIN_SUB and s * len(b) > SUB:
+            s //= 2
+        return pairwise([float(cdist(a[j:j + s], b).sum()) for j in range(0, len(a), s)])
+
     def cross_sum(a, b):
-        return sum(float(cdist(a[i:i + R], b).sum()) for i in range(0, len(a), R))
+        return sum(block_sum(a[i:i + R], b) for i in range(0, len(a), R))
 
     def within_sum(a):
         total = 0.0
         for i in range(0, len(a), R):
-            d = cdist(a[i:i + R], a[i:])
-            total += float(d[:, :R].sum()) + 2.0 * float(d[:, R:].sum())
+            total += block_sum(a[i:i + R], a[i:i + R]) + 2.0 * block_sum(a[i:i + R], a[i + R:])
         return total
 
     n, m = len(x), len(y)
     total = 2.0 * (cross_sum(x, y) / (n * m)) - within_sum(x) / (n * (n - 1)) \
         - within_sum(y) / (m * (m - 1))
     return float(np.sqrt(max(total, 0.0)))
+
+
+@pytest.mark.parametrize("m, dim", [(2, 2), (R - 1, 1), (R, 2), (R + 1, 3), (2 * R + 3, 2),
+                                    (4096, 2), (4096, 6), (8193, 2), (12345, 3)])
+def test_a_full_row_block_sums_as_np_sum_of_its_cdist_block(m, dim):
+    # The sub-block sums, added pairwise, are NumPy's pairwise sum of the
+    # whole R x m block, and the distances are cdist's bit for bit.
+    rng = np.random.default_rng(m + dim)
+    x = rng.normal(size=(R, dim))
+    y = rng.normal(loc=0.5, size=(m, dim))
+    assert toys._cross_sum(x, y) == float(cdist(x, y).sum())
 
 
 EDGE_ROWS = (R - 1, R, R + 1, 2 * R + 3)
