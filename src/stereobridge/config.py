@@ -12,7 +12,7 @@ field names its section, its key and its range check, and parsing,
 
 A checkpoint carries its run config beside the online net: :func:`load_run`
 validates it as a config file is validated and builds the network layout,
-EMA decay, schedule, grid and toy problem from it alone.
+schedule, grid and toy problem from it alone.
 """
 
 from __future__ import annotations
@@ -149,14 +149,12 @@ class RunConfig:
         return net.layer_widths(dim, dim, self.hidden, self.depth, self.time_embed_dim)
 
     def model(self, online: np.ndarray) -> ConsistencyModel:
-        """This run's consistency model, its online net laid over the given
-        flat vector without a copy and its EMA target a copy of that net;
-        training and the checkpoint reader both build theirs here.  A vector
-        that does not fit the layers raises ``ValueError``."""
+        """This run's consistency model, its online net laid over ``online``
+        without a copy; training and the checkpoint reader both build theirs
+        here.  A vector that does not fit the layers raises ``ValueError``."""
         params = net.DenoiserParams(online, self.layer_widths(), self.time_embed_dim)
-        return ConsistencyModel(params, params.copy(),
-                                sched=self.schedule(), grid=self.time_grid(),
-                                sigma_data=self.sigma_data, ema_decay=self.ema_decay)
+        return ConsistencyModel(params, sched=self.schedule(), grid=self.time_grid(),
+                                sigma_data=self.sigma_data)
 
     def to_dict(self) -> dict:
         out = {"schema_version": SCHEMA_VERSION}

@@ -56,9 +56,9 @@ class NodeTable(NamedTuple):
 
 @dataclass
 class ConsistencyModel:
-    """Online/EMA parameter pair plus the schedule and grid they train on.
+    """The online net plus the schedule and grid it runs on, all that
+    sampling reads; the EMA target that trains it is the training loop's.
 
-    ``ema_decay`` is the target's decay in :func:`train_step`;
     ``sigma_data`` scales the boundary parameterization; ``eval_count``
     tallies network evaluations for function-evaluation accounting and is
     purely diagnostic.  ``table`` is computed once from the schedule, grid
@@ -68,11 +68,9 @@ class ConsistencyModel:
     """
 
     online: DenoiserParams
-    target: DenoiserParams
     sched: NoiseSchedule
     grid: TimeGrid
     sigma_data: float
-    ema_decay: float
     eval_count: int = 0
     table: NodeTable = field(init=False, repr=False, compare=False)
 
@@ -128,6 +126,7 @@ def denoise(m: ConsistencyModel, x_t: np.ndarray, i: int, cond: np.ndarray) -> n
 
 def consistency_loss_and_grads(
     m: ConsistencyModel,
+    target: DenoiserParams,
     x0: np.ndarray,
     x1: np.ndarray,
     cond: np.ndarray,
@@ -139,7 +138,7 @@ def consistency_loss_and_grads(
     ``x0, x1, cond`` are (batch, dim) arrays, ``n`` an integer array of grid
     indices and ``z`` the shared standard-normal draws.  The distance is the
     squared L2 norm between the online map at the upper node and the frozen
-    target map at the lower node, unweighted across grid times.
+    ``target`` network's map at the lower node, unweighted across grid times.
     The bridge and boundary coefficients are read by grid index from the
     model's table.  Returns ``(loss, grads)`` with the loss averaged over
     the batch; :func:`stereobridge.net.loss_and_grads` runs the online pass
@@ -152,7 +151,7 @@ def consistency_loss_and_grads(
     # Shared-noise pair: both states sit on the trajectory of one draw z.
     x_lo = _state(m, lo, x0, x1, z)
     x_hi = _state(m, hi, x0, x1, z)
-    f_tgt = _estimate(m, m.target, x_lo, lo, cond)
+    f_tgt = _estimate(m, target, x_lo, lo, cond)
     batch = x0.shape[0]
 
     def loss_fn(raw_on):
@@ -163,23 +162,24 @@ def consistency_loss_and_grads(
     return net.loss_and_grads(m.online, (x_hi, m.grid.nodes[hi], cond), loss_fn)
 
 
-def train_step(m: ConsistencyModel, batch, opt: net.AdamState, rng: np.random.Generator):
+def train_step(m: ConsistencyModel, target: DenoiserParams, ema_decay: float,
+               batch, opt: net.AdamState, rng: np.random.Generator) -> float:
     """One optimizer step over an ``(x0, x1, cond)`` batch of (batch, dim) arrays.
 
     Draws one uniform grid index and one shared noise vector per row,
-    averages the consistency loss, applies Adam to the online parameters and
-    then advances the EMA target, both in place.  Returns ``(m, opt, loss)``
-    with the loss measured before the update.
+    averages the consistency loss against ``target``, applies Adam to the
+    online parameters and then moves ``target`` by an EMA of decay
+    ``ema_decay``, both in place.  Returns the pre-update loss.
     """
     x0, x1, cond = batch
     if len(x0) == 0:
         raise ValueError("empty batch")
     n = rng.integers(0, m.grid.n_steps, size=len(x0))
     z = rng.standard_normal(x0.shape)
-    loss, grads = consistency_loss_and_grads(m, x0, x1, cond, n, z)
+    loss, grads = consistency_loss_and_grads(m, target, x0, x1, cond, n, z)
     net.adam_step(opt, m.online, grads)
-    net.ema_update(m.target, m.online, m.ema_decay, opt.scratch[0])
-    return m, opt, loss
+    net.ema_update(target, m.online, ema_decay, opt.scratch[0])
+    return loss
 
 
 # ---------------------------------------------------------------------------

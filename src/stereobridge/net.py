@@ -40,9 +40,8 @@ and conditioning dimensions follow from the widths, and
 :func:`parameter_count` is the one count of a layout's values.
 :func:`adam_step` and :func:`ema_update` work on the whole vector and update
 their arguments in place: they return the objects they were given, and a
-caller that needs the old values must copy them first.  The EMA decay
-belongs to the consistency model, not to the parameters: it is an argument
-of :func:`ema_update`.
+caller that needs the old values must copy them first; the EMA decay is
+an argument of :func:`ema_update`.
 """
 
 from __future__ import annotations

@@ -471,7 +471,8 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
     command line and the acceptance checks.  A ``RunConfig`` validates its
     own ranges when it is built, so none are re-checked here.  The learning
     rate holds at ``cfg.lr`` for the first ``cfg.flat_fraction`` of the run
-    and then ramps linearly down to ``cfg.final_lr``.
+    and then ramps linearly down to ``cfg.final_lr``.  The EMA target is a
+    copy of the online net local to this loop.
 
     Deterministic for a fixed config: one generator seeded from ``cfg.seed``
     drives initialization, data, grid-index, and noise draws, and a separate
@@ -492,6 +493,7 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
     problem = cfg.toy_problem()
     rng = np.random.default_rng(cfg.seed)
     model = cfg.model(net.draw_denoiser(rng, cfg.layer_widths(), cfg.time_embed_dim).flat)
+    target = model.online.copy()
     opt = net.init_adam(model.online, lr=lr, beta2=cfg.adam_beta2)
 
     probe_rng = np.random.default_rng((cfg.seed, 0x534E4150))
@@ -508,7 +510,7 @@ def run_toy_training(cfg, *, step_callback=None) -> ToyTrainResult:
         else:
             opt.lr = lr + (final_lr - lr) * (frac - flat_fraction) / (1.0 - flat_fraction)
         batch = draw_training_items(problem, cfg.batch_size, rng)
-        model, opt, loss = train_step(model, batch, opt, rng)
+        loss = train_step(model, target, cfg.ema_decay, batch, opt, rng)
         losses[step - 1] = loss
         if step_callback is not None:
             step_callback(step, model, loss, 1e3 * (time.perf_counter() - t_begin))

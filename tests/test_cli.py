@@ -367,7 +367,7 @@ def test_train_toy_outputs(tiny_config, tmp_path, capsys):
     assert cfg.to_dict() == meta["config"]
     assert step == 50
     assert model.online.data_dim == 2
-    assert model.ema_decay == meta["config"]["optimizer"]["ema_decay"]
+    assert cfg.ema_decay == meta["config"]["optimizer"]["ema_decay"]
 
 
 def test_out_is_not_part_of_the_run(tiny_config, tmp_path, monkeypatch, capsys):

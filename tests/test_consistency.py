@@ -38,14 +38,14 @@ def he_final_layer(p, rng):
 
 
 def make_model(sched=DEFAULT, sigma_data=0.5, n_steps=8, seed=0,
-               decay=0.999, t_min=0.001, t_max=0.999):
+               t_min=0.001, t_max=0.999):
     rng = np.random.default_rng(seed)
     online = init_denoiser(rng, data_dim=DIM, cond_dim=COND, hidden=8,
                            depth=2, time_embed_dim=4)
     he_final_layer(online, rng)
-    return ConsistencyModel(online=online, target=online.copy(), sched=sched,
+    return ConsistencyModel(online=online, sched=sched,
                             grid=make_grid(n_steps, t_min=t_min, t_max=t_max),
-                            sigma_data=sigma_data, ema_decay=decay)
+                            sigma_data=sigma_data)
 
 
 def mid_model(sigma_data):
@@ -171,7 +171,7 @@ def test_loss_zero_when_networks_and_times_coincide():
     x = rng.standard_normal((1, DIM))
     cond = np.zeros((1, COND))
     on = denoise(m, x, 4, cond)
-    raw, _ = net.forward_with_cache(m.target, x, m.grid.nodes[4], cond, True)
+    raw, _ = net.forward_with_cache(m.online.copy(), x, m.grid.nodes[4], cond, True)
     tg = _boundary(m, 4, x, raw)
     assert np.array_equal(on, tg)
     assert float(np.sum((on - tg) ** 2)) == 0.0
@@ -181,10 +181,11 @@ def test_loss_finite_and_nonnegative_on_random_items():
     m = make_model(seed=5)
     rng = np.random.default_rng(6)
     batch = make_batch(10, seed=7)
+    target = m.online.copy()
     for i in range(10):
         n = rng.integers(0, m.grid.n_steps, size=1)
         z = rng.standard_normal((1, DIM))
-        loss, _ = consistency_loss_and_grads(m, *row(batch, i), n, z)
+        loss, _ = consistency_loss_and_grads(m, target, *row(batch, i), n, z)
         assert np.isfinite(loss)
         assert loss >= 0.0
 
@@ -194,9 +195,9 @@ def test_loss_rejects_out_of_range_index():
     batch = make_batch(1)
     z = np.zeros((1, DIM))
     with pytest.raises(IndexError):
-        consistency_loss_and_grads(m, *batch, np.array([m.grid.n_steps]), z)
+        consistency_loss_and_grads(m, m.online, *batch, np.array([m.grid.n_steps]), z)
     with pytest.raises(IndexError):
-        consistency_loss_and_grads(m, *batch, np.array([-1]), z)
+        consistency_loss_and_grads(m, m.online, *batch, np.array([-1]), z)
 
 
 def test_loss_gradients_match_finite_differences():
@@ -207,7 +208,8 @@ def test_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
     n = np.array([2])
     z = rng.standard_normal((1, DIM))
-    _, grads = consistency_loss_and_grads(m, x0, x1, cond, n, z)
+    target = m.online.copy()
+    _, grads = consistency_loss_and_grads(m, target, x0, x1, cond, n, z)
 
     h = 1e-5
     checked = 0
@@ -217,9 +219,9 @@ def test_loss_gradients_match_finite_differences():
             for idx in np.ndindex(tensor.shape):
                 orig = tensor[idx]
                 tensor[idx] = orig + h
-                hi, _ = consistency_loss_and_grads(m, x0, x1, cond, n, z)
+                hi, _ = consistency_loss_and_grads(m, target, x0, x1, cond, n, z)
                 tensor[idx] = orig - h
-                lo, _ = consistency_loss_and_grads(m, x0, x1, cond, n, z)
+                lo, _ = consistency_loss_and_grads(m, target, x0, x1, cond, n, z)
                 tensor[idx] = orig
                 fd = (hi - lo) / (2.0 * h)
                 rel = abs(fd - gtensor[idx]) / max(abs(fd) + abs(gtensor[idx]), 1e-6)
@@ -234,8 +236,10 @@ def test_loss_batched_equals_mean_of_singles():
     rng = np.random.default_rng(13)
     n = rng.integers(0, m.grid.n_steps, size=3)
     z = rng.standard_normal((3, DIM))
-    batched, _ = consistency_loss_and_grads(m, *batch, n, z)
-    singles = [consistency_loss_and_grads(m, *row(batch, i), n[i:i + 1], z[i:i + 1])[0]
+    target = m.online.copy()
+    batched, _ = consistency_loss_and_grads(m, target, *batch, n, z)
+    singles = [consistency_loss_and_grads(m, target, *row(batch, i), n[i:i + 1],
+                                          z[i:i + 1])[0]
                for i in range(3)]
     assert batched == pytest.approx(np.mean(singles), rel=1e-12)
 
@@ -249,52 +253,51 @@ def test_train_step_zero_lr_keeps_parameters():
     batch = make_batch(4, seed=15)
     opt = init_adam(m.online, lr=0.0, beta2=0.999)
     before = m.online.copy()
-    target_before = m.target.copy()
-    new_m, _, loss = train_step(m, batch, opt, np.random.default_rng(16))
+    target = m.online.copy()
+    loss = train_step(m, target, 0.999, batch, opt, np.random.default_rng(16))
     assert np.isfinite(loss) and loss >= 0.0
-    assert params_equal(new_m.online, before)
+    assert params_equal(m.online, before)
     # EMA of an unchanged online net is also unchanged.
-    assert params_equal(new_m.target, target_before)
+    assert params_equal(target, before)
 
 
 def test_train_step_seeded_runs_identical():
     def run():
         m = make_model(seed=17)
+        target = m.online.copy()
         opt = init_adam(m.online, lr=1e-3, beta2=0.999)
         batch = make_batch(4, seed=18)
-        losses = []
         rng = np.random.default_rng(19)
-        for _ in range(6):
-            m, opt, loss = train_step(m, batch, opt, rng)
-            losses.append(loss)
-        return m, losses
+        losses = [train_step(m, target, 0.999, batch, opt, rng) for _ in range(6)]
+        return m, target, losses
 
-    m_a, losses_a = run()
-    m_b, losses_b = run()
+    m_a, target_a, losses_a = run()
+    m_b, target_b, losses_b = run()
     assert losses_a == losses_b
     assert params_equal(m_a.online, m_b.online)
-    assert params_equal(m_a.target, m_b.target)
+    assert params_equal(target_a, target_b)
 
 
 def test_train_step_target_follows_closed_form_ema():
     # Replay the exact EMA recursion over the online history and demand
     # bitwise agreement: any gradient leak into the target would break it.
     decay = 0.9
-    m = make_model(seed=20, decay=decay)
+    m = make_model(seed=20)
+    target = m.online.copy()
     opt = init_adam(m.online, lr=1e-2, beta2=0.999)
     batch = make_batch(4, seed=21)
     rng = np.random.default_rng(22)
-    expect_w = [w.copy() for w in m.target.weights]
-    expect_b = [b.copy() for b in m.target.biases]
+    expect_w = [w.copy() for w in target.weights]
+    expect_b = [b.copy() for b in target.biases]
     for _ in range(4):
-        m, opt, _ = train_step(m, batch, opt, rng)
+        train_step(m, target, decay, batch, opt, rng)
         expect_w = [decay * tw + (1.0 - decay) * ow
                     for tw, ow in zip(expect_w, m.online.weights)]
         expect_b = [decay * tb + (1.0 - decay) * ob
                     for tb, ob in zip(expect_b, m.online.biases)]
-    for got, want in zip(m.target.weights, expect_w):
+    for got, want in zip(target.weights, expect_w):
         assert np.array_equal(got, want)
-    for got, want in zip(m.target.biases, expect_b):
+    for got, want in zip(target.biases, expect_b):
         assert np.array_equal(got, want)
 
 
@@ -302,8 +305,8 @@ def test_train_step_rejects_empty_batch():
     m = make_model()
     empty = (np.zeros((0, DIM)), np.zeros((0, DIM)), np.zeros((0, COND)))
     with pytest.raises(ValueError):
-        train_step(m, empty, init_adam(m.online, lr=1e-4, beta2=0.999),
-                   np.random.default_rng(0))
+        train_step(m, m.online.copy(), 0.999, empty,
+                   init_adam(m.online, lr=1e-4, beta2=0.999), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +549,14 @@ def test_train_step_allocates_less_than_one_more_parameter_vector():
     online = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=cfg.hidden,
                            depth=cfg.depth, time_embed_dim=cfg.time_embed_dim)
     m = cfg.model(online.flat)
+    target = m.online.copy()
     opt = init_adam(m.online, lr=1e-3, beta2=0.999)
     batch = tuple(rng.standard_normal((cfg.batch_size, 2)) for _ in range(3))
     for _ in range(3):
-        train_step(m, batch, opt, rng)
+        train_step(m, target, cfg.ema_decay, batch, opt, rng)
     tracemalloc.start()
     try:
-        train_step(m, batch, opt, rng)
+        train_step(m, target, cfg.ema_decay, batch, opt, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -251,9 +251,9 @@ def test_only_main_returns_the_usage_code():
 
 def test_denoiser_params_have_one_construction_path():
     # A fresh network is drawn by net.draw_denoiser; a run's online net is
-    # laid over its flat vector by config.model.  Copies (the EMA target
-    # among them), zeroed moments and gradients are ``replace(p, flat=...)``
-    # of these.
+    # laid over its flat vector by config.model.  Copies (the training
+    # loop's EMA target among them), zeroed moments and gradients are
+    # ``replace(p, flat=...)`` of these.
     found = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in call_sites(path, "DenoiserParams")]
     assert sorted(found) == ["config.model", "net.draw_denoiser"]

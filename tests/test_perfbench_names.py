@@ -61,8 +61,8 @@ def test_flop_counter_reads_the_parameter_type(monkeypatch):
     rng = np.random.default_rng(0)
     online = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=3, depth=1,
                            time_embed_dim=2)
-    m = ConsistencyModel(online=online, target=online.copy(), sched=NoiseSchedule(),
-                         grid=make_grid(4), sigma_data=0.5, ema_decay=0.9)
+    m = ConsistencyModel(online=online, sched=NoiseSchedule(), grid=make_grid(4),
+                         sigma_data=0.5)
     tracer = load_harness(monkeypatch).Tracer(["net.forward_with_cache"])
     tracer.install()
     try:
