@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -280,14 +279,12 @@ class MelCepstra:
         object.__setattr__(self, "coeffs", c)
 
 
-@lru_cache(maxsize=8)
 def _dct_basis(n: int, k: int) -> np.ndarray:
     """Rows 0..k-1 of the n-point orthonormal DCT-II matrix, as (n, k) columns."""
     # (2j + 1)·q is reduced mod 4n before scaling, so every angle is below 2π.
     j, q = np.arange(n)[:, None], np.arange(k)
     basis = np.cos(np.pi * ((2 * j + 1) * q % (4 * n)) / (2 * n)) * np.sqrt(2.0 / n)
     basis[:, 0] = np.sqrt(1.0 / n)
-    basis.setflags(write=False)
     return basis
 
 

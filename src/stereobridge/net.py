@@ -49,7 +49,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -186,13 +185,6 @@ def draw_denoiser(rng: np.random.Generator, widths: tuple,
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _frequencies(half: int) -> np.ndarray:
-    freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))
-    freqs.setflags(write=False)
-    return freqs
-
-
 def time_embedding(t, dim: int) -> np.ndarray:
     """Sinusoidal embedding of times in [0, 1].
 
@@ -200,7 +192,8 @@ def time_embedding(t, dim: int) -> np.ndarray:
     interval; returns shape (..., dim).
     """
     t = np.asarray(t, dtype=np.float64)
-    angles = 2.0 * np.pi * t[..., None] * _frequencies(dim // 2)
+    freqs = np.exp(np.linspace(0.0, np.log(1000.0), dim // 2))
+    angles = 2.0 * np.pi * t[..., None] * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 

@@ -20,9 +20,9 @@ self-consistency spread snapshots taken early and at the end of the run.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -316,63 +316,43 @@ def oracle_ode_sample(
 # Sample-set comparison
 # ---------------------------------------------------------------------------
 
-# Rows per distance block, the unit of the summation order.  A block is
-# computed in S-row sub-blocks, S the largest power of two from 8 up to R
-# whose S×m distances fit in ``_ED_SUB_BLOCK`` float64 (16 rows at
-# m = 4096), so the scratch stays in L2: two sub-block buffers, about 1 MiB
-# up to m = 8192.  NumPy's pairwise sum halves a block at multiples of 8
-# elements, so sub-blocks of at least 8 rows are exact subtrees of it for
-# every m.  At 4096×4096 points on 2 vCPUs, sub-blocks of 2^15 and 2^17
-# elements ran 5 % and 12 % slower than 2^16 in one interleaved run.
-_ED_BLOCK_ROWS = 256
-_ED_MIN_SUB_ROWS = 8
-_ED_SUB_BLOCK = 2**16
+# Distances per block, the unit of the summation order: a block is
+# ``_rows(m)`` rows against up to m points, written into two reused
+# buffers of that size (2^16 float64 each, 1 MiB together, up to
+# m = 2^16; one row of m beyond) so the passes over them stay in L2.  At
+# 4096×4096 points on 2 vCPUs, blocks of 2^15 and 2^17 elements ran 5 %
+# and 12 % slower than 2^16 in one interleaved run.
+_ED_BLOCK = 2**16
 
 
-def _pairwise(sums: list) -> float:
-    """Sum by recursive halving: NumPy's pairwise order for 2^k parts."""
-    if len(sums) == 1:
-        return sums[0]
-    half = len(sums) // 2
-    return _pairwise(sums[:half]) + _pairwise(sums[half:])
+def _rows(m: int) -> int:
+    """Rows per block against m points."""
+    return max(1, _ED_BLOCK // m)
 
 
 def _block_sum(a: np.ndarray, cols: np.ndarray, scratch: np.ndarray) -> float:
-    """Sum of ‖a_i − b_j‖ over all i, j for a block ``a`` of at most R rows
-    and a set ``b`` given by its columns ``cols`` = ``b.T``, contiguous.
-
-    Each S-row sub-block's distances are written into ``scratch`` as
+    """Sum of ‖a_i − b_j‖ over all i, j for a block ``a`` whose distances
+    fit in ``scratch`` and a set ``b`` given by its columns ``cols`` =
+    ``b.T``, contiguous: the distances are written into ``scratch`` as
     ``d = (a0 − b0)²; d += (a1 − b1)²; …; sqrt(d)``, bitwise ``cdist``, and
-    summed with ``np.sum``; the sub-block sums are added pairwise.  For a
-    full R-row block that is exactly ``np.sum`` of its whole distance block,
-    whose pairwise summation halves R·m elements down to the sub-blocks.
-    """
-    m = cols.shape[1]
-    rows = _ED_BLOCK_ROWS
-    while rows > _ED_MIN_SUB_ROWS and rows * m > _ED_SUB_BLOCK:
-        rows //= 2
-    d = scratch[0, :rows * m].reshape(rows, m)
-    sq = scratch[1, :rows * m].reshape(rows, m)
-    sums = []
-    for i in range(0, a.shape[0], rows):
-        sub = a[i:i + rows]
-        di, si = d[:sub.shape[0]], sq[:sub.shape[0]]
-        np.subtract(sub[:, :1], cols[0], out=di)
-        np.square(di, out=di)
-        for k in range(1, a.shape[1]):
-            np.subtract(sub[:, k:k + 1], cols[k], out=si)
-            np.square(si, out=si)
-            di += si
-        np.sqrt(di, out=di)
-        sums.append(float(di.sum()))
-    return _pairwise(sums)
+    summed by one ``np.sum``."""
+    d = scratch[0, :a.shape[0] * cols.shape[1]].reshape(a.shape[0], cols.shape[1])
+    sq = scratch[1, :d.size].reshape(d.shape)
+    np.subtract(a[:, :1], cols[0], out=d)
+    np.square(d, out=d)
+    for k in range(1, a.shape[1]):
+        np.subtract(a[:, k:k + 1], cols[k], out=sq)
+        np.square(sq, out=sq)
+        d += sq
+    np.sqrt(d, out=d)
+    return float(d.sum())
 
 
 def _scratch(m: int) -> np.ndarray:
-    """The two sub-block buffers for distances against up to m points, each
-    on a 64-byte boundary: at NumPy's 16-byte alignment the passes over
-    them ran 7 % slower at 4096×4096."""
-    n = max(_ED_SUB_BLOCK, _ED_MIN_SUB_ROWS * m)
+    """The two block buffers for distances against up to m points, each on
+    a 64-byte boundary: at NumPy's 16-byte alignment the passes over them
+    ran 7 % slower at 4096×4096."""
+    n = _rows(m) * m
     raw = np.empty(2 * n + 8)
     start = -raw.ctypes.data % 64 // 8
     return raw[start:start + 2 * n].reshape(2, n)
@@ -380,17 +360,16 @@ def _scratch(m: int) -> np.ndarray:
 
 def _cross_sum(x: np.ndarray, y: np.ndarray) -> float:
     """Sum of ‖x_i − y_j‖ over all i, j, one row block of ``x`` at a time."""
-    cols, scratch = y.T.copy(), _scratch(y.shape[0])
-    return sum(_block_sum(x[i:i + _ED_BLOCK_ROWS], cols, scratch)
-               for i in range(0, x.shape[0], _ED_BLOCK_ROWS))
+    r, cols, scratch = _rows(y.shape[0]), y.T.copy(), _scratch(y.shape[0])
+    return sum(_block_sum(x[i:i + r], cols, scratch)
+               for i in range(0, x.shape[0], r))
 
 
 def _within_sum(a: np.ndarray) -> float:
     """Sum of ‖a_i − a_j‖ over all ordered pairs, each unordered pair
     computed once: a row block's square diagonal block in full and its
     block against every later row twice."""
-    r = _ED_BLOCK_ROWS
-    cols, scratch = a.T.copy(), _scratch(a.shape[0])
+    r, cols, scratch = _rows(a.shape[0]), a.T.copy(), _scratch(a.shape[0])
     total = 0.0
     for i in range(0, a.shape[0], r):
         block = a[i:i + r]
@@ -399,17 +378,10 @@ def _within_sum(a: np.ndarray) -> float:
     return total
 
 
-# The last reference set's within-sum, keyed on its shape, dtype and sha256:
-# one entry, which a new or changed set recomputes and replaces.
-_within_memo: dict = {}
-
-
-def _reference_within_sum(y: np.ndarray) -> float:
-    key = (y.shape, y.dtype, hashlib.sha256(y.tobytes()).digest())
-    if key not in _within_memo:
-        _within_memo.clear()
-        _within_memo[key] = _within_sum(y)
-    return _within_memo[key]
+@lru_cache(maxsize=1)
+def _reference_within_sum(data: bytes, shape: tuple, dtype: np.dtype) -> float:
+    """``_within_sum`` of the reference set with these bytes, shape and dtype."""
+    return _within_sum(np.frombuffer(data, dtype).reshape(shape))
 
 
 def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -420,19 +392,18 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     root; the population quantity is a metric between distributions and is
     zero iff they agree.
 
-    No n×m distance matrix is built.  Each term sums the distances over
-    blocks of R = ``_ED_BLOCK_ROWS`` (256) rows in a fixed order, and each
-    block is computed a few rows at a time in reused scratch of about
-    1 MiB (two 16×4096 float64 buffers at m = 4096; 16·m float64 beyond
-    m = 8192), so memory is O(max(n, m)) rather than O(n·m).  Each
-    within-set term computes every unordered pair once and counts it twice.
-    Blocking changes only the order of the summation: results agree with
-    the full matrices to about 12 digits and are bitwise the same from run
-    to run.
+    No n×m distance matrix is built.  Each term adds its distances in row
+    order, in blocks of ``max(1, 2^16 // m)`` rows against the m points they
+    are measured to, each block one ``np.sum`` over reused scratch: two
+    2^16-element float64 buffers (1 MiB) up to m = 2^16, two of m beyond,
+    so memory is O(max(n, m)), not O(n·m).  Each within-set term computes
+    every unordered pair once and counts it twice.  Blocking changes only
+    the order of the summation: results agree with the full matrices to
+    about 12 digits and are bitwise the same from run to run.
 
     ``y`` is the reference set.  Its within-sum, about a quarter of the
-    work at n = m, is kept for the last ``y`` seen and reused, bitwise,
-    while its bytes stay the same.  That serves one reference set scored
+    work at n = m, is memoised for the last ``y`` seen, keyed on a copy of
+    its bytes, shape and dtype.  That serves one reference set scored
     against many candidates ``x``, as the acceptance criteria and the
     benchmark's scoring passes do; callers that alternate reference sets
     recompute it every call.
@@ -444,7 +415,7 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("need at least two points per sample set")
     cross = _cross_sum(x, y) / (n * m)
     within_x = _within_sum(x) / (n * (n - 1))
-    within_y = _reference_within_sum(y) / (m * (m - 1))
+    within_y = _reference_within_sum(y.tobytes(), y.shape, y.dtype) / (m * (m - 1))
     return float(np.sqrt(max(2.0 * cross - within_x - within_y, 0.0)))
 
 

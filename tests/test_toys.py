@@ -12,9 +12,7 @@ from stereobridge.config import default_config
 from stereobridge.consistency import ConsistencyModel
 from stereobridge.schedule import NoiseSchedule, bridge_coefficients, make_grid
 from stereobridge.toys import (
-    _ED_BLOCK_ROWS,
-    _ED_MIN_SUB_ROWS,
-    _ED_SUB_BLOCK,
+    _rows,
     _within_sum,
     GaussianMixture,
     ToyProblem,
@@ -373,9 +371,8 @@ def full_matrix_energy_distance(x, y):
     return float(np.sqrt(max(2.0 * cross - within_x - within_y, 0.0)))
 
 
-R = _ED_BLOCK_ROWS
-SUB = _ED_SUB_BLOCK
-MIN_SUB = _ED_MIN_SUB_ROWS
+# Set sizes around 256 points, against which a block is 256 rows.
+R = 256
 
 
 @pytest.mark.parametrize("n, m, dim", [
@@ -397,11 +394,12 @@ def test_energy_distance_identical_sets_above_the_block_size_is_zero():
 
 
 @pytest.mark.parametrize("m", [4096, 16384])
-def test_energy_distance_memory_is_bounded_by_the_row_block(monkeypatch, m):
+def test_energy_distance_memory_is_bounded_by_the_row_block(m):
     # A full 4096 x 4096 distance matrix alone is 128 MiB.  The two float64
-    # sub-block buffers may be alive, plus 1 MiB for everything else.
-    scratch = 2 * 8 * max(SUB, MIN_SUB * m)
-    monkeypatch.setattr(toys, "_within_memo", {})
+    # block buffers may be alive, plus 1 MiB for everything else, the
+    # memo's copy of the reference set's bytes among it.
+    scratch = 2 * 8 * _rows(m) * m
+    toys._reference_within_sum.cache_clear()
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4096, 2))
     y = rng.normal(size=(m, 2))
@@ -415,29 +413,19 @@ def test_energy_distance_memory_is_bounded_by_the_row_block(monkeypatch, m):
 
 
 def block_formula_energy_distance(x, y):
-    """The blocked estimator written out: each R-row block's ``cdist``
-    taken S rows at a time, S the largest power of two from 8 up to R with
-    S·m at most ``_ED_SUB_BLOCK``, the sub-block sums added by recursive halving,
-    and the block sums added in the library's order."""
-    def pairwise(sums):
-        if len(sums) == 1:
-            return sums[0]
-        half = len(sums) // 2
-        return pairwise(sums[:half]) + pairwise(sums[half:])
-
-    def block_sum(a, b):
-        s = R
-        while s > MIN_SUB and s * len(b) > SUB:
-            s //= 2
-        return pairwise([float(cdist(a[j:j + s], b).sum()) for j in range(0, len(a), s)])
-
+    """The blocked estimator written out: blocks of ``_rows(m)`` rows
+    against the m points of the other set, each block's ``cdist`` summed
+    whole and the block sums added in row order."""
     def cross_sum(a, b):
-        return sum(block_sum(a[i:i + R], b) for i in range(0, len(a), R))
+        r = _rows(len(b))
+        return sum(float(cdist(a[i:i + r], b).sum()) for i in range(0, len(a), r))
 
     def within_sum(a):
+        r = _rows(len(a))
         total = 0.0
-        for i in range(0, len(a), R):
-            total += block_sum(a[i:i + R], a[i:i + R]) + 2.0 * block_sum(a[i:i + R], a[i + R:])
+        for i in range(0, len(a), r):
+            total += (float(cdist(a[i:i + r], a[i:i + r]).sum())
+                      + 2.0 * float(cdist(a[i:i + r], a[i + r:]).sum()))
         return total
 
     n, m = len(x), len(y)
@@ -447,23 +435,29 @@ def block_formula_energy_distance(x, y):
 
 
 @pytest.mark.parametrize("m, dim", [(2, 2), (R - 1, 1), (R, 2), (R + 1, 3), (2 * R + 3, 2),
-                                    (4096, 2), (4096, 6), (8193, 2), (12345, 3)])
+                                    (4096, 2), (4096, 6), (8193, 2), (12345, 3),
+                                    (2**16 + 3, 2)])
 def test_a_full_row_block_sums_as_np_sum_of_its_cdist_block(m, dim):
-    # The sub-block sums, added pairwise, are NumPy's pairwise sum of the
-    # whole R x m block, and the distances are cdist's bit for bit.
+    # A block of _rows(m) rows (one row past m = 2^16) is one np.sum of its
+    # whole distance block, and the distances are cdist's bit for bit.
     rng = np.random.default_rng(m + dim)
-    x = rng.normal(size=(R, dim))
+    x = rng.normal(size=(_rows(m), dim))
     y = rng.normal(loc=0.5, size=(m, dim))
     assert toys._cross_sum(x, y) == float(cdist(x, y).sum())
 
 
+# Against 255, 256, 257 and 515 points a block is 257, 256, 255 and 127
+# rows, so these sizes end a set short of, on and past a block boundary.
+# Against 4097 and 4369 points a block is 15 rows and against 4370 it is
+# 14, so 29, 30 and 29 rows end one row short of, on and one row past a
+# second block on either side of a change in the block height.
 EDGE_ROWS = (R - 1, R, R + 1, 2 * R + 3)
 
 
 @pytest.mark.parametrize("n, m", [(n, m) for n in EDGE_ROWS for m in EDGE_ROWS]
-                         + [(4096, 4096)])
-def test_energy_distance_is_bitwise_the_block_formula(monkeypatch, n, m):
-    monkeypatch.setattr(toys, "_within_memo", {})
+                         + [(4096, 4096), (29, 4097), (30, 4369), (29, 4370)])
+def test_energy_distance_is_bitwise_the_block_formula(n, m):
+    toys._reference_within_sum.cache_clear()
     rng = np.random.default_rng(n * m)
     x = rng.normal(size=(n, 2))
     y = rng.normal(loc=0.5, size=(m, 2))
@@ -473,7 +467,7 @@ def test_energy_distance_is_bitwise_the_block_formula(monkeypatch, n, m):
 def counting_within_sums(monkeypatch):
     """Count ``_within_sum`` calls, starting from an empty memo."""
     calls = []
-    monkeypatch.setattr(toys, "_within_memo", {})
+    toys._reference_within_sum.cache_clear()
 
     def counting(a):
         calls.append(a.shape[0])
@@ -508,13 +502,13 @@ def test_energy_distance_sees_a_reference_set_changed_in_place(monkeypatch):
     assert after == block_formula_energy_distance(x, y)
 
 
-def test_energy_distance_memo_holds_one_reference_set(monkeypatch):
-    monkeypatch.setattr(toys, "_within_memo", {})
+def test_energy_distance_memo_holds_one_reference_set():
+    toys._reference_within_sum.cache_clear()
     rng = np.random.default_rng(6)
     x = rng.normal(size=(32, 2))
     for m in (16, 40, 40, 24):
         energy_distance(x, rng.normal(size=(m, 2)))
-        assert len(toys._within_memo) == 1
+        assert toys._reference_within_sum.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------
