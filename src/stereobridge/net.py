@@ -10,8 +10,13 @@ exactly zero.
 Gradients are computed by explicit backpropagation in float64, which keeps
 every parameter checkable against central finite differences and makes
 training bitwise deterministic for a fixed seed.  The forward runs in one
-of two modes with bitwise equal outputs.  The training pass keeps a cache
-of the network input and one pre-activation array per hidden layer; the
+of two modes with bitwise equal outputs.  Both carry every hidden value
+negated: the input is negated once, each layer computes ``-z = (-a) @ W -
+b`` and ``-a = -z / (1 + exp(-z))``, and the output layer ``b - (-a) @ W``.
+Negation is exact and rounding to nearest is symmetric in sign, so these
+are the textbook values negated bit for bit, up to the sign of a sum that
+is exactly zero, and the SiLU needs no negation pass.  The training pass keeps a cache of the negated network
+input and one negated pre-activation array per hidden layer; the
 activations share one scratch buffer, and :func:`backward` recomputes them
 from the pre-activations by the forward's own operations.  At the recipe's
 width 192 and depth 4 it peaks at about 8 KB per float64 row.  Sampling and
@@ -197,12 +202,12 @@ def time_embedding(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
-def _silu(z, out):
-    """``z / (1 + exp(-z))`` written into ``out`` and returned."""
-    np.negative(z, out=out)
-    np.exp(out, out=out)
+def _negated_silu(nz, out):
+    """``-silu(z) = nz / (1 + exp(nz))`` of ``nz = -z``, written into ``out``
+    and returned."""
+    np.exp(nz, out=out)
     out += 1.0
-    return np.divide(z, out, out=out)
+    return np.divide(nz, out, out=out)
 
 
 def _assemble_input(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
@@ -222,65 +227,72 @@ def forward_with_cache(p: DenoiserParams, x_t, t, cond, keep: bool):
     """Run the network, keeping what backprop needs when ``keep`` is true.
 
     Returns ``(output, cache)`` where output has shape (batch, data_dim), in
-    the parameters' dtype.  With ``keep`` the cache is ``(network input,
-    [hidden pre-activations])``: each layer allocates its pre-activation,
-    and the hidden activations share one scratch buffer and are not kept
-    (:func:`backward` recomputes them).  Without ``keep`` the cache is
-    ``None`` and the pass allocates one block of two ``batch x
-    max(hidden)`` halves: every layer's matmul writes into the first and
-    its SiLU into the second, so memory does not grow with depth.  Both
-    modes run the same operations on the same values, so their outputs are
-    bitwise equal.
+    the parameters' dtype.  The hidden layers carry negated values (see the
+    module docstring): with ``keep`` the cache is ``(-network input,
+    [-hidden pre-activations])``, the textbook arrays negated; each layer
+    allocates its pre-activation, and the hidden activations share one
+    scratch buffer and are not kept (:func:`backward` recomputes them).
+    Without ``keep`` the cache is ``None`` and the pass allocates
+    one block of two ``batch x max(hidden)`` halves: every layer's matmul
+    writes into the first and its SiLU into the second, so memory does not
+    grow with depth.  Both modes run the same operations on the same
+    values, so their outputs are bitwise equal.
     """
-    a = x = _assemble_input(p, x_t, t, cond)
-    size = len(x) * max((w.shape[1] for w in p.weights[:-1]), default=0)
+    na = nx = _assemble_input(p, x_t, t, cond)
+    np.negative(nx, out=nx)
+    size = len(nx) * max((w.shape[1] for w in p.weights[:-1]), default=0)
     pre_acts = []
     if keep:
-        buf = np.empty(size, x.dtype)
+        buf = np.empty(size, nx.dtype)
     else:
-        pre, buf = np.empty((2, size), x.dtype)
+        pre, buf = np.empty((2, size), nx.dtype)
     # The SiLU's exp(-z) overflows to inf below z = -88.7 in float32 (-709 in
-    # float64; the recipe's pre-activations reach -87.3), where z / inf is the
-    # SiLU's limit -0.0: not worth a warning.  Any other overflow ends in a
-    # non-finite output, which callers reject.
+    # float64; the recipe's pre-activations reach -87.3), where -z / inf is
+    # the negated SiLU's limit +0.0: not worth a warning.  Any other overflow
+    # ends in a non-finite output, which callers reject.
     with np.errstate(over="ignore"):
         for w, b in zip(p.weights[:-1], p.biases[:-1]):
             # Contiguous views, so each matmul is the call a fresh array gets.
-            n, shape = len(x) * w.shape[1], (len(x), w.shape[1])
+            n, shape = len(nx) * w.shape[1], (len(nx), w.shape[1])
             if keep:
-                z = np.matmul(a, w)
-                pre_acts.append(z)
+                nz = np.matmul(na, w)
+                pre_acts.append(nz)
             else:
-                z = np.matmul(a, w, out=pre[:n].reshape(shape))
-            z += b
-            a = _silu(z, buf[:n].reshape(shape))
-    out = np.matmul(a, p.weights[-1])
-    out += p.biases[-1]
-    return out, ((x, pre_acts) if keep else None)
+                nz = np.matmul(na, w, out=pre[:n].reshape(shape))
+            nz -= b
+            na = _negated_silu(nz, buf[:n].reshape(shape))
+    out = np.matmul(na, p.weights[-1])
+    np.subtract(p.biases[-1], out, out=out)
+    return out, ((nx, pre_acts) if keep else None)
 
 
 def backward(p: DenoiserParams, cache, d_out: np.ndarray) -> DenoiserParams:
     """Backpropagate ``d_out = dL/d(output)`` to parameter gradients.
 
-    Each hidden activation is recomputed from its cached pre-activation z:
-    ``e = 1 + exp(-z)`` gives both the activation ``z / e`` and, through
-    ``s = 1 / e``, the SiLU slope ``s * (1 + z * (1 - s))``, by the
-    forward's operations in its order, so the result is bitwise that of
-    stored activations.  The gradients have ``p``'s layout and are written
-    straight into a fresh flat vector's views.
+    Carries ``-delta`` from ``-d_out``, as the forward carries ``-a``.  Each
+    hidden activation is recomputed from its cached negated pre-activation
+    ``nz = -z``: ``e = 1 + exp(nz)`` gives both the negated activation
+    ``nz / e`` and, through ``s = 1 / e``, the SiLU slope ``s * (1 - nz * (1
+    - s))``, by the forward's operations in its order.  Weight gradients are
+    ``(-a).T @ (-delta)`` and bias gradients ``-sum(-delta)``, so each is
+    the textbook value up to the sign of an exact zero, to which Adam is
+    blind.  The gradients have ``p``'s layout and are written straight into
+    a fresh flat vector's views.
     """
-    x, pre_acts = cache
+    nx, pre_acts = cache
     grads = replace(p, flat=np.empty_like(p.flat))
-    delta = d_out
-    for i in range(p.n_layers - 1, 0, -1):
-        z = pre_acts[i - 1]
-        e = 1.0 + np.exp(-z)
-        np.matmul((z / e).T, delta, out=grads.weights[i])
-        np.sum(delta, axis=0, out=grads.biases[i])
-        s = 1.0 / e
-        delta = (delta @ p.weights[i].T) * (s * (1.0 + z * (1.0 - s)))
-    np.matmul(x.T, delta, out=grads.weights[0])
-    np.sum(delta, axis=0, out=grads.biases[0])
+    nd = -d_out
+    # exp(-z) overflows where the forward's did, to the same finite limits.
+    with np.errstate(over="ignore"):
+        for i in range(p.n_layers - 1, 0, -1):
+            nz = pre_acts[i - 1]
+            e = 1.0 + np.exp(nz)
+            np.matmul((nz / e).T, nd, out=grads.weights[i])
+            np.negative(np.sum(nd, axis=0), out=grads.biases[i])
+            s = 1.0 / e
+            nd = (nd @ p.weights[i].T) * (s * (1.0 - nz * (1.0 - s)))
+    np.matmul(nx.T, nd, out=grads.weights[0])
+    np.negative(np.sum(nd, axis=0), out=grads.biases[0])
     return grads
 
 

@@ -267,6 +267,26 @@ def sample_bridge_marginal(t, post: Posterior, sched: NoiseSchedule,
     return centers + scales[:, None] * rng.standard_normal(post.x1.shape)
 
 
+def one_component_flow(x, t, s, post: Posterior, sched: NoiseSchedule) -> np.ndarray:
+    """The exact probability-flow map of states ``x`` from time t to s.
+
+    With one component the clean point given x1 is N(μ, v), every bridge
+    marginal is Gaussian and the flow is affine:
+
+        x_s = a_s·μ + b_s·x1 + √((a_s²v + Σ_s)/(a_t²v + Σ_t))·(x − a_t·μ − b_t·x1)
+
+    with (a, b, Σ) from :func:`bridge_coefficients`.  A posterior of more
+    than one component raises ``ValueError``.
+    """
+    if len(post.variances) != 1:
+        raise ValueError(f"the exact flow needs one component, "
+                         f"the posterior has {len(post.variances)}")
+    mu, v, x1 = post.means[0].T, post.variances[0], post.x1
+    (a_t, b_t, c_t), (a_s, b_s, c_s) = (bridge_coefficients(sched, u) for u in (t, s))
+    scale = np.sqrt((a_s * a_s * v + c_s) / (a_t * a_t * v + c_t))
+    return a_s * mu + b_s * x1 + scale * (x - a_t * mu - b_t * x1)
+
+
 # ---------------------------------------------------------------------------
 # Reference ODE sampler
 # ---------------------------------------------------------------------------

@@ -397,27 +397,43 @@ def test_flat_adam_and_ema_match_per_tensor_reference_bitwise():
     assert state.step == 6
 
 
-def reference_forward_backward(p, x_t, t, cond, d_out):
-    """Output and per-layer gradients by the textbook formulas: a fresh
-    ``z = a @ W + b`` and ``a = z / (1 + exp(-z))`` per layer, every
-    activation kept, and the SiLU slope ``s * (1 + z * (1 - s))`` with
-    ``s = 1 / (1 + exp(-z))``."""
-    a = np.concatenate([x_t, time_embedding(t, p.time_embed_dim), cond], axis=1)
+def bits(a):
+    """The array's bit patterns, which tell -0.0 from 0.0 as ``==`` does not."""
+    return a.view(f"u{a.itemsize}")
+
+
+def reference_layers(p, x_t, t, cond):
+    """Every activation and pre-activation by the textbook formulas, in the
+    parameters' dtype: a fresh ``z = a @ W + b`` and ``a = z / (1 +
+    exp(-z))`` per layer; exp(-z) may overflow to its limit."""
+    emb = time_embedding(t, p.time_embed_dim)
+    emb = np.broadcast_to(emb, (len(x_t), p.time_embed_dim))
+    a = np.concatenate([x_t, emb, cond], axis=1).astype(p.flat.dtype)
     acts, pre_acts = [a], []
-    for i in range(p.n_layers):
-        z = a @ p.weights[i] + p.biases[i]
-        pre_acts.append(z)
-        a = z / (1.0 + np.exp(-z)) if i < p.n_layers - 1 else z
-        acts.append(a)
+    with np.errstate(over="ignore"):
+        for i in range(p.n_layers):
+            z = a @ p.weights[i] + p.biases[i]
+            pre_acts.append(z)
+            a = z / (1.0 + np.exp(-z)) if i < p.n_layers - 1 else z
+            acts.append(a)
+    return acts, pre_acts
+
+
+def reference_forward_backward(p, x_t, t, cond, d_out):
+    """Output and per-layer gradients by the textbook formulas: every
+    activation kept (:func:`reference_layers`), and the SiLU slope ``s * (1
+    + z * (1 - s))`` with ``s = 1 / (1 + exp(-z))``."""
+    acts, pre_acts = reference_layers(p, x_t, t, cond)
     g_w, g_b = [None] * p.n_layers, [None] * p.n_layers
     delta = d_out
-    for i in range(p.n_layers - 1, -1, -1):
-        g_w[i] = acts[i].T @ delta
-        g_b[i] = np.sum(delta, axis=0)
-        if i > 0:
-            z = pre_acts[i - 1]
-            s = 1.0 / (1.0 + np.exp(-z))
-            delta = (delta @ p.weights[i].T) * (s * (1.0 + z * (1.0 - s)))
+    with np.errstate(over="ignore"):
+        for i in range(p.n_layers - 1, -1, -1):
+            g_w[i] = acts[i].T @ delta
+            g_b[i] = np.sum(delta, axis=0)
+            if i > 0:
+                z = pre_acts[i - 1]
+                s = 1.0 / (1.0 + np.exp(-z))
+                delta = (delta @ p.weights[i].T) * (s * (1.0 + z * (1.0 - s)))
     return acts[-1], g_w, g_b
 
 
@@ -437,6 +453,63 @@ def test_forward_and_backward_match_per_layer_reference_bitwise(batch):
     assert np.array_equal(out, ref_out)
     for got, want in zip(grads.weights + grads.biases, ref_w + ref_b):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sampling_forward_is_bytewise_the_reference_at_every_grid_node(dtype, keep):
+    # The sampling configuration: the recipe's layout, 4096 rows, and one
+    # scalar time per call, a grid node as `sample` passes it.
+    cfg = default_config()
+    rng = np.random.default_rng(42)
+    p = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=cfg.hidden, depth=cfg.depth,
+                      time_embed_dim=cfg.time_embed_dim)
+    he_final_layer(p, rng)
+    p = replace(p, flat=p.flat.astype(dtype))
+    # Wide inputs drive pre-activations far into both SiLU tails.
+    x_t = 4.0 * rng.standard_normal((4096, 2))
+    cond = 4.0 * rng.standard_normal((4096, 2))
+    for t in cfg.time_grid().nodes:
+        out, _ = forward_with_cache(p, x_t, t, cond, keep)
+        acts, _ = reference_layers(p, x_t, t, cond)
+        assert out.dtype == acts[-1].dtype == dtype
+        assert np.array_equal(bits(out), bits(acts[-1])), t
+
+
+def sign_edge_net(dtype, z):
+    """The probe layout with two hidden units pinned in every row of the
+    first hidden layer: unit 0's pre-activation is exactly zero (a zero
+    weight column and bias) and unit 1's is ``z``, past exp's range."""
+    p = probe_net(seed=50)
+    p.weights[0][:, :2] = 0.0
+    p.biases[0][:2] = 0.0, z
+    return replace(p, flat=p.flat.astype(dtype))
+
+
+@pytest.mark.parametrize("dtype, z", [(np.float32, -100.0), (np.float64, -800.0)])
+def test_sign_edge_units_match_the_reference_and_adam_is_blind_to_zero_signs(dtype, z):
+    p = sign_edge_net(dtype, z)
+    x_t, t, cond = probe_batch(seed=51, batch=16)
+    d_out = np.random.default_rng(52).standard_normal((16, 3)).astype(dtype)
+    ref_out, ref_w, ref_b = reference_forward_backward(p, x_t, t, cond, d_out)
+    dropped, _ = forward_with_cache(p, x_t, t, cond, False)
+    out, cache = forward_with_cache(p, x_t, t, cond, True)
+    assert np.array_equal(cache[1][0][:, :2], np.broadcast_to([0.0, -z], (16, 2)))
+    for got in (dropped, out):
+        assert got.dtype == dtype
+        assert np.array_equal(bits(got), bits(ref_out))
+    # Gradients equal the reference's by value; bytes may differ only in
+    # the sign of an exact zero, as the pinned units' products are ±0.
+    grads = backward(p, cache, d_out)
+    ref = p.zeros_like()
+    for view, want in zip(ref.weights + ref.biases, ref_w + ref_b):
+        view[:] = want
+    assert np.array_equal(grads.flat, ref.flat)
+    assert np.all(grads.flat[bits(grads.flat) != bits(ref.flat)] == 0.0)
+    # Adam maps +0 and -0 to the same update.
+    stepped = [adam_step(init_adam(q, lr=1e-3, beta2=0.99), q, g)[0]
+               for q, g in ((p.copy(), grads), (p.copy(), ref))]
+    assert np.array_equal(bits(stepped[0].flat), bits(stepped[1].flat))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -471,7 +544,8 @@ def test_silu_past_the_exp_range_is_its_limit_without_a_warning(dtype, z):
     p.weights[0][0, 0] = z
     p.weights[1][0, 0] = 1.0
     out, (_, [pre]) = forward_with_cache(p, np.ones((1, 1)), 0.5, np.zeros((1, 1)), True)
-    assert pre[0, 0] == z
+    # The cache holds the negated pre-activation.
+    assert pre[0, 0] == -z
     assert out[0, 0] == 0.0
 
 
