@@ -70,10 +70,12 @@ SUBSTITUTIONS = {
 }
 
 CHECKPOINT_EVERY = 500
-# The most samples one ``sample`` call draws.  Its network runs in float32 and
-# keeps no per-layer arrays, so each row adds about 1.7 KB to peak memory at
-# the recipe's width, whatever the depth (1.2 KB at hidden 120, depth 64): a
-# call this size adds about 0.2 GB and peaks near 0.27 GB RSS.
+# The most samples one ``sample`` call draws.  Its network runs in float32
+# over row blocks and keeps only the last hidden activation whole, so each
+# row adds about 0.84 KB to the traced peak at the recipe's width (1.03 KB
+# at 4096 rows), whatever the depth (0.67 KB at hidden 120, depth 64, 4096
+# rows): an NFE-8 call this size traces about 84 MB and peaks near 156 MiB
+# RSS.
 MAX_SAMPLE_COUNT = 100_000
 
 

@@ -15,13 +15,18 @@ negated: the input is negated once, each layer computes ``-z = (-a) @ W -
 b`` and ``-a = -z / (1 + exp(-z))``, and the output layer ``b - (-a) @ W``.
 Negation is exact and rounding to nearest is symmetric in sign, so these
 are the textbook values negated bit for bit, up to the sign of a sum that
-is exactly zero, and the SiLU needs no negation pass.  The training pass keeps a cache of the negated network
-input and one negated pre-activation array per hidden layer; the
-activations share one scratch buffer, and :func:`backward` recomputes them
-from the pre-activations by the forward's own operations.  At the recipe's
-width 192 and depth 4 it peaks at about 8 KB per float64 row.  Sampling and
-the EMA-target pass keep nothing: every layer writes into one block of two
-``rows x max(hidden)`` halves, about 3.4 KB per float64 row at the recipe,
+is exactly zero, and the SiLU needs no negation pass.  The training pass
+keeps a cache of the negated network input and one negated pre-activation
+array per hidden layer; the activations share one scratch buffer, and
+:func:`backward` recomputes them from the pre-activations by the forward's
+own operations.  At the recipe's width 192 and depth 4 it peaks at about
+8 KB per float64 row.  Sampling and the EMA-target pass keep nothing: the
+input and hidden layers run over blocks of ``FORWARD_BLOCK_ROWS`` rows in
+one reused scratch block, and only the last hidden layer's activation is
+whole.  The blocks' products are bitwise the whole array's, but the output
+layer's 2-wide product changes bits with its row count, so it runs once
+over that whole activation.  At the recipe this peaks at about 1.9 KB per
+float64 row and 1.0 KB per float32 row at 4096 rows (0.8 KB at 100,000),
 and depth adds nothing.
 
 The forward runs in its parameters' dtype: the input is assembled in it,
@@ -210,7 +215,10 @@ def _negated_silu(nz, out):
     return np.divide(nz, out, out=out)
 
 
-def _assemble_input(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
+def _input_columns(p: DenoiserParams, x_t, t, cond):
+    """The network input's three column groups: the state, the time
+    embedding with one row per state (a view for a scalar time) and the
+    conditioning."""
     if x_t.shape[1] != p.data_dim:
         raise ValueError(f"state dim {x_t.shape[1]} != data_dim {p.data_dim}")
     if cond.shape[1] != p.cond_dim:
@@ -218,9 +226,54 @@ def _assemble_input(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
     if cond.shape[0] != x_t.shape[0]:
         raise ValueError(f"cond has {cond.shape[0]} rows, state {x_t.shape[0]}")
     emb = time_embedding(t, p.time_embed_dim)
-    if emb.ndim == 1:
-        emb = np.broadcast_to(emb, (x_t.shape[0],) + emb.shape)
-    return np.concatenate([x_t, emb, cond], axis=1, dtype=p.flat.dtype)
+    return x_t, np.broadcast_to(emb, (len(x_t), p.time_embed_dim)), cond
+
+
+def _assemble_input(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
+    return np.concatenate(_input_columns(p, x_t, t, cond), axis=1, dtype=p.flat.dtype)
+
+
+# Rows per block of the sampling forward's input and hidden layers.  Their
+# products are bitwise those of the whole array for blocks of 2 rows or more
+# on OpenBLAS (1 and 2 threads, float32 and float64); the 2-wide output
+# product is not, so it runs once over the whole last activation.  At 4096
+# rows, 256-row blocks ran about 9 % slower than one block (more, smaller
+# threaded gemm calls), while 512 and 1024 were within noise of one block and
+# of each other over 30 interleaved rounds; 512 holds half the scratch.
+FORWARD_BLOCK_ROWS = 512
+
+
+def _negated_last_activation(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
+    """The last hidden layer's negated activation (the negated input for a
+    net without hidden layers), one whole (batch, width) array, computed in
+    blocks of ``FORWARD_BLOCK_ROWS`` rows; a shorter tail joins the block
+    before it."""
+    columns = _input_columns(p, x_t, t, cond)
+    rows, dtype = len(x_t), p.flat.dtype
+    starts = range(0, max(rows // FORWARD_BLOCK_ROWS, 1) * FORWARD_BLOCK_ROWS,
+                   FORWARD_BLOCK_ROWS)
+    layers = list(zip(p.weights[:-1], p.biases[:-1]))
+    last = np.empty((rows, p.widths[-2]), dtype)
+    # The last block is the largest.  A block's input goes into the second
+    # half, which its first layer's SiLU overwrites once the matmul has read it.
+    pre, buf = np.empty((2, (rows - starts[-1]) * max(p.widths[:-1])), dtype)
+    # The SiLU's exp(-z) overflows to inf below z = -88.7 in float32 (-709 in
+    # float64; the recipe's pre-activations reach -87.3), where -z / inf is
+    # the negated SiLU's limit +0.0: not worth a warning.  Any other overflow
+    # ends in a non-finite output, which callers reject.
+    with np.errstate(over="ignore"):
+        for lo, hi in zip(starts, [*starts[1:], rows]):
+            # Contiguous views, so each matmul is the call a fresh array gets.
+            n = hi - lo
+            first = buf[:n * p.widths[0]].reshape(n, p.widths[0]) if layers else last[lo:hi]
+            na = np.concatenate([c[lo:hi] for c in columns], axis=1, out=first)
+            np.negative(na, out=na)
+            for k, (w, b) in enumerate(layers, 1):
+                nz = np.matmul(na, w, out=pre[:n * w.shape[1]].reshape(n, w.shape[1]))
+                nz -= b
+                dest = last[lo:hi] if k == len(layers) else buf[:nz.size].reshape(nz.shape)
+                na = _negated_silu(nz, dest)
+    return last
 
 
 def forward_with_cache(p: DenoiserParams, x_t, t, cond, keep: bool):
@@ -232,35 +285,30 @@ def forward_with_cache(p: DenoiserParams, x_t, t, cond, keep: bool):
     [-hidden pre-activations])``, the textbook arrays negated; each layer
     allocates its pre-activation, and the hidden activations share one
     scratch buffer and are not kept (:func:`backward` recomputes them).
-    Without ``keep`` the cache is ``None`` and the pass allocates
-    one block of two ``batch x max(hidden)`` halves: every layer's matmul
-    writes into the first and its SiLU into the second, so memory does not
-    grow with depth.  Both modes run the same operations on the same
-    values, so their outputs are bitwise equal.
+    Without ``keep`` the cache is ``None`` and the input and hidden layers
+    run over blocks of ``FORWARD_BLOCK_ROWS`` rows, a shorter tail joining
+    the block before it, so a call of at most that many rows is one block.
+    A block's layers write into one reused scratch block and the last
+    hidden layer into one whole (batch, hidden) array, over which the
+    output layer runs once: its 2-wide product changes bits with the row
+    count, and the hidden products do not.  Memory does not grow with
+    depth.  Both modes run the same operations on the same values, so their
+    outputs are bitwise equal.
     """
-    na = nx = _assemble_input(p, x_t, t, cond)
-    np.negative(nx, out=nx)
-    size = len(nx) * max((w.shape[1] for w in p.weights[:-1]), default=0)
-    pre_acts = []
     if keep:
-        buf = np.empty(size, nx.dtype)
-    else:
-        pre, buf = np.empty((2, size), nx.dtype)
-    # The SiLU's exp(-z) overflows to inf below z = -88.7 in float32 (-709 in
-    # float64; the recipe's pre-activations reach -87.3), where -z / inf is
-    # the negated SiLU's limit +0.0: not worth a warning.  Any other overflow
-    # ends in a non-finite output, which callers reject.
-    with np.errstate(over="ignore"):
-        for w, b in zip(p.weights[:-1], p.biases[:-1]):
-            # Contiguous views, so each matmul is the call a fresh array gets.
-            n, shape = len(nx) * w.shape[1], (len(nx), w.shape[1])
-            if keep:
+        na = nx = _assemble_input(p, x_t, t, cond)
+        np.negative(nx, out=nx)
+        buf = np.empty(len(nx) * max(p.widths[1:-1], default=0), nx.dtype)
+        pre_acts = []
+        # exp(-z) overflows where the sampling pass's does, to the same limits.
+        with np.errstate(over="ignore"):
+            for w, b in zip(p.weights[:-1], p.biases[:-1]):
                 nz = np.matmul(na, w)
                 pre_acts.append(nz)
-            else:
-                nz = np.matmul(na, w, out=pre[:n].reshape(shape))
-            nz -= b
-            na = _negated_silu(nz, buf[:n].reshape(shape))
+                nz -= b
+                na = _negated_silu(nz, buf[:nz.size].reshape(nz.shape))
+    else:
+        na = _negated_last_activation(p, x_t, t, cond)
     out = np.matmul(na, p.weights[-1])
     np.subtract(p.biases[-1], out, out=out)
     return out, ((nx, pre_acts) if keep else None)

@@ -525,15 +525,24 @@ def denoise_peak_per_row(hidden, depth, dtype, rows=4096):
 
 
 def test_denoise_memory_per_row_at_the_recipe_width():
-    # Sampling keeps no cache: one block of two 192-wide float64 halves,
-    # about 3.4 KB per row with the input and output.
+    # Sampling keeps no cache: one whole 192-wide float64 last activation
+    # (1.5 KB per row) plus a 512-row scratch block, about 1.9 KB per row
+    # with the input and output at 4096 rows (3.4 KB with two whole halves).
     cfg = default_config()
-    assert denoise_peak_per_row(cfg.hidden, cfg.depth, np.float64) <= 4e3
+    assert denoise_peak_per_row(cfg.hidden, cfg.depth, np.float64) <= 2.1e3
+
+
+def test_denoise_memory_per_row_in_float32_is_about_one_activation_row():
+    # The sample command's precision: the 768-byte float32 last activation
+    # plus the scratch block spread over 16,384 rows (about 53 bytes) reads
+    # about 0.82 KB per row (1.7 KB with two whole halves).
+    cfg = default_config()
+    assert denoise_peak_per_row(cfg.hidden, cfg.depth, np.float32, rows=16384) <= 900
 
 
 def test_denoise_memory_does_not_grow_with_depth():
     # Hidden 120, depth 64 in float32 (the sample command's precision) peaks
-    # at about 1.1 KB per row, as depth 4 does; a cached pass would keep 64
+    # at about 0.61 KB per row, as depth 4 does; a cached pass would keep 64
     # pre-activations, about 31 KB per row.
     deep = denoise_peak_per_row(120, 64, np.float32)
     assert deep <= 2e3

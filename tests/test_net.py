@@ -10,6 +10,7 @@ from stereobridge.config import default_config, load_run, parse_config, save_run
 from stereobridge.net import (
     ADAM_BETA1,
     ADAM_EPS,
+    FORWARD_BLOCK_ROWS,
     DenoiserParams,
     TrainingError,
     _assemble_input,
@@ -121,8 +122,8 @@ def test_forward_sensitive_to_conditioning():
 @pytest.mark.parametrize("rows", [16, 64, 4096])
 @pytest.mark.parametrize("hidden", [192, 120])
 def test_forward_without_cache_equals_the_cached_pass_bitwise(hidden, rows, dtype):
-    # Without a cache each layer writes into one of two reused halves; the
-    # operations and their order are the cached pass's.
+    # Without a cache the layers run over row blocks into reused scratch;
+    # the operations and their order are the cached pass's.
     rng = np.random.default_rng(rows + hidden)
     p = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=hidden, depth=4,
                       time_embed_dim=16)
@@ -474,6 +475,33 @@ def test_sampling_forward_is_bytewise_the_reference_at_every_grid_node(dtype, ke
         acts, _ = reference_layers(p, x_t, t, cond)
         assert out.dtype == acts[-1].dtype == dtype
         assert np.array_equal(bits(out), bits(acts[-1])), t
+
+
+R = FORWARD_BLOCK_ROWS
+BLOCK_EDGE_ROWS = [1, 15, 16, 17, R - 1, R, R + 1, 2 * R - 1, 2 * R, 2 * R + 1, 4096, 4097]
+
+
+@pytest.mark.parametrize("per_row_t", [False, True])
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+def test_forward_is_bitwise_the_reference_at_block_edges(rows, dtype, keep, per_row_t):
+    # The reference multiplies whole arrays, so the sampling pass's row
+    # blocks, and the tail that joins the last of them, must not change a
+    # bit of the output at any row count.
+    cfg = default_config()
+    rng = np.random.default_rng(rows)
+    p = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=cfg.hidden, depth=cfg.depth,
+                      time_embed_dim=cfg.time_embed_dim)
+    he_final_layer(p, rng)
+    p = replace(p, flat=p.flat.astype(dtype))
+    x_t = 4.0 * rng.standard_normal((rows, 2))
+    cond = 4.0 * rng.standard_normal((rows, 2))
+    t = rng.uniform(0.0, 1.0, size=rows) if per_row_t else 0.37
+    out, _ = forward_with_cache(p, x_t, t, cond, keep)
+    acts, _ = reference_layers(p, x_t, t, cond)
+    assert out.dtype == acts[-1].dtype == dtype
+    assert np.array_equal(bits(out), bits(acts[-1]))
 
 
 def sign_edge_net(dtype, z):
