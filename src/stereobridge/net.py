@@ -9,28 +9,27 @@ exactly zero.
 
 Gradients are computed by explicit backpropagation in float64, which keeps
 every parameter checkable against central finite differences and makes
-training bitwise deterministic for a fixed seed.  The forward runs in one
-of two modes with bitwise equal outputs.  Both carry every hidden value
-negated: the input is negated once, each layer computes ``-z = (-a) @ W -
-b`` and ``-a = -z / (1 + exp(-z))``, and the output layer ``b - (-a) @ W``.
-Negation is exact and rounding to nearest is symmetric in sign, so these
-are the textbook values negated bit for bit, up to the sign of a sum that
-is exactly zero, and the SiLU needs no negation pass.  The training pass
-keeps a cache of the negated network input and one negated pre-activation
-array per hidden layer; the activations share one scratch buffer, and
-:func:`backward` recomputes them from the pre-activations by the forward's
-own operations.  At the recipe's width 192 and depth 4 it peaks at about
-8 KB per float64 row.  Sampling and the EMA-target pass keep nothing: the
-input and hidden layers run over blocks of ``FORWARD_BLOCK_ROWS`` rows in
-one reused scratch block, and only the last hidden layer's activation is
-whole.  The blocks' products are bitwise the whole array's, but the output
-layer's 2-wide product changes bits with its row count, so it runs once
-over that whole activation.  At the recipe this peaks at about 1.9 KB per
-float64 row and 1.0 KB per float32 row at 4096 rows (0.8 KB at 100,000),
-and depth adds nothing.
+training bitwise deterministic for a fixed seed.  One loop runs the
+forward's input and hidden layers over row blocks, carrying every hidden
+value negated: the input is negated once, each layer computes ``-z = (-a)
+@ W - b`` and ``-a = -z / (1 + exp(-z))``, and the output layer, run once
+over the whole last hidden activation, ``b - (-a) @ W``.  Negation is exact
+and rounding to nearest is symmetric in sign, so these are the textbook
+values negated bit for bit, up to the sign of a sum that is exactly zero,
+and the SiLU needs no negation pass.  Training's pass is the loop's
+one-block case: it keeps the negated input and one negated pre-activation
+array per hidden layer, from which :func:`backward` recomputes the
+activations by the forward's own operations, and peaks at about 8 KB per
+float64 row at the recipe's width 192 and depth 4.  Sampling and the
+EMA-target pass keep nothing and run blocks of ``FORWARD_BLOCK_ROWS`` rows
+in one reused scratch block, keeping only the last hidden activation whole:
+the blocks' products are bitwise the whole array's, but the output layer's
+2-wide product changes bits with its row count.  At the recipe this peaks
+at about 1.9 KB per float64 row and 1.0 KB per float32 row at 4096 rows
+(0.8 KB at 100,000), and depth adds nothing.
 
 The forward runs in its parameters' dtype: the input is assembled in it,
-the biases are views of ``flat`` and the scratch buffer follows the input.
+the biases are views of ``flat`` and every buffer is allocated in it.
 Training, Adam, the EMA and library sampling hold float64 parameters.  The
 ``sample`` command runs the checkpoint's float32 net, which halves a
 forward's memory per row; the bridge states around it stay float64.
@@ -229,11 +228,7 @@ def _input_columns(p: DenoiserParams, x_t, t, cond):
     return x_t, np.broadcast_to(emb, (len(x_t), p.time_embed_dim)), cond
 
 
-def _assemble_input(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
-    return np.concatenate(_input_columns(p, x_t, t, cond), axis=1, dtype=p.flat.dtype)
-
-
-# Rows per block of the sampling forward's input and hidden layers.  Their
+# Rows per block of the cache-free forward's input and hidden layers.  Their
 # products are bitwise those of the whole array for blocks of 2 rows or more
 # on OpenBLAS (1 and 2 threads, float32 and float64); the 2-wide output
 # product is not, so it runs once over the whole last activation.  At 4096
@@ -243,20 +238,37 @@ def _assemble_input(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
 FORWARD_BLOCK_ROWS = 512
 
 
-def _negated_last_activation(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
-    """The last hidden layer's negated activation (the negated input for a
-    net without hidden layers), one whole (batch, width) array, computed in
-    blocks of ``FORWARD_BLOCK_ROWS`` rows; a shorter tail joins the block
-    before it."""
+def forward_with_cache(p: DenoiserParams, x_t, t, cond, keep: bool):
+    """Run the network, keeping what backprop needs when ``keep`` is true.
+
+    Returns ``(output, cache)`` where output has shape (batch, data_dim), in
+    the parameters' dtype.  One loop runs the input and hidden layers over
+    row blocks (see the module docstring), then the output layer runs once
+    over the whole last hidden activation.  With ``keep`` the batch is one
+    block and the cache is ``(-network input, [-hidden pre-activations])``,
+    the textbook arrays negated, each a fresh array; the activations, the
+    last among them, share one buffer and are not kept (:func:`backward`
+    recomputes them).  Without ``keep`` the cache is ``None`` and the blocks
+    are ``FORWARD_BLOCK_ROWS`` rows, a shorter tail joining the block before
+    it; a block's input and layers reuse one scratch block and the last
+    hidden activation goes into one whole array, so memory does not grow
+    with depth.  The modes run the same operations on the same values, so
+    their outputs are bitwise equal.
+    """
     columns = _input_columns(p, x_t, t, cond)
-    rows, dtype = len(x_t), p.flat.dtype
-    starts = range(0, max(rows // FORWARD_BLOCK_ROWS, 1) * FORWARD_BLOCK_ROWS,
-                   FORWARD_BLOCK_ROWS)
+    rows, dtype, widths = len(x_t), p.flat.dtype, p.widths
     layers = list(zip(p.weights[:-1], p.biases[:-1]))
-    last = np.empty((rows, p.widths[-2]), dtype)
-    # The last block is the largest.  A block's input goes into the second
-    # half, which its first layer's SiLU overwrites once the matmul has read it.
-    pre, buf = np.empty((2, (rows - starts[-1]) * max(p.widths[:-1])), dtype)
+    starts = [0] if keep else range(
+        0, max(rows // FORWARD_BLOCK_ROWS, 1) * FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS)
+    if keep:
+        nx, pre_acts = np.empty((rows, widths[0]), dtype), []
+        buf = np.empty(rows * max(widths[1:-1], default=0), dtype)
+        last = buf[:rows * widths[-2]].reshape(rows, widths[-2]) if layers else nx
+    else:
+        last = np.empty((rows, widths[-2]), dtype)
+        # The last block is the largest.  A block's input goes into the second
+        # half, which its first layer's SiLU overwrites once the matmul has read it.
+        pre, buf = np.empty((2, (rows - starts[-1]) * max(widths[:-1])), dtype)
     # The SiLU's exp(-z) overflows to inf below z = -88.7 in float32 (-709 in
     # float64; the recipe's pre-activations reach -87.3), where -z / inf is
     # the negated SiLU's limit +0.0: not worth a warning.  Any other overflow
@@ -265,51 +277,22 @@ def _negated_last_activation(p: DenoiserParams, x_t, t, cond) -> np.ndarray:
         for lo, hi in zip(starts, [*starts[1:], rows]):
             # Contiguous views, so each matmul is the call a fresh array gets.
             n = hi - lo
-            first = buf[:n * p.widths[0]].reshape(n, p.widths[0]) if layers else last[lo:hi]
-            na = np.concatenate([c[lo:hi] for c in columns], axis=1, out=first)
+            na = nx if keep else (buf[:n * widths[0]].reshape(n, widths[0]) if layers
+                                  else last[lo:hi])
+            np.concatenate([c[lo:hi] for c in columns], axis=1, out=na)
+            if hi == rows:  # Free a per-row time embedding before the layers.
+                columns = None
             np.negative(na, out=na)
             for k, (w, b) in enumerate(layers, 1):
-                nz = np.matmul(na, w, out=pre[:n * w.shape[1]].reshape(n, w.shape[1]))
+                nz = np.matmul(na, w, out=None if keep else
+                               pre[:n * w.shape[1]].reshape(n, w.shape[1]))
                 nz -= b
+                if keep:
+                    pre_acts.append(nz)
                 dest = last[lo:hi] if k == len(layers) else buf[:nz.size].reshape(nz.shape)
                 na = _negated_silu(nz, dest)
-    return last
-
-
-def forward_with_cache(p: DenoiserParams, x_t, t, cond, keep: bool):
-    """Run the network, keeping what backprop needs when ``keep`` is true.
-
-    Returns ``(output, cache)`` where output has shape (batch, data_dim), in
-    the parameters' dtype.  The hidden layers carry negated values (see the
-    module docstring): with ``keep`` the cache is ``(-network input,
-    [-hidden pre-activations])``, the textbook arrays negated; each layer
-    allocates its pre-activation, and the hidden activations share one
-    scratch buffer and are not kept (:func:`backward` recomputes them).
-    Without ``keep`` the cache is ``None`` and the input and hidden layers
-    run over blocks of ``FORWARD_BLOCK_ROWS`` rows, a shorter tail joining
-    the block before it, so a call of at most that many rows is one block.
-    A block's layers write into one reused scratch block and the last
-    hidden layer into one whole (batch, hidden) array, over which the
-    output layer runs once: its 2-wide product changes bits with the row
-    count, and the hidden products do not.  Memory does not grow with
-    depth.  Both modes run the same operations on the same values, so their
-    outputs are bitwise equal.
-    """
-    if keep:
-        na = nx = _assemble_input(p, x_t, t, cond)
-        np.negative(nx, out=nx)
-        buf = np.empty(len(nx) * max(p.widths[1:-1], default=0), nx.dtype)
-        pre_acts = []
-        # exp(-z) overflows where the sampling pass's does, to the same limits.
-        with np.errstate(over="ignore"):
-            for w, b in zip(p.weights[:-1], p.biases[:-1]):
-                nz = np.matmul(na, w)
-                pre_acts.append(nz)
-                nz -= b
-                na = _negated_silu(nz, buf[:nz.size].reshape(nz.shape))
-    else:
-        na = _negated_last_activation(p, x_t, t, cond)
-    out = np.matmul(na, p.weights[-1])
+    pre = buf = nz = None  # Free the scratch before the output layer allocates.
+    out = np.matmul(last, p.weights[-1])
     np.subtract(p.biases[-1], out, out=out)
     return out, ((nx, pre_acts) if keep else None)
 

@@ -170,6 +170,14 @@ def test_forward_pass_has_one_caller_per_entry_point():
     assert sorted(found) == ["consistency._estimate", "net.loss_and_grads"]
 
 
+def test_hidden_layers_run_in_one_loop():
+    # The kept and cache-free passes share forward_with_cache's one loop, the
+    # only place a hidden layer's SiLU runs.
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in call_sites(path, "_negated_silu")]
+    assert found == ["net.forward_with_cache"]
+
+
 # Every function in src/ that calls np.asarray, with why it converts.  Other
 # functions take the float64 arrays their callers already pass, so a new
 # conversion needs a deliberate entry here.

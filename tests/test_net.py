@@ -13,7 +13,6 @@ from stereobridge.net import (
     FORWARD_BLOCK_ROWS,
     DenoiserParams,
     TrainingError,
-    _assemble_input,
     adam_step,
     backward,
     ema_update,
@@ -87,12 +86,12 @@ def test_scalar_time_input_equals_a_full_time_column_bitwise():
     p = probe_net()
     x_t, _, cond = probe_batch(batch=64)
     for t in (0.0, 0.37, 0.999):
-        a = _assemble_input(p, x_t, t, cond)
-        b = _assemble_input(p, x_t, np.full(64, t), cond)
+        # The kept cache's first entry is the negated assembled input.
+        out_a, (a, _) = forward_with_cache(p, x_t, t, cond, True)
+        out_b, (b, _) = forward_with_cache(p, x_t, np.full(64, t), cond, True)
         assert a.shape == (64, p.widths[0])
         assert np.array_equal(a, b)
-        assert np.array_equal(forward_with_cache(p, x_t, t, cond, True)[0],
-                              forward_with_cache(p, x_t, np.full(64, t), cond, True)[0])
+        assert np.array_equal(out_a, out_b)
 
 
 def test_zero_final_layer_outputs_zero():
@@ -122,8 +121,8 @@ def test_forward_sensitive_to_conditioning():
 @pytest.mark.parametrize("rows", [16, 64, 4096])
 @pytest.mark.parametrize("hidden", [192, 120])
 def test_forward_without_cache_equals_the_cached_pass_bitwise(hidden, rows, dtype):
-    # Without a cache the layers run over row blocks into reused scratch;
-    # the operations and their order are the cached pass's.
+    # One loop runs both modes: the cached pass as one block, the cache-free
+    # pass over row blocks into reused scratch, by the same operations.
     rng = np.random.default_rng(rows + hidden)
     p = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=hidden, depth=4,
                       time_embed_dim=16)
@@ -135,6 +134,29 @@ def test_forward_without_cache_equals_the_cached_pass_bitwise(hidden, rows, dtyp
     assert cache is None
     assert dropped.dtype == kept.dtype == dtype
     assert np.array_equal(dropped, kept)
+
+
+def test_kept_pass_memory_per_row_at_the_recipe_width():
+    # The cache's negated input (288 B per float64 row) and four 192-wide
+    # pre-activations (6 KB) plus one activation buffer that the last
+    # activation shares (1.5 KB): about 8.0 KB per row.  A pre-activation
+    # scratch block would add 1.5 KB, and holding the per-row time
+    # embedding through the layers 0.26 KB.
+    cfg = default_config()
+    rng = np.random.default_rng(0)
+    p = init_denoiser(rng, data_dim=2, cond_dim=2, hidden=cfg.hidden, depth=cfg.depth,
+                      time_embed_dim=cfg.time_embed_dim)
+    rows = 4096
+    x_t, cond = rng.standard_normal((rows, 2)), rng.standard_normal((rows, 2))
+    t = rng.uniform(0.0, 1.0, size=rows)
+    forward_with_cache(p, x_t, t, cond, True)
+    tracemalloc.start()
+    try:
+        forward_with_cache(p, x_t, t, cond, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / rows <= 8.1e3
 
 
 def test_forward_shape_errors():
