@@ -149,9 +149,10 @@ class RunConfig:
         return net.layer_widths(dim, dim, self.hidden, self.depth, self.time_embed_dim)
 
     def model(self, online: np.ndarray) -> ConsistencyModel:
-        """This run's consistency model, its online net laid over ``online``
-        without a copy; training and the checkpoint reader both build theirs
-        here.  A vector that does not fit the layers raises ``ValueError``."""
+        """This run's model: the online net laid over ``online`` without a
+        copy, the grid, and the node table of the run's schedule and
+        ``sigma_data``; training and the checkpoint reader build theirs here.
+        A vector that does not fit the layers raises ``ValueError``."""
         params = net.DenoiserParams(online, self.layer_widths(), self.time_embed_dim)
         return ConsistencyModel(params, sched=self.schedule(), grid=self.time_grid(),
                                 sigma_data=self.sigma_data)

@@ -24,7 +24,7 @@ draws its noise the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -56,27 +56,27 @@ class NodeTable(NamedTuple):
 
 @dataclass
 class ConsistencyModel:
-    """The online net plus the schedule and grid it runs on, all that
+    """The online net, the grid it runs on and the node table, all that
     sampling reads; the EMA target that trains it is the training loop's.
 
-    ``sigma_data`` scales the boundary parameterization; ``eval_count``
-    tallies network evaluations for function-evaluation accounting and is
-    purely diagnostic.  ``table`` is computed once from the schedule, grid
-    and ``sigma_data`` when the model is built; its elementwise arithmetic
-    is that of :func:`bridge_coefficients`, so every entry is bitwise the
-    scalar value at that node.
+    ``sched`` and ``sigma_data`` (the boundary scale) are construction
+    arguments only: ``table``, built from them and the grid, is the one
+    record of both.  Its elementwise arithmetic is that of
+    :func:`bridge_coefficients`, so every entry is bitwise the scalar value
+    at that node.  ``eval_count`` tallies network evaluations for
+    function-evaluation accounting and is purely diagnostic.
     """
 
     online: DenoiserParams
-    sched: NoiseSchedule
+    sched: InitVar[NoiseSchedule]
     grid: TimeGrid
-    sigma_data: float
+    sigma_data: InitVar[float]
     eval_count: int = 0
     table: NodeTable = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        a, b, cap_sigma2 = bridge_coefficients(self.sched, self.grid.nodes)
-        cols = (a, b, np.sqrt(cap_sigma2), *_scalings(cap_sigma2, self.sigma_data))
+    def __post_init__(self, sched, sigma_data):
+        a, b, cap_sigma2 = bridge_coefficients(sched, self.grid.nodes)
+        cols = (a, b, np.sqrt(cap_sigma2), *_scalings(cap_sigma2, sigma_data))
         cols = tuple(c[:, None] for c in cols)
         for c in cols:
             c.setflags(write=False)

@@ -214,7 +214,7 @@ def stft(x: np.ndarray) -> Spectrogram:
 # ---------------------------------------------------------------------------
 
 def _hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
+    return 2595.0 * np.log10(1.0 + f / 700.0)
 
 
 def mel_filterbank() -> np.ndarray:

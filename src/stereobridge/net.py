@@ -88,7 +88,7 @@ class DenoiserParams:
     multiply on the left.  The input layer takes ``data_dim +
     time_embed_dim + cond_dim`` features and the output layer emits
     ``data_dim``.  A ``flat`` whose size is not :func:`parameter_count` of
-    the widths raises ``ValueError``.
+    the widths, or an odd ``time_embed_dim``, raises ``ValueError``.
     """
 
     flat: np.ndarray = field(repr=False, compare=False)
@@ -98,6 +98,8 @@ class DenoiserParams:
     biases: list = field(init=False)
 
     def __post_init__(self):
+        if self.time_embed_dim % 2:
+            raise ValueError(f"time-embedding width {self.time_embed_dim} is odd")
         size = parameter_count(self.widths)
         if size != self.flat.size:
             raise ValueError(f"layers hold {size} values, flat vector {self.flat.size}")

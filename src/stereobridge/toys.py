@@ -205,11 +205,11 @@ def posterior_mixing(problem: ToyProblem, x1) -> Posterior:
 
 
 def _state_mixture(post: Posterior, t, sched):
-    """Log weights (k, n), means (k, dim, n) and variances (k,) at time t."""
+    """Means (k, dim, n) and variances (k,) at time t; weights are ``post.log_w``."""
     a, b, cap_sigma2 = bridge_coefficients(sched, t)
     means = a * post.means + b * post.x1.T
     variances = np.maximum(a * a * post.variances + cap_sigma2, VARIANCE_FLOOR)
-    return post.log_w, means, variances
+    return means, variances
 
 
 def _component_logpdfs(x, t, post: Posterior, sched):
@@ -217,11 +217,11 @@ def _component_logpdfs(x, t, post: Posterior, sched):
     dim = post.means.shape[1]
     if x.shape[1] != dim:
         raise ValueError(f"points have dim {x.shape[1]}, mixture has {dim}")
-    log_w, means, variances = _state_mixture(post, t, sched)
+    means, variances = _state_mixture(post, t, sched)
     diff = x.T - means
     ssq = np.sum(diff * diff, axis=1)
     log_comp = (
-        log_w
+        post.log_w
         - 0.5 * dim * np.log(2.0 * np.pi * variances)[:, None]
         - 0.5 * ssq / variances[:, None]
     )
@@ -257,9 +257,9 @@ def bridge_marginal_score(x, t, post: Posterior, sched: NoiseSchedule):
 def sample_bridge_marginal(t, post: Posterior, sched: NoiseSchedule,
                            rng: np.random.Generator) -> np.ndarray:
     """Draw exact bridge states at time t, one per row of ``post.x1``."""
-    log_w, means, variances = _state_mixture(post, t, sched)
+    means, variances = _state_mixture(post, t, sched)
     n = post.x1.shape[0]
-    cum = np.cumsum(np.exp(log_w), axis=0)
+    cum = np.cumsum(np.exp(post.log_w), axis=0)
     u = rng.random(n)
     comp = np.minimum((u > cum).sum(axis=0), len(variances) - 1)
     centers = means[comp, :, np.arange(n)]

@@ -71,6 +71,19 @@ def test_posterior_noise_shape_error():
         sample_posterior(ep, 0.5, CONST, np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_endpoints_reject_a_non_finite_end(bad):
+    with pytest.raises(ValueError, match="endpoints must be finite"):
+        Endpoints(np.array([0.0, bad]), np.zeros(2))
+    with pytest.raises(ValueError, match="endpoints must be finite"):
+        Endpoints(np.zeros(2), np.array([bad, 0.0]))
+
+
+def test_heun_rejects_a_stepless_integration():
+    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+        heun_integrate(lambda x, t: x, np.array([1.0]), 0.1, 0.9, 0)
+
+
 def test_analytic_score_zero_at_mode():
     ep = Endpoints(np.array([1.0, 2.0]), np.array([-1.0, 0.5]))
     mu, _ = posterior_moments(ep, 0.3, DEFAULT)

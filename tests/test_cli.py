@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import stereobridge
-from stereobridge import bridge, cli
+from stereobridge import bridge, cli, consistency
 from stereobridge.cli import _samples_csv, main
 from stereobridge.config import load_config, load_run, save_run
 from stereobridge.dsp import StereoWaveform, read_wav, write_wav
@@ -830,9 +830,23 @@ def test_float32_samples_stay_within_the_float64_path(nfe, recipe_500, tmp_path,
     want = toy_sample(model, problem, 4096, np.random.default_rng(9), nfe)
     assert np.max(np.abs(got - want)) <= 5e-6
     post = posterior_mixing(problem, problem.draw_prior(4096, np.random.default_rng(9)))
-    log_got = np.mean(bridge_marginal_logpdf(got, 0.0, post, model.sched))
-    log_want = np.mean(bridge_marginal_logpdf(want, 0.0, post, model.sched))
+    log_got = np.mean(bridge_marginal_logpdf(got, 0.0, post, cfg.schedule()))
+    log_want = np.mean(bridge_marginal_logpdf(want, 0.0, post, cfg.schedule()))
     assert abs(log_got - log_want) <= 1e-7
+
+
+def test_sample_fails_when_evaluations_go_uncounted(tiny_config, trained, tmp_path,
+                                                   monkeypatch, capsys):
+    # A denoiser that skips eval_count leaves the budget unaccounted for.
+    monkeypatch.setattr(consistency, "denoise", lambda m, x_t, i, cond:
+                        consistency._estimate(m, m.online, x_t, i, cond))
+    out = tmp_path / "s"
+    rc = main(["sample", "--config", str(tiny_config), "--checkpoint", str(trained),
+               "--nfe", "2", "--count", "8", "--out", str(out)])
+    assert rc == 1
+    assert ("evaluation accounting failed: budget 2, recorded 0"
+            in capsys.readouterr().err)
+    assert not (out / "samples_nfe2.csv").exists()
 
 
 def test_sample_rejects_bad_count(tiny_config, trained, tmp_path, capsys):
@@ -938,6 +952,16 @@ def test_eval_flags_failures_but_keeps_partial_results(tmp_path, capsys):
     assert "error" in read_report(out / "pair_001.json")
     # the good pair still made it into the aggregate
     assert len((out / "aggregate.csv").read_text().splitlines()) == 2
+
+
+def test_eval_reports_a_stereo_reference_against_a_mono_synthesis(tmp_path, capsys):
+    ref, syn = tmp_path / "ref.wav", tmp_path / "syn.wav"
+    write_decaying_stereo(ref)
+    write_wav(syn, StereoWaveform(read_wav(ref).samples[:, 0], RATE))
+    out = tmp_path / "ev"
+    assert main(["eval", "--ref", str(ref), "--syn", str(syn), "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert "channel counts differ: 2 vs 1" in read_report(out / "pair_000.json")["error"]
 
 
 def test_eval_reports_a_data_chunk_of_partial_frames(tmp_path, capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stereobridge import net
+from stereobridge import consistency, net
 from stereobridge.bridge import Endpoints, sample_posterior
 from stereobridge.config import default_config
 from stereobridge.consistency import (
@@ -23,6 +23,7 @@ from stereobridge.consistency import (
 )
 from stereobridge.net import init_adam, init_denoiser
 from stereobridge.schedule import NoiseSchedule, bridge_coefficients, make_grid
+from stereobridge.toys import GaussianMixture, ToyProblem, one_component_flow, posterior_mixing
 
 CONST = NoiseSchedule(beta0=1.0, beta1=1.0)
 DEFAULT = NoiseSchedule()
@@ -145,17 +146,17 @@ def test_node_table_matches_scalar_coefficients_bitwise(sched, sigma_data):
 def test_node_state_matches_sample_posterior_bitwise():
     # Single indices (sampler, spread probe) and per-row index arrays (loss)
     # both give the state sample_posterior draws at that node.
-    m = make_model(n_steps=12)
+    m = make_model(sched=DEFAULT, n_steps=12)
     x0, x1, _ = make_batch(13, seed=40)
     z = np.random.default_rng(41).standard_normal(x0.shape)
     ep = Endpoints(x0, x1)
     for i, t in enumerate(m.grid.nodes):
         assert np.array_equal(_state(m, i, x0, x1, z),
-                              sample_posterior(ep, t, m.sched, z).x)
+                              sample_posterior(ep, t, DEFAULT, z).x)
     n = np.random.default_rng(42).integers(0, 13, size=13)
     per_row = _state(m, n, x0, x1, z)
     for r, i in enumerate(n):
-        want = sample_posterior(ep, m.grid.nodes[i], m.sched, z).x[r]
+        want = sample_posterior(ep, m.grid.nodes[i], DEFAULT, z).x[r]
         assert np.array_equal(per_row[r], want)
 
 
@@ -325,13 +326,13 @@ def test_one_step_uses_exactly_one_evaluation():
 def test_multistep_single_time_reduces_to_one_step():
     # Budget 1 denoises the top-node start state b * x1 + sqrt(cap_sigma2) * z
     # built from the generator's first draw.
-    m = make_model(seed=25)
+    m = make_model(sched=DEFAULT, sigma_data=0.5, seed=25)
     x1 = np.array([[0.3, -0.7, 1.1]])
     cond = np.ones((1, COND))
     t = float(m.grid.t_max)
     z = np.random.default_rng(26).standard_normal((1, DIM))
-    _, b, cap_sigma2 = bridge_coefficients(m.sched, t)
-    c_skip, c_out = _scalings(cap_sigma2, m.sigma_data)
+    _, b, cap_sigma2 = bridge_coefficients(DEFAULT, t)
+    c_skip, c_out = _scalings(cap_sigma2, 0.5)
     start = b * x1 + np.sqrt(cap_sigma2) * z
     raw, _ = net.forward_with_cache(m.online, start, t, cond, True)
     expected = c_skip * start + c_out * raw
@@ -479,6 +480,38 @@ def test_nfe_times_feed_multistep_sampler():
         x0_hat = denoise(m, _state(m, i, x0_hat, x1, rng.standard_normal(x1.shape)), i, cond)
     assert out.shape == (5, DIM)
     assert np.array_equal(out, x0_hat)
+
+
+def test_sampler_with_the_exact_map_meets_its_closed_form_floor(monkeypatch):
+    # With the exact flow to t_min in place of the network, the sampler's only
+    # error is the start state's dropped a(t_max) * x0 term.  The exact map
+    # carries it to the output scaled by its slope k, so one step is biased
+    # by -k * a(t_max) * mean(mu); later steps re-noise around an estimate of
+    # the posterior's own law and shrink it.  Every budget keeps the
+    # posterior's spread.  This is why more evaluations do not hurt.
+    sched, grid = DEFAULT, make_grid(12)
+    mixture = GaussianMixture(np.array([[2.0, 0.0]]), np.array([0.5]), np.array([1.0]))
+    problem = ToyProblem(mixture, prior_sigma=1.0)
+    x1 = problem.draw_prior(200_000, np.random.default_rng(60))
+    post = posterior_mixing(problem, x1)
+    mu, v = post.means[0].T, post.variances[0]
+    monkeypatch.setattr(consistency, "denoise", lambda m, x, i, cond: one_component_flow(
+        x, grid.nodes[i], grid.t_min, post, sched))
+    m = make_model(sched=sched, n_steps=12)
+
+    (a_lo, _, s_lo), (a_hi, _, s_hi) = (bridge_coefficients(sched, t)
+                                        for t in (grid.t_min, grid.t_max))
+    k = np.sqrt((a_lo * a_lo * v + s_lo) / (a_hi * a_hi * v + s_hi))
+    bias = -k * a_hi * np.mean(mu, axis=0)
+    assert bias[0] == pytest.approx(-0.0126, abs=1e-4) and abs(bias[1]) < 1e-4
+    for nfe in (1, 2, 4, 8):
+        resid = sample_multistep(m, x1, x1, nfe, np.random.default_rng(60 + nfe)) - mu
+        mean, sd = np.mean(resid, axis=0), np.std(resid, axis=0)
+        if nfe == 1:
+            assert np.all(np.abs(mean - bias) <= 4.0 * sd / np.sqrt(len(resid)))
+        else:
+            assert np.all(np.abs(mean) < 0.5 * abs(bias[0]))
+        assert np.all(np.abs(sd / np.sqrt(v) - 1.0) < 0.01)
 
 
 def test_multistep_equals_the_cached_forward_loop_bitwise():

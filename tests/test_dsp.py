@@ -127,6 +127,9 @@ def test_waveform_validation():
         StereoWaveform(np.zeros(4), 0)
     with pytest.raises(ValueError):
         StereoWaveform(np.array([np.nan]), 22050)
+    for empty in (np.zeros(0), np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="waveform is empty"):
+            StereoWaveform(empty, 22050)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +152,11 @@ def test_stft_zero_signal():
 def test_stft_rejects_short_signal():
     with pytest.raises(ValueError):
         stft(np.zeros(FRAME_SIZE - 1))
+
+
+def test_framing_rejects_more_than_one_channel():
+    with pytest.raises(ValueError, match="frame_signal expects a single channel"):
+        frame_signal(np.zeros((FRAME_SIZE, 2)))
 
 
 def test_stft_sine_concentrates_at_bin():
@@ -361,3 +369,6 @@ def test_cepstra_validation():
         mel_cepstra(np.zeros((2, 80)), k=81)
     with pytest.raises(ValueError):
         MelCepstra(coeffs=np.array([[np.inf, 0.0]]))
+    for shape in ((3,), (2, 3, 4)):
+        with pytest.raises(ValueError, match=r"coeffs must be \(frames, k\)"):
+            MelCepstra(coeffs=np.zeros(shape))

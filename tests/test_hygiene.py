@@ -188,7 +188,6 @@ ASARRAY_SITES = {
     "toys.__post_init__": "GaussianMixture checks the config's lists it is built from",
     "schedule._check_unit_time": "times arrive as Python floats or grid arrays",
     "net.time_embedding": "times arrive as Python floats or per-row arrays",
-    "dsp._hz_to_mel": "band edges arrive as Python floats",
 }
 
 

@@ -81,6 +81,12 @@ def test_mcd_frame_mismatch_rejected():
         mcd(MelCepstra(np.zeros((3, 13))), MelCepstra(np.zeros((4, 13))))
 
 
+def test_mcd_needs_a_coefficient_beyond_c0():
+    only_c0 = MelCepstra(np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="need at least two coefficients"):
+        mcd(only_c0, only_c0)
+
+
 # ---------------------------------------------------------------------------
 # LRE
 # ---------------------------------------------------------------------------
@@ -212,6 +218,39 @@ def test_rt60_insufficient_decay_rejected():
         rt60_schroeder(np.ones(5), RATE)
     with pytest.raises(UnreliableDecayError):
         rt60_schroeder(np.zeros(100), RATE)
+
+
+@pytest.mark.parametrize("ir", [np.zeros(0), np.ones((4, 2))], ids=["empty", "2-D"])
+def test_schroeder_curve_rejects_a_misshapen_ir(ir):
+    with pytest.raises(ValueError, match="nonempty 1-D array"):
+        schroeder_curve(ir)
+
+
+@pytest.mark.parametrize("rate", [0, -RATE])
+def test_rt60_rejects_a_nonpositive_rate(rate):
+    with pytest.raises(ValueError, match=f"rate must be positive, got {rate}"):
+        rt60_schroeder(exponential_ir(0.2, RATE, 1.0, np.random.default_rng(9)), rate)
+
+
+def test_rt60_rejects_a_decay_that_skips_the_fit_span():
+    # The curve falls from 0 dB straight to -60 dB: deep enough, but no
+    # sample lies in -5..-35 dB.
+    with pytest.raises(UnreliableDecayError, match="fewer than two samples"):
+        rt60_schroeder(np.array([1.0, 1e-3]), RATE)
+
+
+def test_rt60_rejects_a_flat_fit_span():
+    # Energies 1, 0.1, 0.1, 0.1, 1e-4 of the total: the curve reads 0, -10,
+    # -10, -10 and -40 dB, so the fitted span is level and its slope is 0.
+    ir = np.sqrt([0.9, 0.0, 0.0, 0.0999, 1e-4])
+    with pytest.raises(UnreliableDecayError, match=r"decay slope is not negative \(0\)"):
+        rt60_schroeder(ir, RATE)
+
+
+@pytest.mark.parametrize("tau, seconds", [(0.0, 1.0), (-0.1, 1.0), (0.2, 0.0)])
+def test_exponential_ir_rejects_nonpositive_times(tau, seconds):
+    with pytest.raises(ValueError, match="tau and duration must be positive"):
+        exponential_ir(tau, RATE, seconds, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("fault", ["all-nan", "trailing-nan", "inf"])

@@ -1,12 +1,13 @@
 import hashlib
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from stereobridge.config import default_config, load_run, parse_config, save_run
+from stereobridge.consistency import ConsistencyModel, NodeTable
 from stereobridge.net import (
     ADAM_BETA1,
     ADAM_EPS,
@@ -168,6 +169,14 @@ def test_forward_shape_errors():
     # cond needs one row per state; a single row is not broadcast.
     with pytest.raises(ValueError, match="rows"):
         forward_with_cache(p, np.zeros((4, 3)), 0.5, np.zeros((1, 2)), True)
+
+
+def test_odd_time_embedding_width_is_rejected_at_construction():
+    # The embedding emits sine and cosine pairs, 2 * (dim // 2) columns; an
+    # odd width would build a net whose first forward fails on the shapes.
+    with pytest.raises(ValueError, match="time-embedding width 3 is odd"):
+        init_denoiser(np.random.default_rng(0), data_dim=2, cond_dim=2,
+                      hidden=4, depth=2, time_embed_dim=3)
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +664,13 @@ def test_checkpoint_round_trips_bitwise(tmp_path):
     assert loaded.online.flat.dtype == np.float32
     assert np.array_equal(loaded.online.flat, model.online.flat.astype(np.float32))
     assert loaded.online.data_dim == loaded.online.cond_dim == 2
-    assert (cfg.ema_decay, loaded.sigma_data, loaded.sched) == (0.97, 0.5, SMALL.schedule())
+    assert cfg.ema_decay == 0.97
     assert np.array_equal(loaded.grid.nodes, SMALL.time_grid().nodes)
+    # The node table, the model's one record of the schedule and sigma_data,
+    # is the one the saved run builds.
+    want = SMALL.model(model.online.flat).table
+    for name, got, col in zip(NodeTable._fields, loaded.table, want):
+        assert np.array_equal(got, col), name
 
 
 def test_loaded_model_holds_one_net(tmp_path):
@@ -674,6 +688,13 @@ def test_loaded_model_holds_one_net(tmp_path):
         tracemalloc.stop()
     assert not hasattr(model, "target")
     assert held < 1.1 * model.online.flat.nbytes
+
+
+def test_model_stores_only_what_sampling_reads():
+    # The schedule and sigma_data are construction arguments: the node table
+    # is the model's one record of them.
+    names = [f.name for f in fields(ConsistencyModel)]
+    assert names == ["online", "grid", "eval_count", "table"]
 
 
 def test_checkpoint_v4_bytes_are_pinned(tmp_path):

@@ -85,6 +85,12 @@ def test_position_encoding_shape_and_distinctness():
     assert np.max(np.abs(flat[0] - flat[1])) > 1e-3
 
 
+@pytest.mark.parametrize("extents", [(0, 5, 7), (4, 0, 7), (4, 5, 0)])
+def test_position_encoding_rejects_a_zero_extent(extents):
+    with pytest.raises(ValueError, match="all extents must be positive"):
+        position_encoding(*extents)
+
+
 def test_with_position_encoding_after_masking():
     # The pipeline adds the encoding after the split, so masked cells carry
     # exactly the positional signal and nothing else.
@@ -187,6 +193,14 @@ def test_energy_vector_type_rejects_bad_codes():
         EnergyVector(codes=np.array([[0, ENERGY_BINS]]))
     with pytest.raises(ValueError):
         EnergyVector(codes=np.array([[-1, 0]]))
+    for shape in ((4,), (4, 3)):
+        with pytest.raises(ValueError, match=r"codes must be \(frames, 2\)"):
+            EnergyVector(codes=np.zeros(shape, dtype=int))
+
+
+def test_energy_vector_rejects_one_dimensional_magnitudes():
+    with pytest.raises(ValueError, match="must be 2-D"):
+        energy_vector(np.zeros(4), np.zeros((4, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +255,12 @@ def test_conv_stack_rejects_bad_pose_shape():
     with pytest.raises(ValueError):
         conv_stack(enc, EnergyVector(np.zeros((2, 2), dtype=int)),
                    np.zeros(4))
+
+
+def test_conv_stack_rejects_an_empty_energy_vector():
+    with pytest.raises(ValueError, match="energy vector has no frames"):
+        conv_stack(make_encoder(), EnergyVector(np.zeros((0, 2), dtype=int)),
+                   pose_encoding(SpeakerPose(1.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +367,25 @@ def test_build_embedding_rejects_channel_mismatch():
     good = SceneFeatureGrid(np.zeros((4, 4, D_MODEL)))
     with pytest.raises(ValueError):
         build_spatial_embedding(enc, bad, good, np.zeros((2, D_MODEL)))
+
+
+@pytest.mark.parametrize("frames, message", [
+    (np.zeros((0, D_MODEL)), "need at least one frame feature"),
+    (np.zeros((2, D_MODEL - 1)), f"frame dim {D_MODEL - 1} != d_model {D_MODEL}"),
+], ids=["no-frames", "wrong-width"])
+def test_build_embedding_rejects_bad_frames(frames, message):
+    g = random_grid()
+    with pytest.raises(ValueError, match=message):
+        build_spatial_embedding(make_encoder(), g, g, frames)
+
+
+def test_build_embedding_rejects_a_non_finite_result():
+    # Finite inputs whose attention logits overflow: the summary is NaN.
+    # The overflow also raises RuntimeWarnings first, so they are silenced
+    # here to reach the check.
+    huge = SceneFeatureGrid(np.full((4, 4, D_MODEL), 1e300))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        build_spatial_embedding(make_encoder(), huge, huge, np.full((2, D_MODEL), 1e300))
 
 
 def test_fuse_text_identity_with_zero_projection():

@@ -70,6 +70,14 @@ def test_mixture_rejects_unnormalized_weights():
         GaussianMixture(np.zeros((2, 2)), np.ones(2), np.array([np.nan, np.nan]))
 
 
+@pytest.mark.parametrize("field", ["means", "sigmas"])
+def test_mixture_rejects_a_non_finite_parameter(field):
+    parts = {"means": np.zeros((2, 2)), "sigmas": np.ones(2), "weights": np.full(2, 0.5)}
+    parts[field].flat[1] = np.nan
+    with pytest.raises(ValueError, match="mixture parameters must be finite"):
+        GaussianMixture(**parts)
+
+
 def test_mixture_sample_moments():
     mix = GaussianMixture(
         means=np.array([[-1.0, 2.0], [3.0, 0.0]]),
@@ -173,6 +181,12 @@ def test_posterior_mixing_matches_numerical_bayes():
 def test_posterior_mixing_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         posterior_mixing(PROBLEM, np.zeros((3, 5)))
+
+
+def test_marginal_density_rejects_points_of_another_dimension():
+    post = posterior_mixing(PROBLEM, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="points have dim 3, mixture has 2"):
+        bridge_marginal_logpdf(np.zeros((3, 3)), 0.5, post, SCHED)
 
 
 # ---------------------------------------------------------------------------
