@@ -45,16 +45,8 @@ from .bridge import (
 )
 from .config import ConfigError, RunConfig, default_config, load_config, load_run, save_run
 from .consistency import nfe_times
-from .dsp import log_mel, mel_cepstra, read_wav
-from .metrics import (
-    MCD_ORDER,
-    MetricReport,
-    lre,
-    mcd,
-    rt60_schroeder,
-    rte,
-    write_aggregate_csv,
-)
+from .dsp import read_wav
+from .metrics import score_pair, write_aggregate_csv
 from .net import TrainingError
 from .schedule import accumulated_variances, bridge_coefficients
 from .toys import run_toy_training, toy_sample
@@ -415,30 +407,6 @@ def cmd_sample(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _evaluate_pair(ref_path: str, syn_path: str) -> MetricReport:
-    ref = read_wav(ref_path)
-    syn = read_wav(syn_path)
-    mel_ref = log_mel(ref)
-    mel_syn = log_mel(syn)
-    if mel_ref.shape[0] != mel_syn.shape[0]:
-        raise ValueError(
-            f"channel counts differ: {mel_ref.shape[0]} vs {mel_syn.shape[0]}"
-        )
-    mcd_db = float(np.mean([
-        mcd(mel_cepstra(mel_ref[ch], MCD_ORDER), mel_cepstra(mel_syn[ch], MCD_ORDER))
-        for ch in range(mel_ref.shape[0])
-    ]))
-    lre_db = lre(ref, syn)
-    # Stereo here (lre checked); bitwise samples.mean(axis=1), without its row loop.
-    rt_ref, rt_syn = (rt60_schroeder((w.samples[:, 0] + w.samples[:, 1]) / 2, w.rate)
-                      for w in (ref, syn))
-    return MetricReport(
-        mcd_db=mcd_db,
-        lre_db=lre_db,
-        rte_s=rte(rt_ref, rt_syn),
-    )
-
-
 def cmd_eval(args) -> int:
     if len(args.ref) != len(args.syn):
         raise ConfigError("--syn", f"must align with --ref ({len(args.syn)} vs "
@@ -450,7 +418,7 @@ def cmd_eval(args) -> int:
         name = f"pair_{i:03d}"
         entry = {"ref": str(ref_path), "syn": str(syn_path)}
         try:
-            report = _evaluate_pair(ref_path, syn_path)
+            report = score_pair(read_wav(ref_path), read_wav(syn_path))
         except (OSError, ValueError) as exc:
             entry["error"] = str(exc)
             failures.append(entry)

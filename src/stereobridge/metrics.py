@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dsp import MelCepstra, StereoWaveform
+from .dsp import MelCepstra, StereoWaveform, log_mel, mel_cepstra
 
 LRE_ENERGY_GUARD = 1e-12
 # Cepstral order for MCD: coefficients c0..c12 per frame; the metric skips c0.
@@ -172,6 +172,33 @@ def rte(rt60_ref: float, rt60_syn: float) -> float:
     if rt60_ref < 0.0 or rt60_syn < 0.0:
         raise ValueError("RT60 values must be >= 0")
     return abs(rt60_ref - rt60_syn)
+
+
+# ---------------------------------------------------------------------------
+# A scored stereo pair
+# ---------------------------------------------------------------------------
+
+def score_pair(ref: StereoWaveform, syn: StereoWaveform) -> MetricReport:
+    """Score a synthesized waveform against its reference: MCD averaged over
+    the channels at ``MCD_ORDER``, LRE, and RTE between the RT60s of each
+    signal's channel mean.  Channel counts that differ, or a signal that is
+    not stereo, raise ``ValueError``."""
+    mel_ref = log_mel(ref)
+    mel_syn = log_mel(syn)
+    if mel_ref.shape[0] != mel_syn.shape[0]:
+        raise ValueError(
+            f"channel counts differ: {mel_ref.shape[0]} vs {mel_syn.shape[0]}"
+        )
+    mcd_db = float(np.mean([
+        mcd(mel_cepstra(mel_ref[ch], MCD_ORDER), mel_cepstra(mel_syn[ch], MCD_ORDER))
+        for ch in range(mel_ref.shape[0])
+    ]))
+    lre_db = lre(ref, syn)
+    # lre has checked that both are stereo; the mix is bitwise
+    # samples.mean(axis=1), without its row loop.
+    rt_ref, rt_syn = (rt60_schroeder((w.samples[:, 0] + w.samples[:, 1]) / 2, w.rate)
+                      for w in (ref, syn))
+    return MetricReport(mcd_db=mcd_db, lre_db=lre_db, rte_s=rte(rt_ref, rt_syn))
 
 
 # ---------------------------------------------------------------------------

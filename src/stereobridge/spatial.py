@@ -315,11 +315,13 @@ def build_spatial_embedding(
             )
     left_tokens = left.features.reshape(-1, d)
     right_tokens = right.features.reshape(-1, d)
-    summary = np.concatenate(
-        [cross_modal_attention(frames, left_tokens),
-         cross_modal_attention(frames, right_tokens)], axis=1
-    )
-    es = summary @ enc.mix
+    # An overflow here leaves a non-finite entry, which the check below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = np.concatenate(
+            [cross_modal_attention(frames, left_tokens),
+             cross_modal_attention(frames, right_tokens)], axis=1
+        )
+        es = summary @ enc.mix
     if not np.all(np.isfinite(es)):
         raise ValueError("spatial embedding is non-finite")
     return es

@@ -281,10 +281,8 @@ def one_component_flow(x, t, s, post: Posterior, sched: NoiseSchedule) -> np.nda
     if len(post.variances) != 1:
         raise ValueError(f"the exact flow needs one component, "
                          f"the posterior has {len(post.variances)}")
-    mu, v, x1 = post.means[0].T, post.variances[0], post.x1
-    (a_t, b_t, c_t), (a_s, b_s, c_s) = (bridge_coefficients(sched, u) for u in (t, s))
-    scale = np.sqrt((a_s * a_s * v + c_s) / (a_t * a_t * v + c_t))
-    return a_s * mu + b_s * x1 + scale * (x - a_t * mu - b_t * x1)
+    (m_t, v_t), (m_s, v_s) = (_state_mixture(post, u, sched) for u in (t, s))
+    return m_s[0].T + np.sqrt(v_s[0] / v_t[0]) * (x - m_t[0].T)
 
 
 # ---------------------------------------------------------------------------

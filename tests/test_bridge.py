@@ -84,6 +84,16 @@ def test_heun_rejects_a_stepless_integration():
         heun_integrate(lambda x, t: x, np.array([1.0]), 0.1, 0.9, 0)
 
 
+def test_heun_over_an_empty_interval_copies_its_start():
+    def drift(x, t):
+        raise AssertionError("an empty interval needs no drift")
+
+    start = np.array([1.0, -2.0])
+    x = heun_integrate(drift, start, 0.4, 0.4, 8)
+    assert np.array_equal(x, start)
+    assert x is not start
+
+
 def test_analytic_score_zero_at_mode():
     ep = Endpoints(np.array([1.0, 2.0]), np.array([-1.0, 0.5]))
     mu, _ = posterior_moments(ep, 0.3, DEFAULT)

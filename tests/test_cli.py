@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import stereobridge
-from stereobridge import bridge, cli, consistency
+from stereobridge import bridge, cli, consistency, metrics
 from stereobridge.cli import _samples_csv, main
 from stereobridge.config import load_config, load_run, save_run
 from stereobridge.dsp import StereoWaveform, read_wav, write_wav
@@ -920,13 +920,13 @@ def test_eval_rt60_input_is_the_channel_mean_bitwise(tmp_path, monkeypatch, caps
     write_decaying_stereo(paths[0])
     write_decaying_stereo(paths[1], gain_left=0.5, tau=0.4, seed=3)
     seen = []
-    rt60 = cli.rt60_schroeder
+    rt60 = metrics.rt60_schroeder
 
     def spy(ir, rate):
         seen.append(np.array(ir))
         return rt60(ir, rate)
 
-    monkeypatch.setattr(cli, "rt60_schroeder", spy)
+    monkeypatch.setattr(metrics, "rt60_schroeder", spy)
     assert main(["eval", "--ref", str(paths[0]), "--syn", str(paths[1]),
                  "--out", str(tmp_path / "ev")]) == 0
     capsys.readouterr()

@@ -78,6 +78,7 @@ def test_wav_stereo_channels(tmp_path):
     back = read_wav(path)
     assert back.channels == 2
     assert back.samples.shape == w.samples.shape
+    assert back.duration == w.n_samples / TARGET_RATE
     assert np.max(np.abs(back.samples - w.samples)) <= 2.0 ** -15
 
 

@@ -2,10 +2,10 @@
 this checkout's, every import is used, ``src/`` keeps only the defaulted
 parameters and the command line only the flags listed here, only ``main``
 returns the usage exit code, the network's forward pass has one caller per
-entry point, array arguments are not converted again, no result forks on a
-zero-dimensional input, every cache is listed, the README's commands parse,
-float32 is cast at one site, and every committed benchmark record carries
-its machine and both sides' medians."""
+entry point, a stereo pair is scored in one place, array arguments are not
+converted again, no result forks on a zero-dimensional input, every cache is
+listed, the README's commands parse, float32 is cast at one site, and every
+committed benchmark record carries its machine and both sides' medians."""
 
 import argparse
 import ast
@@ -176,6 +176,15 @@ def test_hidden_layers_run_in_one_loop():
     found = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in call_sites(path, "_negated_silu")]
     assert found == ["net.forward_with_cache"]
+
+
+def test_a_stereo_pair_is_scored_in_one_place():
+    # The command line reads the files and calls metrics.score_pair, which
+    # alone combines the three figures and the RT60s they compare.
+    found = [site for path in sorted(PACKAGE.glob("*.py"))
+             for callee in ("mcd", "lre", "rte", "rt60_schroeder")
+             for site in call_sites(path, callee)]
+    assert found == ["metrics.score_pair"] * 4
 
 
 # Every function in src/ that calls np.asarray, with why it converts.  Other

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 import scipy.fft
 
 import stereobridge
-from stereobridge.dsp import MelCepstra, StereoWaveform
+from stereobridge.cli import main
+from stereobridge.dsp import MelCepstra, StereoWaveform, read_wav, write_wav
 from stereobridge.metrics import (
     _DIRECT_MAX_TAPS,
     _fast_len,
@@ -24,6 +26,7 @@ from stereobridge.metrics import (
     rt60_schroeder,
     rte,
     schroeder_curve,
+    score_pair,
     synth_reverb_stereo,
     write_aggregate_csv,
 )
@@ -454,6 +457,48 @@ assert loaded == [], loaded
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# A scored stereo pair
+# ---------------------------------------------------------------------------
+
+def decaying_stereo(gain_left=1.0, tau=0.3, seed=0):
+    """One second of stereo reverberation whose decay rate is fittable."""
+    left, right = (exponential_ir(tau, RATE, 1.0, np.random.default_rng(seed + i))
+                   for i in range(2))
+    return stereo(0.1 * gain_left * left, 0.1 * right)
+
+
+def test_score_pair_of_identical_signals_is_zero():
+    w = decaying_stereo()
+    report = score_pair(w, w)
+    assert (report.mcd_db, report.lre_db, report.rte_s) == (0.0, 0.0, 0.0)
+
+
+def test_score_pair_doubled_left_channel_lre():
+    # doubling one channel quadruples its energy: 10*log10(4) dB
+    report = score_pair(decaying_stereo(), decaying_stereo(gain_left=2.0))
+    assert abs(report.lre_db - 6.0206) <= 1e-6
+
+
+def test_score_pair_rejects_a_channel_count_mismatch():
+    ref = decaying_stereo()
+    syn = StereoWaveform(ref.samples[:, 0].copy(), RATE)
+    with pytest.raises(ValueError, match="^channel counts differ: 2 vs 1$"):
+        score_pair(ref, syn)
+
+
+@pytest.mark.parametrize("gain_left, tau, seed", [(1.0, 0.3, 0), (0.5, 0.4, 3)])
+def test_score_pair_is_the_eval_report(tmp_path, capsys, gain_left, tau, seed):
+    paths = [tmp_path / f"{name}.wav" for name in ("ref", "syn")]
+    write_wav(paths[0], decaying_stereo())
+    write_wav(paths[1], decaying_stereo(gain_left, tau, seed))
+    assert main(["eval", "--ref", str(paths[0]), "--syn", str(paths[1]),
+                 "--out", str(tmp_path / "ev")]) == 0
+    capsys.readouterr()
+    written = json.loads((tmp_path / "ev" / "pair_000.json").read_text())["report"]
+    assert score_pair(*map(read_wav, paths)).to_dict() == written
 
 
 # ---------------------------------------------------------------------------

@@ -380,11 +380,10 @@ def test_build_embedding_rejects_bad_frames(frames, message):
 
 
 def test_build_embedding_rejects_a_non_finite_result():
-    # Finite inputs whose attention logits overflow: the summary is NaN.
-    # The overflow also raises RuntimeWarnings first, so they are silenced
-    # here to reach the check.
+    # Finite inputs whose attention logits overflow: the summary is NaN, and
+    # the check reports it without a RuntimeWarning first.
     huge = SceneFeatureGrid(np.full((4, 4, D_MODEL), 1e300))
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         build_spatial_embedding(make_encoder(), huge, huge, np.full((2, D_MODEL), 1e300))
 
 
